@@ -32,6 +32,7 @@ from .graphs import (
     VertexPartition,
     iter_bits,
     mask_of,
+    pair_view,
     popcount,
 )
 from .regularity import check_near_equiregular
@@ -113,19 +114,6 @@ def max_flow(net: FlowNetwork, s: int = 0, t: int = 1) -> tuple[int, dict[int, i
     return total, flows
 
 
-def _min_cut_side(net: FlowNetwork, residual_caps: list[int], s: int = 0) -> set[int]:
-    seen = {s}
-    dq = deque([s])
-    while dq:
-        u = dq.popleft()
-        for e in net.out[u]:
-            v = net.heads[e]
-            if residual_caps[e] > 0 and v not in seen:
-                seen.add(v)
-                dq.append(v)
-    return seen
-
-
 def regularize_pair(H: BipartiteGraph, k: int) -> BipartiteGraph:
     """Smallest-change k-regularization: H' >= H with both sides k-regular.
 
@@ -185,7 +173,7 @@ def regularize_near(H: PartitionedGraph, kmat, C: int, rng=None) -> PartitionedG
         if len(Vi) < len(Vj):
             Vi, Vj = Vj, Vi
         a = len(Vi) - len(Vj)
-        pair = _pair(H.graph, Vi, Vj)
+        pair = pair_view(H.graph.adj, Vi, Vj)
         if a > 0:
             removed = _disjoint_neighbourhood_set(pair, a, k)
             keep = [u for u in range(len(Vi)) if u not in set(removed)]
@@ -229,18 +217,6 @@ def _disjoint_neighbourhood_set(pair: BipartiteGraph, a: int, k: int) -> list[in
     if len(chosen) < a:
         raise GreedySelectionFailed(f"found {len(chosen)} of {a} disjoint-neighbourhood vertices")
     return chosen
-
-
-def _pair(G: LabeledGraph, left, right) -> BipartiteGraph:
-    rpos = {v: b for b, v in enumerate(right)}
-    rmask = mask_of(right)
-    B = BipartiteGraph(len(left), len(right), left_ids=list(left), right_ids=list(right))
-    for aa, u in enumerate(left):
-        acc = 0
-        for w in iter_bits(G.adj[u] & rmask):
-            acc |= 1 << rpos[w]
-        B.adj[aa] = acc
-    return B
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +488,7 @@ def _effective_kmat(union_pg: PartitionedGraph, kmat, R: ReducedGraph):
         Vi = union_pg.partition.classes[i]
         Vj = union_pg.partition.classes[j]
         big, small = (Vi, Vj) if len(Vi) >= len(Vj) else (Vj, Vi)
-        pair = _pair(union_pg.graph, big, small)
+        pair = pair_view(union_pg.graph.adj, big, small)
         achieved = max((popcount(row) for row in pair.adj), default=0)
         achieved = max(achieved, max((popcount(c) for c in pair.right_adj()), default=0))
         base = max(kmat[i][j] if kmat else 0, achieved, 1)

@@ -126,7 +126,6 @@ def cmd_pack(args) -> int:
     inst = PackInstance(host=host, templates=templates, k_mats=k_mats,
                         A_list=[None] * len(templates), lam=list(lam),
                         params=params, gamma_n=args.gamma_n)
-    trace_rows = []
     result = run_main_packing(inst, rng)
     payload = {
         "templates": len(templates),
@@ -222,8 +221,9 @@ def cmd_diagnose(args) -> int:
                                       check_hypotheses=False))
     n = max(host.partition.sizes())
     probes = []
+    probe_rng = random.Random(args.seed + 1)
     for _ in range(args.probes):
-        i, j = random.Random(args.seed + 1).sample(range(host.reduced.r), 2)
+        i, j = probe_rng.sample(range(host.reduced.r), 2)
         if not host.reduced.has_edge(i, j):
             continue
         v = host.partition.classes[i][0]

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import BadParams
 
 
@@ -34,6 +36,45 @@ def mask_of(indices: Iterable[int]) -> int:
     for i in indices:
         m |= 1 << i
     return m
+
+
+def bit_matrix(rows: Sequence[int], ncols: int) -> np.ndarray:
+    """0/1 ``uint8`` matrix whose row ``k`` holds bits ``0..ncols-1`` of ``rows[k]``.
+
+    Rows may carry set bits at or beyond ``ncols`` (host rows span all n
+    vertices), so the byte width follows the widest row as well as ``ncols``.
+    """
+    width = (max(max(rows, default=0).bit_length(), ncols) + 7) // 8
+    packed = np.frombuffer(b"".join([r.to_bytes(width, "little") for r in rows]), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(rows), width), axis=1, count=ncols, bitorder="little")
+
+
+def bit_rows(mat: np.ndarray) -> list[int]:
+    """Inverse of `bit_matrix`: each row of a 0/1 matrix as an int bitset."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    width = packed.shape[1]
+    if width == 0:
+        return [0] * len(packed)
+    buf = packed.tobytes()
+    return [int.from_bytes(buf[k:k + width], "little") for k in range(0, len(buf), width)]
+
+
+def transpose(rows: Sequence[int], ncols: int) -> list[int]:
+    """Column bitsets of the ``len(rows) x ncols`` bit matrix ``rows``."""
+    return bit_rows(bit_matrix(rows, ncols).T)
+
+
+def pair_view(adj: Sequence[int], left: Sequence[int], right: Sequence[int]) -> "BipartiteGraph":
+    """The pair between vertex lists ``left`` and ``right`` of the rows ``adj``.
+
+    Bit ``b`` of row ``a`` is bit ``right[b]`` of ``adj[left[a]]``; the
+    lists are kept as ``left_ids`` and ``right_ids``.
+    """
+    right = list(right)
+    B = BipartiteGraph(len(left), len(right), left_ids=left, right_ids=right)
+    mat = bit_matrix([adj[u] for u in left], max(right, default=-1) + 1)
+    B.adj = bit_rows(mat[:, right])
+    return B
 
 
 class LabeledGraph:
@@ -148,11 +189,7 @@ class BipartiteGraph:
         return popcount(self.adj[u])
 
     def right_adj(self) -> list[int]:
-        cols = [0] * self.nr
-        for u, row in enumerate(self.adj):
-            for v in iter_bits(row):
-                cols[v] |= 1 << u
-        return cols
+        return transpose(self.adj, self.nr)
 
     def num_edges(self) -> int:
         return sum(popcount(r) for r in self.adj)
@@ -174,17 +211,11 @@ class BipartiteGraph:
 
     def subgraph(self, left: Sequence[int], right: Sequence[int]) -> "BipartiteGraph":
         """Induced pair on the given local index subsets, re-indexed."""
-        rmask_pos = {v: i for i, v in enumerate(right)}
-        g = BipartiteGraph(len(left), len(right),
-                           left_ids=[l if self.left_ids is None else self.left_ids[l] for l in left],
-                           right_ids=[r if self.right_ids is None else self.right_ids[r] for r in right])
-        rmask = mask_of(right)
-        for i, l in enumerate(left):
-            row = self.adj[l] & rmask
-            nr = 0
-            for v in iter_bits(row):
-                nr |= 1 << rmask_pos[v]
-            g.adj[i] = nr
+        g = pair_view(self.adj, left, right)
+        if self.left_ids is not None:
+            g.left_ids = [self.left_ids[l] for l in left]
+        if self.right_ids is not None:
+            g.right_ids = [self.right_ids[r] for r in right]
         return g
 
     def __repr__(self) -> str:
@@ -371,18 +402,7 @@ def induced_bipartite(G: PartitionedGraph, i: int, j: int) -> BipartiteGraph:
     """The pair G[V_i, V_j] with local re-indexing and global id maps."""
     if i == j:
         raise BadParams("bipartite restriction needs two distinct classes")
-    left = G.partition.classes[i]
-    right = G.partition.classes[j]
-    rpos = {v: p for p, v in enumerate(right)}
-    rmask = G.class_mask(j)
-    B = BipartiteGraph(len(left), len(right), left_ids=left, right_ids=right)
-    for p, u in enumerate(left):
-        row = G.graph.adj[u] & rmask
-        m = 0
-        for v in iter_bits(row):
-            m |= 1 << rpos[v]
-        B.adj[p] = m
-    return B
+    return pair_view(G.graph.adj, G.partition.classes[i], G.partition.classes[j])
 
 
 # ---------------------------------------------------------------------------

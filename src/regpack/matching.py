@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParams, NoMatching, SideMismatch, SwitchIneligible, TooLarge
-from .graphs import BipartiteGraph, iter_bits, popcount
+from .graphs import BipartiteGraph, bit_matrix, iter_bits, popcount
 
 EXACT_CAP = 24
 _CHUNK = 1 << 16
@@ -256,11 +256,7 @@ def apply_switch(B: BipartiteGraph, m: Matching, u1: int, u2: int, u3: int) -> M
 
 
 def _adj_bool(B: BipartiteGraph) -> np.ndarray:
-    M = np.zeros((B.nl, B.nr), dtype=np.bool_)
-    for u, row in enumerate(B.adj):
-        for v in iter_bits(row):
-            M[u, v] = True
-    return M
+    return bit_matrix(B.adj, B.nr).astype(np.bool_)
 
 
 def default_steps(n: int, mix_factor: int = 50) -> int:

@@ -43,6 +43,7 @@ from .graphs import (
     blow_up,
     iter_bits,
     mask_of,
+    pair_view,
     popcount,
 )
 from .params import ParamSet, q as q_fn
@@ -70,7 +71,6 @@ class RoundLog:
     densities: list[float]
     conflicts: int
     patched: int
-    failures: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -320,7 +320,7 @@ def _run_round(inst, templates, k_mats, A_list, embeddings, batch, G_cur, P_host
         for x, y in templates[idx].graph.edges():
             G_next.remove_edge(phi[x], phi[y])
     for i, j in host.reduced.edges():
-        pair = _cross_pair(G_next, host.partition.classes[i], host.partition.classes[j])
+        pair = pair_view(G_next.adj, host.partition.classes[i], host.partition.classes[j])
         if not pipeline_certificate(pair, eps_t, float(d_next[i][j]), params.cert_sd_floor):
             raise _RoundRestart(3, f"depleted pair ({i},{j}) lost its certificate")
 
@@ -459,18 +459,6 @@ def _run_round(inst, templates, k_mats, A_list, embeddings, batch, G_cur, P_host
     log = RoundLog(round=t, densities=[float(d_next[i][j]) for i, j in host.reduced.edges()],
                    conflicts=conflict_count, patched=patched_total)
     return {"G_next": G_next, "P_next": P_next, "phis": phis, "log": log}
-
-
-def _cross_pair(G: LabeledGraph, left, right) -> BipartiteGraph:
-    rpos = {v: b for b, v in enumerate(right)}
-    rmask = mask_of(right)
-    B = BipartiteGraph(len(left), len(right), left_ids=list(left), right_ids=list(right))
-    for a, u in enumerate(left):
-        acc = 0
-        for w in iter_bits(G.adj[u] & rmask):
-            acc |= 1 << rpos[w]
-        B.adj[a] = acc
-    return B
 
 
 def _effective_d0(inst: PackInstance, A_eff) -> float:
@@ -696,15 +684,18 @@ def quasirandomness_check(G: LabeledGraph, p: float, eps: float) -> list[str]:
     """Degree and codegree conditions of the quasirandom driver."""
     errs = []
     n = G.n
+    # in K_n a degree is n - 1 and a codegree n - 2, the p = 1 targets
+    deg = p * (n - 1)
+    codeg = p * p * (n - 2)
     for v in range(n):
-        if abs(G.degree(v) - p * n) > eps * p * n + 1e-9:
-            errs.append(f"vertex {v} has degree {G.degree(v)}, outside (1 +- {eps}) p n")
+        if abs(G.degree(v) - deg) > eps * deg + 1e-9:
+            errs.append(f"vertex {v} has degree {G.degree(v)}, outside (1 +- {eps}) p (n - 1)")
             break
     bad = 0
     for u in range(n):
         for v in range(u + 1, n):
             co = popcount(G.adj[u] & G.adj[v])
-            if abs(co - p * p * n) > eps * p * p * n + 1e-9:
+            if abs(co - codeg) > eps * codeg + 1e-9:
                 bad += 1
     if bad > eps * n * n:
         errs.append(f"{bad} vertex pairs have atypical codegree (allowed {eps * n * n:.0f})")
@@ -848,14 +839,11 @@ def pack_quasirandom(G: LabeledGraph, H_list: list[LabeledGraph], alpha: float, 
     for _ in range(params.retry_cap):
         ids = list(range(n))
         rng.shuffle(ids)
-        classes = [sorted(ids[i * n_class:(i + 1) * n_class]) for i in range(r)]
-        pruned = LabeledGraph(n)
-        for u, v in G.edges():
-            cu = next(ci for ci, cls in enumerate(classes) if u in set(cls))
-            cv = next(ci for ci, cls in enumerate(classes) if v in set(cls))
-            if cu != cv:
-                pruned.add_edge(u, v)
-        cand = PartitionedGraph(pruned, VertexPartition.from_lists(classes, n), R,
+        partition = VertexPartition.from_lists(
+            [sorted(ids[i * n_class:(i + 1) * n_class]) for i in range(r)], n)
+        class_of = partition.class_of()
+        pruned = LabeledGraph(n, ((u, v) for u, v in G.edges() if class_of[u] != class_of[v]))
+        cand = PartitionedGraph(pruned, partition, R,
                                 densities=[[Fraction(p).limit_denominator(10 ** 6) if i != j else Fraction(0)
                                             for j in range(r)] for i in range(r)])
         if all(pipeline_certificate(cand.pair_view(i, j), params.eps, p, params.cert_sd_floor)

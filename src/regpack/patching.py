@@ -20,7 +20,7 @@ import dataclasses
 from fractions import Fraction
 
 from .errors import EmbedFailure, HypothesisViolation, PatchFailure
-from .graphs import BipartiteGraph, LabeledGraph, ReducedGraph, iter_bits, mask_of
+from .graphs import BipartiteGraph, LabeledGraph, ReducedGraph, pair_view
 from .params import ParamSet
 from .regularity import pipeline_certificate
 from .slender import SlenderInput, run_slender
@@ -57,7 +57,7 @@ def repatch(H: LabeledGraph, pattern_classes: list[list[int]],
             raise HypothesisViolation(f"patch candidacy class {i} failed its ({delta},{beta_prime}) certificate")
     # hypothesis (b): P restricted to W certified at (delta, beta) per pair
     for i, j in R.edges():
-        pair = _cross(P_host, W_classes[i], W_classes[j])
+        pair = pair_view(P_host.adj, W_classes[i], W_classes[j])
         if not pipeline_certificate(pair, delta, float(beta_mat[i][j]), params.cert_sd_floor):
             raise HypothesisViolation(f"patching pair ({i},{j}) on W failed its certificate")
     zset = set(Z)
@@ -166,18 +166,6 @@ def _as_pairs(F_rows, Z_classes, W_classes) -> list[BipartiteGraph]:
             B.adj[a] = acc
         out.append(B)
     return out
-
-
-def _cross(G: LabeledGraph, left: list[int], right: list[int]) -> BipartiteGraph:
-    rpos = {v: b for b, v in enumerate(right)}
-    rmask = mask_of(right)
-    B = BipartiteGraph(len(left), len(right), left_ids=left, right_ids=right)
-    for a, u in enumerate(left):
-        acc = 0
-        for w in iter_bits(G.adj[u] & rmask):
-            acc |= 1 << rpos[w]
-        B.adj[a] = acc
-    return B
 
 
 def _assert_conclusions(H, phi, phi2, zset, P_host, F_pairs, Z_classes, W_classes, N, A0_check):

@@ -24,7 +24,7 @@ from .errors import (
     RetriesExhausted,
     SplitRetriesExhausted,
 )
-from .graphs import BipartiteGraph, PartitionedGraph, iter_bits, mask_of, popcount
+from .graphs import BipartiteGraph, PartitionedGraph, bit_matrix, iter_bits, mask_of, popcount
 
 EXACT_PAIR_CAP = 2000
 PAIR_SAMPLE = 200_000
@@ -82,10 +82,7 @@ def _codegree_fraction(B: BipartiteGraph, eps: float, d_emp: float, rng=None) ->
     degs = [popcount(r) for r in B.adj]
     if nl <= EXACT_PAIR_CAP:
         if nl >= 128:
-            M = np.zeros((nl, nr), dtype=np.uint8)
-            for u, row in enumerate(B.adj):
-                for v in iter_bits(row):
-                    M[u, v] = 1
+            M = bit_matrix(B.adj, nr)
             co = M.astype(np.int32) @ M.T.astype(np.int32)
             dv = np.array(degs)
             good_deg = dv > deg_lo

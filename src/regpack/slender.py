@@ -33,7 +33,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BadParams, FailureType1, FailureType2
-from .graphs import BipartiteGraph, LabeledGraph, ReducedGraph, iter_bits, mask_of, popcount
+from .graphs import (
+    BipartiteGraph,
+    LabeledGraph,
+    ReducedGraph,
+    bit_matrix,
+    iter_bits,
+    mask_of,
+    pair_view,
+    popcount,
+)
 from .matching import (
     ExactUniformSampler,
     default_steps,
@@ -150,29 +159,16 @@ def validate_input(s: SlenderInput, expected_w: int | None = None,
         eps = s.params.eps
         floor = s.params.cert_sd_floor
         for i, j in s.R_star.edges():
-            B = _pair_view(s.G_host, s.U_classes[i], s.U_classes[j])
+            B = pair_view(s.G_host.adj, s.U_classes[i], s.U_classes[j])
             if not pipeline_certificate(B, eps, float(s.d_mat[i][j]), floor):
                 v.append(f"(V4) host pair ({i},{j}) failed the ({eps},{float(s.d_mat[i][j])}) certificate")
-            Bp = _pair_view(s.P_host, s.U_classes[i], s.U_classes[j])
+            Bp = pair_view(s.P_host.adj, s.U_classes[i], s.U_classes[j])
             if not pipeline_certificate(Bp, eps, float(s.beta_mat[i][j]), floor):
                 v.append(f"(V5) patching pair ({i},{j}) failed the ({eps},{float(s.beta_mat[i][j])}) certificate")
         for i in range(q):
             if not pipeline_certificate(s.A0[i], eps, s.d0, floor):
                 v.append(f"(V7) initial candidacy class {i} failed the ({eps},{s.d0}) certificate")
     return v
-
-
-def _pair_view(G: LabeledGraph, left: list[int], right: list[int]) -> BipartiteGraph:
-    rpos = {p: k for k, p in enumerate(right)}
-    rmask = mask_of(right)
-    B = BipartiteGraph(len(left), len(right), left_ids=left, right_ids=right)
-    for k, u in enumerate(left):
-        row = G.adj[u] & rmask
-        m = 0
-        for w in iter_bits(row):
-            m |= 1 << rpos[w]
-        B.adj[k] = m
-    return B
 
 
 class _State:
@@ -209,7 +205,6 @@ class _State:
 
     def prepare(self) -> None:
         s, rng, m, q = self.s, self.rng, self.m, self.q
-        upos = [{p: k for k, p in enumerate(cls)} for cls in s.U_classes]
         ypos = [{p: k for k, p in enumerate(cls)} for cls in s.Y_classes]
         yclass = {}
         for i, cls in enumerate(s.Y_classes):
@@ -217,25 +212,10 @@ class _State:
                 yclass[p] = i
         # real-real host adjacency
         for i in range(q):
+            pad = [0] * (m - len(s.U_classes[i]))
             for j in self.nbrs[i]:
-                rows = [0] * m
-                mask_j = mask_of(s.U_classes[j])
-                pos_j = upos[j]
-                for a, u in enumerate(s.U_classes[i]):
-                    row = s.G_host.adj[u] & mask_j
-                    acc = 0
-                    for wv in iter_bits(row):
-                        acc |= 1 << pos_j[wv]
-                    rows[a] = acc
-                self.Gp[(i, j)] = rows
-                prows = [0] * m
-                for a, u in enumerate(s.U_classes[i]):
-                    row = s.P_host.adj[u] & mask_j
-                    acc = 0
-                    for wv in iter_bits(row):
-                        acc |= 1 << pos_j[wv]
-                    prows[a] = acc
-                self.Pp[(i, j)] = prows
+                self.Gp[(i, j)] = pair_view(s.G_host.adj, s.U_classes[i], s.U_classes[j]).adj + pad
+                self.Pp[(i, j)] = pair_view(s.P_host.adj, s.U_classes[i], s.U_classes[j]).adj + pad
         # artificial host vertices: Bernoulli(d) edges to real vertices only
         for i in range(q):
             for j in self.nbrs[i]:
@@ -462,7 +442,6 @@ class _State:
         m = self.m
         if m == 0:
             return
-        col = [0] * m
         mean_px = sum(self.px_d[j]) / m
         for a in range(m):
             deg = popcount(self.A[j][a])
@@ -471,8 +450,7 @@ class _State:
                 raise FailureType2(
                     f"candidacy row {a} of class {j} has degree {deg}, "
                     f"expected {self.px_d[j][a] * m:.2f} +- {width:.2f}", stage=(t, j))
-            for v in iter_bits(self.A[j][a]):
-                col[v] += 1
+        col = bit_matrix(self.A[j], m).sum(axis=0).tolist()
         wcol = self._width(xi, mean_px, 1)
         for v in range(m):
             if not self._window_ok(col[v], mean_px * m, wcol):
@@ -480,15 +458,13 @@ class _State:
                     f"candidacy column {v} of class {j} has degree {col[v]}, "
                     f"expected {mean_px * m:.2f} +- {wcol:.2f}", stage=(t, j))
         mean_pb = sum(self.px_b[j]) / m
-        colb = [0] * m
         for a in range(m):
             deg = popcount(self.B[j][a])
             widthb = self._width(xi, self.px_b[j][a], 1)
             if not self._window_ok(deg, self.px_b[j][a] * m, widthb):
                 raise FailureType2(
                     f"patch candidacy row {a} of class {j} has degree {deg}", stage=(t, j))
-            for v in iter_bits(self.B[j][a]):
-                colb[v] += 1
+        colb = bit_matrix(self.B[j], m).sum(axis=0).tolist()
         wcolb = self._width(xi, mean_pb, 1)
         for v in range(m):
             if not self._window_ok(colb[v], mean_pb * m, wcolb):

@@ -14,7 +14,6 @@ eps^(1/3).
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,7 +32,7 @@ from .graphs import (
     PartitionedGraph,
     ReducedGraph,
     iter_bits,
-    mask_of,
+    pair_view,
     popcount,
     square,
 )
@@ -68,13 +67,7 @@ def refine_pattern(H: PartitionedGraph, kmat, C: int, params: ParamSet, rng):
     H2 = square(H.graph)
     Y_classes: list[list[int]] = []
     for i, cls in enumerate(H.partition.classes):
-        sub = LabeledGraph(len(cls))
-        pos = {p: a for a, p in enumerate(cls)}
-        cmask = mask_of(cls)
-        for p in cls:
-            for qn in iter_bits(H2.adj[p] & cmask):
-                if qn > p:
-                    sub.add_edge(pos[p], pos[qn])
+        sub = LabeledGraph(len(cls), pair_view(H2.adj, cls, cls).edges())
         col = hs_equitable_coloring(sub, K - 1, rng)
         blocks = sorted(col.classes, key=lambda c: (-len(c), c))
         Y_classes.extend([sorted(cls[a] for a in blk) for blk in blocks])
@@ -186,19 +179,11 @@ def _refine_one_block(G, Ai, Y_classes, U_classes, A0_star, i, d0, eps, params, 
         return False
     for j in block:
         yj, uj = Y_classes[j], U_classes[j]
-        Fj = BipartiteGraph(len(yj), len(uj), left_ids=list(yj), right_ids=list(uj))
         if Ai is None:
+            Fj = BipartiteGraph(len(yj), len(uj), left_ids=yj, right_ids=uj)
             Fj.adj = [(1 << len(uj)) - 1] * len(yj)
         else:
-            xpos = {p: a for a, p in enumerate(Ai.left_ids)}
-            upos = {v: b for b, v in enumerate(Ai.right_ids)}
-            for a, p in enumerate(yj):
-                row = Ai.adj[xpos[p]]
-                acc = 0
-                for b, v in enumerate(uj):
-                    if (row >> upos[v]) & 1:
-                        acc |= 1 << b
-                Fj.adj[a] = acc
+            Fj = Ai.subgraph([xpos[p] for p in yj], [vpos[v] for v in uj])
             # trim overfull host-side degrees into the window, dropping
             # highest-index pattern neighbours first
             allowed = math.floor(d0 * m + width + 1e-9)
@@ -225,28 +210,16 @@ def _refined_events_hold(G, P_host, beta_mat, U_classes, A0_star, d0, eps_out, p
                 ua, ub = U_classes[a], U_classes[b]
                 if len(ua) < 2 or len(ub) < 2:
                     continue
-                pair = _cross_pair(G.graph, ua, ub)
+                pair = pair_view(G.graph.adj, ua, ub)
                 if dij is not None and not pipeline_certificate(pair, eps_out, dij, floor):
                     return False
-                ppair = _cross_pair(P_host, ua, ub)
+                ppair = pair_view(P_host.adj, ua, ub)
                 if not pipeline_certificate(ppair, eps_out, bij, floor):
                     return False
     for Fj in A0_star:
         if Fj.nl >= 2 and not pipeline_certificate(Fj, eps_out, d0, floor):
             return False
     return True
-
-
-def _cross_pair(G: LabeledGraph, left: list[int], right: list[int]) -> BipartiteGraph:
-    rpos = {v: b for b, v in enumerate(right)}
-    rmask = mask_of(right)
-    B = BipartiteGraph(len(left), len(right), left_ids=left, right_ids=right)
-    for a, u in enumerate(left):
-        acc = 0
-        for w in iter_bits(G.adj[u] & rmask):
-            acc |= 1 << rpos[w]
-        B.adj[a] = acc
-    return B
 
 
 def expand_matrix(mat, r: int, K: int) -> list[list[Fraction]]:
@@ -329,7 +302,7 @@ def _check_hypotheses(G, P_host, beta_mat, H, kmat, A0, d0, params) -> None:
         pair = G.pair_view(i, j)
         if not super_regularity_certificate(pair, eps, float(G.densities[i][j])).ok:
             raise NotSuperRegular(f"host pair ({i},{j}) failed its certificate")
-        ppair = _cross_pair(P_host, list(G.partition.classes[i]), list(G.partition.classes[j]))
+        ppair = pair_view(P_host.adj, G.partition.classes[i], G.partition.classes[j])
         if not super_regularity_certificate(ppair, eps, float(beta_mat[i][j])).ok:
             raise NotSuperRegular(f"patching pair ({i},{j}) failed its certificate")
     ok, violations = check_near_equiregular(H, kmat, params.C)
@@ -459,5 +432,3 @@ def b_diagnostics(runs: list[UniformEmbedResult], H: PartitionedGraph, G: Partit
     return report
 
 
-def diagnostics_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2)

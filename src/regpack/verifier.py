@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from .errors import SearchBudgetExceeded
 from .graphs import LabeledGraph, PartitionedGraph
@@ -41,7 +42,10 @@ def verify_packing(host: PartitionedGraph, templates: list[PartitionedGraph],
     host_edges = {frozenset((u, v)) for u, v in host.graph.edges()}
     host_class = host.partition.class_of()
     used: dict[frozenset[int], int] = {}
+    n = host.graph.n
 
+    if len(templates) != len(embeddings):
+        violations.append(f"{len(templates)} templates but {len(embeddings)} embeddings")
     for idx, (tpl, phi) in enumerate(zip(templates, embeddings)):
         if phi is None:
             violations.append(f"template {idx}: missing embedding")
@@ -50,6 +54,10 @@ def verify_packing(host: PartitionedGraph, templates: list[PartitionedGraph],
             violations.append(f"template {idx}: embedding domain is not V(H)")
             continue
         images = list(phi.values())
+        if not all(isinstance(hv, Integral) and not isinstance(hv, bool) and 0 <= hv < n
+                   for hv in images):
+            violations.append(f"template {idx}: an image is not a host vertex 0..{n - 1}")
+            continue
         if len(images) != len(set(images)):
             violations.append(f"template {idx}: embedding not injective")
         tpl_class = tpl.partition.class_of()

@@ -117,6 +117,15 @@ class TestPackVerifyRoundTrip:
         capsys.readouterr()
         assert rc == 1
 
+    def test_verify_without_embeddings_exits_1(self, instance_dir, tmp_path, capsys):
+        res_path = tmp_path / "res.json"
+        res_path.write_text(json.dumps({"embeddings": []}))
+        rc = main(["verify", "--instance", str(instance_dir / "instance.json"),
+                   "--result", str(res_path)])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert out["ok"] is False
+
     def test_trace_csv(self, instance_dir, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         rc = main(["pack", "--instance", str(instance_dir / "instance.json"),

@@ -11,12 +11,17 @@ from regpack.graphs import (
     PartitionedGraph,
     ReducedGraph,
     VertexPartition,
+    bit_matrix,
     blow_up,
     equitable_split,
     induced_bipartite,
+    iter_bits,
+    mask_of,
+    pair_view,
     read_edge_list,
     read_partition,
     square,
+    transpose,
     write_edge_list,
     write_partition,
 )
@@ -211,3 +216,69 @@ def test_bipartite_subgraph_index_maps():
     assert S.has_edge(0, 1)      # old (0,0)
     assert S.has_edge(1, 0)      # old (2,2)
     assert not S.has_edge(1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the bit-matrix primitive against the bit-by-bit loops it replaced
+
+
+def _ref_pair_rows(adj, left, right):
+    rpos = {v: b for b, v in enumerate(right)}
+    rmask = mask_of(right)
+    out = []
+    for u in left:
+        acc = 0
+        for w in iter_bits(adj[u] & rmask):
+            acc |= 1 << rpos[w]
+        out.append(acc)
+    return out
+
+
+def _ref_transpose(rows, ncols):
+    cols = [0] * ncols
+    for u, row in enumerate(rows):
+        for v in iter_bits(row):
+            cols[v] |= 1 << u
+    return cols
+
+
+def _ref_column_counts(rows, ncols):
+    col = [0] * ncols
+    for row in rows:
+        for v in iter_bits(row):
+            col[v] += 1
+    return col
+
+
+# byte and word boundaries on either side
+WIDTHS = [0, 1, 7, 8, 9, 63, 64, 65]
+
+
+def _rows(m, max_size):
+    return st.lists(st.integers(0, (1 << m) - 1), max_size=max_size)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_pair_view_matches_bit_loop(data):
+    # host rows span n vertices, so they carry bits outside the pair
+    n = data.draw(st.sampled_from(WIDTHS + [130]))
+    adj = data.draw(_rows(n, 12))
+    left = data.draw(st.permutations(range(len(adj))))
+    left = left[:data.draw(st.integers(0, len(left)))]
+    right = data.draw(st.permutations(range(n)))
+    right = right[:data.draw(st.integers(0, n))]
+    B = pair_view(adj, left, right)
+    assert B.adj == _ref_pair_rows(adj, left, right)
+    assert (B.nl, B.nr) == (len(left), len(right))
+    assert B.left_ids == list(left) and B.right_ids == list(right)
+
+
+@given(st.sampled_from(WIDTHS).flatmap(lambda m: st.tuples(st.just(m), _rows(m, 70))))
+@settings(max_examples=200, deadline=None)
+def test_transpose_and_column_counts_match_bit_loop(case):
+    m, rows = case
+    cols = transpose(rows, m)
+    assert cols == _ref_transpose(rows, m)
+    assert transpose(cols, len(rows)) == rows
+    assert bit_matrix(rows, m).sum(axis=0).tolist() == _ref_column_counts(rows, m)

@@ -7,6 +7,7 @@ from regpack.errors import BadParams
 from regpack.generators import (
     bipartite_union_templates,
     cycle_factor,
+    host_complete,
     host_superregular,
     near_regular_bipartite,
     random_tree,
@@ -21,6 +22,7 @@ from regpack.packer import (
     pack_bipartite,
     pack_partite,
     pack_quasirandom,
+    quasirandomness_check,
     run_main_packing,
     validate_instance,
 )
@@ -198,6 +200,23 @@ class TestDrivers:
         with pytest.raises(BadParams, match=r"at r=3 the host keeps 768 cross-class edges; "
                                             r"family carries 720 edges, budget 691"):
             pack_quasirandom(G, Hs, alpha=0.1, p=1.0, Delta=2, params=params, rng=rng, r=3)
+
+    @pytest.mark.parametrize("n", [24, 38])
+    def test_quasirandomness_check_accepts_complete_hosts(self, n):
+        # K_n has degree n - 1 and codegree n - 2, the p = 1 targets exactly
+        assert quasirandomness_check(host_complete(n), 1.0, 0.05) == []
+
+    def test_quasirandomness_check_refuses_structured_hosts(self):
+        # degrees match p (n - 1), but codegrees are 0 or about 2 p^2 (n - 2)
+        n = 40
+        half = n // 2
+        kbip = LabeledGraph(n, [(u, v) for u in range(half) for v in range(half, n)])
+        cliques = LabeledGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                   if (u < half) == (v < half)])
+        for G in (kbip, cliques):
+            p = 2 * G.num_edges() / (n * (n - 1))
+            errs = quasirandomness_check(G, p, 0.05)
+            assert len(errs) == 1 and "atypical codegree" in errs[0]
 
     def test_color_members_spreads_pair_mass(self):
         # the criterion-9 tree families at r = 8: the trees live on low

@@ -69,6 +69,41 @@ class TestVerifyPacking:
         assert any("across classes" in v for v in rep.violations)
 
 
+def _c4_case():
+    """K_{2,2} host on classes {0,1},{2,3}; one-edge template (0,2), 1 and 3 isolated."""
+    from regpack.graphs import PartitionedGraph, ReducedGraph, VertexPartition
+    part = VertexPartition.from_lists([[0, 1], [2, 3]])
+    R = ReducedGraph(2, [(0, 1)])
+    host = PartitionedGraph(LabeledGraph(4, [(0, 2), (0, 3), (1, 2), (1, 3)]), part, R)
+    tpl = PartitionedGraph(LabeledGraph(4, [(0, 2)]), part, R)
+    return host, tpl
+
+
+class TestMalformedEmbeddings:
+    def test_identity_passes(self):
+        host, tpl = _c4_case()
+        assert verify_packing(host, [tpl], [{0: 0, 1: 1, 2: 2, 3: 3}]).ok
+
+    def test_fewer_embeddings_than_templates(self):
+        host, tpl = _c4_case()
+        rep = verify_packing(host, [tpl, tpl], [])
+        assert not rep.ok and "2 templates but 0 embeddings" in rep.violations[0]
+        assert not verify_packing(host, [tpl], [{0: 0, 1: 1, 2: 2, 3: 3}] * 2).ok
+
+    @pytest.mark.parametrize("phi", [
+        {0: 0, 1: 1, 2: 2, 3: -1},    # isolated vertex, wraps to host vertex 3
+        {0: 0, 1: 1, 2: -1, 3: 3},    # edge endpoint: the leftover step shifted by -1
+        {0: 0, 1: 1, 2: 7, 3: 3},     # past the host: class lookup indexed out of range
+        {0: 0, 1: True, 2: 2, 3: 3},  # bool, equal to host vertex 1
+        {0: 0, 1: 1.0, 2: 2, 3: 3},
+    ])
+    def test_bad_image_is_a_violation(self, phi):
+        host, tpl = _c4_case()
+        rep = verify_packing(host, [tpl], [phi])
+        assert not rep.ok
+        assert any("not a host vertex" in v for v in rep.violations)
+
+
 class TestLeftoverStats:
     def test_no_templates(self):
         host, templates, res = packed_result(seed=7, s=1)
