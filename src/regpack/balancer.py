@@ -118,8 +118,9 @@ def regularize_pair(H: BipartiteGraph, k: int) -> BipartiteGraph:
     """Smallest-change k-regularization: H' >= H with both sides k-regular.
 
     Saturation of the complement flow at target k is equivalent to the
-    existence of any k-regular supergraph, so a single flow decides it;
-    on failure the violating cut is reported.
+    existence of any k-regular supergraph, so a single flow decides it.
+    On failure `Infeasible` reports the flow value against the demand; it
+    carries no cut (``cut`` stays None).
     """
     if H.nl != H.nr:
         raise BadParams("regularization needs equal sides")

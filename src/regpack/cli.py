@@ -27,6 +27,7 @@ from .generators import (
     random_bounded_degree_graph,
     random_tree,
     read_instance,
+    read_json,
     tree_family_gl,
     write_instance,
 )
@@ -41,18 +42,17 @@ from .matching import matching_diagnostics
 from .params import ParamSet
 
 
-def _params_from_args(args, **overrides) -> ParamSet:
-    fields = dict(
+def _params_from_args(args, host: PartitionedGraph, k_mats) -> ParamSet:
+    """Parameters for packing ``host``: k and Delta_R follow from the instance."""
+    p = ParamSet(
         eps=getattr(args, "eps", 0.05),
         beta=getattr(args, "beta", 0.1),
         delta=getattr(args, "delta", 0.0),
         alpha=getattr(args, "alpha", 0.25),
-        k=getattr(args, "k", 2),
-        Delta_R=getattr(args, "delta_r", 1),
+        k=max([2] + [x for km in k_mats for row in km for x in row]),
+        Delta_R=max(host.reduced.max_degree(), 1),
         C=2,
     )
-    fields.update(overrides)
-    p = ParamSet(**fields)
     if getattr(args, "retries", None):
         p.embed_retry_cap = args.retries
     return p
@@ -122,7 +122,7 @@ def cmd_pack(args) -> int:
 
     rng = random.Random(args.seed)
     host, templates, k_mats, iparams, lam = read_instance(args.instance)
-    params = _params_from_args(args, k=max(2, max(max(max(r) for r in km) for km in k_mats)))
+    params = _params_from_args(args, host, k_mats)
     inst = PackInstance(host=host, templates=templates, k_mats=k_mats,
                         A_list=[None] * len(templates), lam=list(lam),
                         params=params, gamma_n=args.gamma_n)
@@ -157,8 +157,11 @@ def cmd_verify(args) -> int:
     from .verifier import verify_packing
 
     host, templates, k_mats, iparams, lam = read_instance(args.instance)
-    data = json.loads(Path(args.result).read_text())
-    embeddings = [dict(enumerate(vec)) for vec in data["embeddings"]]
+    data = read_json(args.result)
+    vecs = data.get("embeddings") if isinstance(data, dict) else None
+    if not isinstance(vecs, list) or not all(isinstance(vec, list) for vec in vecs):
+        raise BadParams(f"{args.result}: key 'embeddings' must hold a list of image lists")
+    embeddings = [dict(enumerate(vec)) for vec in vecs]
     report = verify_packing(host, templates, embeddings, lam=lam)
     _emit(json.loads(report.to_json()), args)
     return 0 if report.ok else 1
@@ -209,7 +212,9 @@ def cmd_diagnose(args) -> int:
 
     rng = random.Random(args.seed)
     host, templates, k_mats, iparams, lam = read_instance(args.instance)
-    params = _params_from_args(args, k=max(2, max(max(max(r) for r in km) for km in k_mats)))
+    if not templates:
+        raise BadParams(f"{args.instance}: diagnose needs at least one template")
+    params = _params_from_args(args, host, k_mats)
     beta = [[Fraction(1, 10) if host.reduced.has_edge(i, j) else Fraction(0)
              for j in range(host.reduced.r)] for i in range(host.reduced.r)]
     P = host_superregular(host.reduced, max(host.partition.sizes()), beta, params.eps,
@@ -251,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json-out", type=str, default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--retries", type=int, default=None)
 
     g = sub.add_parser("gen", help="generate instances and graph files")

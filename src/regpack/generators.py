@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -295,19 +296,64 @@ def write_instance(path, host: PartitionedGraph, templates: list[PartitionedGrap
     Path(path).write_text(json.dumps(payload))
 
 
+def read_json(path):
+    """The JSON value in the file at ``path``.
+
+    An unreadable path or a file that is not JSON raises `BadParams`
+    naming the path.
+    """
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise BadParams(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise BadParams(f"{path}: not valid JSON: {exc}") from None
+
+
+@contextmanager
+def _reading(path, where: str):
+    """Turn a missing key or a wrong type met while reading ``where`` of the
+    file at ``path`` into `BadParams` naming both."""
+    try:
+        yield
+    except KeyError as exc:
+        raise BadParams(f"{path}: {where} has no key {exc}") from None
+    except (TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise BadParams(f"{path}: malformed {where}: {exc}") from None
+
+
 def read_instance(path):
-    data = json.loads(Path(path).read_text())
-    h = data["host"]
-    R = ReducedGraph(len(h["partition"]), [tuple(e) for e in h["reduced_edges"]])
-    host_graph = LabeledGraph(h["n"], [tuple(e) for e in h["edges"]])
-    dens = [[Fraction(x) for x in row] for row in h["densities"]]
-    host = PartitionedGraph(host_graph, VertexPartition.from_lists(h["partition"], h["n"]), R,
-                            densities=dens)
-    templates = []
-    k_mats = []
-    for t in data["templates"]:
-        tg = LabeledGraph(t["n"], [tuple(e) for e in t["edges"]])
-        templates.append(PartitionedGraph(tg, VertexPartition.from_lists(t["partition"], t["n"]), R))
-        k_mats.append(t["k_matrix"])
-    lam = [tuple(x) for x in data.get("lambda", [])]
-    return host, templates, k_mats, data.get("params", {}), lam
+    """The instance that `write_instance` wrote to ``path``.
+
+    Returns (host, templates, k_mats, params, lambda).  An unreadable or
+    malformed file raises `BadParams` naming the path and the key.
+    """
+    data = read_json(path)
+    with _reading(path, "instance"):
+        h = data["host"]
+        with _reading(path, "host"):
+            R = ReducedGraph(len(h["partition"]), [tuple(e) for e in h["reduced_edges"]])
+            host_graph = LabeledGraph(h["n"], [tuple(e) for e in h["edges"]])
+            dens = [[Fraction(x) for x in row] for row in h["densities"]]
+            if len(dens) != R.r or any(len(row) != R.r for row in dens):
+                raise BadParams(f"{path}: host key 'densities' must be a {R.r}x{R.r} matrix")
+            host = PartitionedGraph(host_graph, VertexPartition.from_lists(h["partition"], h["n"]),
+                                    R, densities=dens)
+        templates = []
+        k_mats = []
+        for i, t in enumerate(data["templates"]):
+            where = f"templates[{i}]"
+            with _reading(path, where):
+                tg = LabeledGraph(t["n"], [tuple(e) for e in t["edges"]])
+                tp = VertexPartition.from_lists(t["partition"], t["n"])
+                templates.append(PartitionedGraph(tg, tp, R))
+                km = t["k_matrix"]
+                if len(km) != R.r or any(len(row) != R.r or not all(type(x) is int for x in row)
+                                         for row in km):
+                    raise BadParams(f"{path}: {where} key 'k_matrix' must be a "
+                                    f"{R.r}x{R.r} integer matrix")
+                k_mats.append(km)
+        lam = [tuple(x) for x in data.get("lambda", [])]
+        if any(len(q) != 4 or not all(type(x) is int for x in q) for q in lam):
+            raise BadParams(f"{path}: key 'lambda' must hold integer quadruples (i, x, j, y)")
+        return host, templates, k_mats, data.get("params", {}), lam

@@ -12,8 +12,18 @@ Two samplers with an explicit oracle/production split:
   the chain's connected component.  Connectivity of the switch graph is
   not guaranteed for arbitrary hosts; stats objects carry that caveat.
 
-Both backends of the chain (numba kernel and pure python) consume the
-same pre-generated triple stream, so outputs are identical either way.
+Every chain reads the same stream of pre-generated triples, in chunks of
+``gen.integers(0, n, size=(chunk, 3))``, and the kernels differ only in
+how they test edges:
+
+* ``sample_switch_chain`` runs ``_chain_kernel`` (numba, on a bool
+  matrix) when numba is present, else ``_chain_rows``, which tests
+  ``rows[u2] >> sigma[u1] & 1`` on the int-bitset rows of ``B.adj``;
+* ``sample_switch_chain_many`` runs ``_chain_kernel`` when numba is
+  present, else ``_chain_python``, which indexes the bool matrix.
+
+All of them leave the same sigma on the same triples, so seeded outputs
+do not depend on which kernel ran.
 """
 
 from __future__ import annotations
@@ -48,6 +58,20 @@ try:
     _HAVE_NUMBA = True
 except Exception:  # pragma: no cover
     _HAVE_NUMBA = False
+
+
+def _chain_rows(rows, sigma, trips):
+    """The chain over int-bitset rows and a list sigma; the chunk is read
+    once as a flat list of ints and walked three at a time."""
+    flat = iter(trips.ravel().tolist())
+    for u1, u2, u3 in zip(flat, flat, flat):
+        if u1 == u2 or u2 == u3 or u1 == u3:
+            continue
+        a, b, c = sigma[u1], sigma[u2], sigma[u3]
+        if rows[u2] >> a & 1 and rows[u3] >> b & 1 and rows[u1] >> c & 1:
+            sigma[u1] = c
+            sigma[u2] = a
+            sigma[u3] = b
 
 
 def _chain_python(adj, sigma, trips):
@@ -263,16 +287,14 @@ def default_steps(n: int, mix_factor: int = 50) -> int:
     return max(1, int(mix_factor * n * math.log(max(n, 2))))
 
 
-def _run_chain(adj: np.ndarray, sigma: np.ndarray, steps: int, gen: np.random.Generator) -> None:
-    n = adj.shape[0]
+def _run_chain(kernel, adj, sigma, steps: int, gen: np.random.Generator) -> None:
+    """Feed ``steps`` proposals to ``kernel(adj, sigma, trips)`` chunk by chunk."""
+    n = len(adj)
     done = 0
     while done < steps:
         chunk = min(_CHUNK, steps - done)
         trips = gen.integers(0, n, size=(chunk, 3), dtype=np.int64)
-        if _HAVE_NUMBA:
-            _chain_kernel(adj, sigma, trips)
-        else:
-            _chain_python(adj, sigma, trips)
+        kernel(adj, sigma, trips)
         done += chunk
 
 
@@ -285,10 +307,13 @@ def sample_switch_chain(B: BipartiteGraph, steps: int, rng, start: Matching | No
     if B.nl < 3 or steps <= 0:
         return Matching(list(start.sigma))
     gen = np.random.Generator(np.random.PCG64(rng.getrandbits(63)))
-    adj = _adj_bool(B)
-    sigma = np.array(start.sigma, dtype=np.int64)
-    _run_chain(adj, sigma, steps, gen)
-    return Matching([int(x) for x in sigma])
+    if _HAVE_NUMBA:
+        sigma = np.array(start.sigma, dtype=np.int64)
+        _run_chain(_chain_kernel, _adj_bool(B), sigma, steps, gen)
+        return Matching([int(x) for x in sigma])
+    sigma = list(start.sigma)
+    _run_chain(_chain_rows, B.adj, sigma, steps, gen)
+    return Matching(sigma)
 
 
 def sample_switch_chain_many(B: BipartiteGraph, samples: int, steps: int, rng) -> list[tuple[int, ...]]:
@@ -296,14 +321,16 @@ def sample_switch_chain_many(B: BipartiteGraph, samples: int, steps: int, rng) -
     start = find_perfect_matching(B)
     if start is None:
         raise NoMatching("host has no perfect matching")
+    # Bool matrix until ROADMAP 4(b): the benchmark keeps every draw, so more passes cost RSS.
     adj = _adj_bool(B)
+    kernel = _chain_kernel if _HAVE_NUMBA else _chain_python
     gen = np.random.Generator(np.random.PCG64(rng.getrandbits(63)))
     base = np.array(start.sigma, dtype=np.int64)
     out = []
     for _ in range(samples):
         sigma = base.copy()
         if B.nl >= 3:
-            _run_chain(adj, sigma, steps, gen)
+            _run_chain(kernel, adj, sigma, steps, gen)
         out.append(tuple(int(x) for x in sigma))
     return out
 

@@ -138,6 +138,103 @@ class TestPackVerifyRoundTrip:
         assert len(lines) >= 2
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pack_then_verify_three_classes(tmp_path, capsys, seed):
+    # Delta_R follows from the instance: K_3 as reduced graph needs 2.
+    inst = tmp_path / "instance.json"
+    res = tmp_path / "res.json"
+    assert main(["gen", "host-superregular", "--n", "60", "--r", "3", "--seed", str(seed),
+                 "--out", str(tmp_path)]) == 0
+    assert main(["pack", "--instance", str(inst), "--seed", str(seed),
+                 "--json-out", str(res)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--instance", str(inst), "--result", str(res)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def _malformed_instance(tmp_path, edit):
+    assert main(["gen", "host-superregular", "--n", "12", "--r", "2", "--k", "1", "--count", "1",
+                 "--d", "0.9", "--seed", "0", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "instance.json"
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return path
+
+
+class TestMalformedInput:
+    """Unreadable or malformed files exit 2 with a message naming the path."""
+
+    def _usage_error(self, capsys, argv, message):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_host_without_partition(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"host": {}}))
+        self._usage_error(capsys, ["pack", "--instance", str(path)],
+                          f"{path}: host has no key 'partition'")
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d.pop("templates"), "instance has no key 'templates'"),
+        (lambda d: d["templates"][0].pop("k_matrix"), "templates[0] has no key 'k_matrix'"),
+        (lambda d: d["templates"][0].update(k_matrix=[[0, "1"]]),
+         "templates[0] key 'k_matrix' must be a 2x2 integer matrix"),
+        (lambda d: d["host"].update(densities=[["1/2"]]),
+         "host key 'densities' must be a 2x2 matrix"),
+        (lambda d: d.update({"lambda": [[0, 1, 2]]}),
+         "key 'lambda' must hold integer quadruples (i, x, j, y)"),
+    ])
+    def test_malformed_instance(self, tmp_path, capsys, edit, message):
+        path = _malformed_instance(tmp_path, edit)
+        self._usage_error(capsys, ["pack", "--instance", str(path)], f"{path}: {message}")
+
+    def test_wrong_types(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"host": [], "templates": []}))
+        self._usage_error(capsys, ["pack", "--instance", str(path)], f"{path}: malformed host")
+        path = _malformed_instance(tmp_path, lambda d: d["host"].update(densities=[["x"]]))
+        self._usage_error(capsys, ["verify", "--instance", str(path), "--result", str(path)],
+                          f"{path}: malformed host")
+        path.write_text("[1, 2]")
+        self._usage_error(capsys, ["pack", "--instance", str(path)], f"{path}: malformed instance")
+
+    def test_diagnose_without_templates(self, tmp_path, capsys):
+        path = _malformed_instance(tmp_path, lambda d: d.update(templates=[]))
+        self._usage_error(capsys, ["diagnose", "--instance", str(path)],
+                          f"{path}: diagnose needs at least one template")
+
+    def test_instance_is_a_directory(self, tmp_path, capsys):
+        self._usage_error(capsys, ["pack", "--instance", str(tmp_path)],
+                          f"{tmp_path}: cannot read")
+
+    def test_missing_instance(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        self._usage_error(capsys, ["diagnose", "--instance", str(path)], f"{path}: cannot read")
+
+    def test_instance_not_json(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        path.write_text("{host")
+        self._usage_error(capsys, ["pack", "--instance", str(path)], f"{path}: not valid JSON")
+
+    def test_verify_empty_result(self, instance_dir, tmp_path, capsys):
+        res = tmp_path / "res.json"
+        res.write_text("")
+        self._usage_error(capsys, ["verify", "--instance", str(instance_dir / "instance.json"),
+                                   "--result", str(res)], f"{res}: not valid JSON")
+
+    @pytest.mark.parametrize("payload", [{}, [], {"embeddings": 3}, {"embeddings": [1, 2]}])
+    def test_verify_result_without_image_lists(self, instance_dir, tmp_path, capsys, payload):
+        res = tmp_path / "res.json"
+        res.write_text(json.dumps(payload))
+        self._usage_error(capsys, ["verify", "--instance", str(instance_dir / "instance.json"),
+                                   "--result", str(res)],
+                          f"{res}: key 'embeddings' must hold a list of image lists")
+
+
 class TestSampleMatching:
     def test_exact_mode(self, capsys):
         rc = main(["sample-matching", "--n", "8", "--d", "0.7", "--trials", "200",
@@ -161,6 +258,10 @@ class TestUsageErrors:
 
     def test_missing_required(self):
         assert main(["pack"]) == 2
+
+    def test_threads_flag_is_gone(self, tmp_path):
+        assert main(["gen", "host-complete", "--n", "4", "--out", str(tmp_path),
+                     "--threads", "2"]) == 2
 
 
 def test_console_entry_point():

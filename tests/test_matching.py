@@ -2,15 +2,22 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from regpack.errors import NoMatching, SideMismatch, SwitchIneligible, TooLarge
 from regpack.generators import certified_bipartite_host
 from regpack.graphs import BipartiteGraph
 from regpack.matching import (
+    _CHUNK,
     ExactUniformSampler,
     Matching,
+    _adj_bool,
+    _chain_python,
+    _chain_rows,
     apply_switch,
     count_matchings_exact,
     count_matchings_through,
@@ -196,6 +203,78 @@ class TestSwitchChain:
         a = sample_switch_chain(B, 500, random.Random(9)).sigma
         b = sample_switch_chain(B, 500, random.Random(9)).sigma
         assert a == b
+
+
+def _planted_host(n, p, seed):
+    """A random bipartite graph with the perfect matching u -> perm[u] planted."""
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    B = BipartiteGraph(n, n, [(u, v) for u in range(n) for v in range(n)
+                              if v == perm[u] or rng.random() < p])
+    return B, perm
+
+
+@st.composite
+def _chain_cases(draw):
+    n = draw(st.integers(3, 70))
+    B, perm = _planted_host(n, draw(st.floats(0.3, 1.0)), draw(st.integers(0, 2**32)))
+    count = draw(st.integers(1, 400))
+    trips = np.random.default_rng(draw(st.integers(0, 2**32))).integers(0, n, size=(count, 3))
+    # Repeated vertices must hold the state, whichever two positions repeat.
+    for t in draw(st.lists(st.integers(0, count - 1), max_size=count // 4)):
+        i, j = draw(st.sampled_from([(0, 1), (1, 2), (0, 2)]))
+        trips[t, j] = trips[t, i]
+    return B, perm, trips
+
+
+@given(_chain_cases())
+@settings(max_examples=150, deadline=None)
+def test_chain_rows_matches_bool_matrix_kernel(case):
+    B, perm, trips = case
+    ref = np.array(perm, dtype=np.int64)
+    _chain_python(_adj_bool(B), ref, trips)
+    sigma = list(perm)
+    _chain_rows(B.adj, sigma, trips)
+    assert sigma == ref.tolist()
+    Matching(sigma).check(B)
+
+
+def _bool_matrix_chain(B, steps, rng):
+    """``sample_switch_chain`` as it ran on the bool matrix, kept as reference."""
+    start = find_perfect_matching(B)
+    gen = np.random.Generator(np.random.PCG64(rng.getrandbits(63)))
+    adj = _adj_bool(B)
+    sigma = np.array(start.sigma, dtype=np.int64)
+    done = 0
+    while done < steps:
+        chunk = min(_CHUNK, steps - done)
+        _chain_python(adj, sigma, gen.integers(0, B.nl, size=(chunk, 3), dtype=np.int64))
+        done += chunk
+    return Matching([int(x) for x in sigma])
+
+
+@pytest.mark.parametrize("n,p,steps,seed", [(3, 1.0, 50, 0), (12, 0.6, 2000, 1),
+                                            (30, 0.6, _CHUNK + 777, 2), (70, 0.6, 5000, 3)])
+def test_switch_chain_matches_bool_matrix_path(n, p, steps, seed):
+    B, _ = _planted_host(n, p, seed)
+    got = sample_switch_chain(B, steps, random.Random(seed))
+    assert got == _bool_matrix_chain(B, steps, random.Random(seed))
+    assert got != find_perfect_matching(B)
+
+
+def test_numba_kernel_matches_python_kernels():
+    pytest.importorskip("numba")
+    from regpack.matching import _chain_kernel
+
+    for n, seed in [(3, 0), (20, 1), (70, 2)]:
+        B, perm = _planted_host(n, 0.6, seed)
+        trips = np.random.default_rng(seed).integers(0, n, size=(5000, 3), dtype=np.int64)
+        fast = np.array(perm, dtype=np.int64)
+        _chain_kernel(_adj_bool(B), fast, trips)
+        sigma = list(perm)
+        _chain_rows(B.adj, sigma, trips)
+        assert fast.tolist() == sigma
 
 
 class TestDiagnostics:
