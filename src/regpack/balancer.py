@@ -119,8 +119,7 @@ def regularize_pair(H: BipartiteGraph, k: int) -> BipartiteGraph:
 
     Saturation of the complement flow at target k is equivalent to the
     existence of any k-regular supergraph, so a single flow decides it.
-    On failure `Infeasible` reports the flow value against the demand; it
-    carries no cut (``cut`` stays None).
+    On failure `Infeasible` reports the flow value against the demand.
     """
     if H.nl != H.nr:
         raise BadParams("regularization needs equal sides")
@@ -187,7 +186,6 @@ def regularize_near(H: PartitionedGraph, kmat, C: int, rng=None) -> PartitionedG
             for v in iter_bits(reg.adj[ulocal]):
                 G_out.add_edge(Vi[u], Vj[v])
         if removed:
-            used = 0
             taken: set[int] = set()
             for u in removed:
                 old = list(iter_bits(pair.adj[u]))
@@ -199,7 +197,6 @@ def regularize_near(H: PartitionedGraph, kmat, C: int, rng=None) -> PartitionedG
                 taken.update(pick)
                 for v in pick:
                     G_out.add_edge(Vi[u], Vj[v])
-                used += 1
     out = PartitionedGraph(G_out, H.partition, H.reduced)
     ok, violations = check_near_equiregular(out, kmat, C)
     if not ok:
@@ -209,7 +206,6 @@ def regularize_near(H: PartitionedGraph, kmat, C: int, rng=None) -> PartitionedG
 
 def _disjoint_neighbourhood_set(pair: BipartiteGraph, a: int, k: int) -> list[int]:
     chosen: list[int] = []
-    used = 0
     for u in sorted(range(pair.nl), key=lambda u: popcount(pair.adj[u])):
         if len(chosen) == a:
             break
@@ -332,51 +328,6 @@ def _pair_edge_counts(L: PartitionedGraph) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# greedy class-respecting embedding (blow-up style, with forbidden sets)
-
-
-def csaba_embed(L: PartitionedGraph, host_adj: LabeledGraph,
-                class_map: dict[int, list[int]], rng,
-                forbidden: dict[int, set[int]] | None = None,
-                tries: int = 16) -> dict[int, int] | None:
-    """Embed L into the dense partite host, class i onto class_map[i].
-
-    ``forbidden`` maps a pattern vertex to host vertices it must avoid.
-    Randomized greedy with limited backtracking; None when every try
-    fails.
-    """
-    forbidden = forbidden or {}
-    class_of = L.partition.class_of()
-    order = sorted(range(L.graph.n), key=lambda x: -L.graph.degree(x))
-    for _ in range(tries):
-        img: dict[int, int] = {}
-        used: dict[int, set[int]] = {i: set() for i in class_map}
-        ok = True
-        for x in order:
-            i = class_of[x]
-            pool = [v for v in class_map[i] if v not in used[i] and v not in forbidden.get(x, ())]
-            rng.shuffle(pool)
-            placed = False
-            for v in pool:
-                good = True
-                for ynb in L.graph.neighbors(x):
-                    if ynb in img and not host_adj.has_edge(v, img[ynb]):
-                        good = False
-                        break
-                if good:
-                    img[x] = v
-                    used[i].add(v)
-                    placed = True
-                    break
-            if not placed:
-                ok = False
-                break
-        if ok:
-            return img
-    return None
-
-
-# ---------------------------------------------------------------------------
 # stacking
 
 
@@ -448,10 +399,6 @@ def stack_family(families: list[PartitionedGraph], R: ReducedGraph, kmat, C: int
     images_of_W: dict[int, set[int]] = {i: set() for i in range(r)}
     for ell, L in enumerate(families):
         blocks = plan["blocks"][ell]
-        class_map: dict[int, list[int]] = {}
-        pattern_block: dict[int, list[int]] = {}
-        for i in range(r):
-            class_map[i] = host_classes[i]
         # block-respecting: map each pattern block onto the host window
         # of the same index
         forbidden = {x: set(images_of_W[i]) for i in range(r)

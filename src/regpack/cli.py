@@ -32,7 +32,6 @@ from .generators import (
     write_instance,
 )
 from .graphs import (
-    LabeledGraph,
     PartitionedGraph,
     ReducedGraph,
     VertexPartition,

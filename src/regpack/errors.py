@@ -81,11 +81,7 @@ class HypothesisViolation(RegpackError):
 
 
 class Infeasible(RegpackError):
-    """Degree regularization impossible; carries the violating cut when known."""
-
-    def __init__(self, msg="", cut=None):
-        super().__init__(msg)
-        self.cut = cut
+    """Degree regularization impossible."""
 
 
 class GreedySelectionFailed(RegpackError):

@@ -278,16 +278,15 @@ class ReducedGraph(LabeledGraph):
 class PartitionedGraph:
     """Host or pattern graph with its partition and reduced graph.
 
-    ``densities`` and ``degrees`` are optional symmetric r x r matrices
-    (lists of lists); densities are exact `Fraction`s so thresholds like
-    ``(d +- eps)|A|`` reproduce bit-for-bit across platforms.
+    ``densities`` is an optional symmetric r x r matrix (a list of lists)
+    of exact `Fraction`s, so thresholds like ``(d +- eps)|A|`` reproduce
+    bit-for-bit across platforms.
     """
 
     graph: LabeledGraph
     partition: VertexPartition
     reduced: ReducedGraph
     densities: list[list[Fraction]] | None = None
-    degrees: list[list[int]] | None = None
     _masks: list[int] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
@@ -312,35 +311,8 @@ class PartitionedGraph:
                         errs.append(f"edges present between classes {i},{j} not in R")
         return errs
 
-    def class_mask(self, i: int) -> int:
-        return self._masks[i]
-
     def pair_view(self, i: int, j: int) -> BipartiteGraph:
         return induced_bipartite(self, i, j)
-
-
-@dataclass
-class Embedding:
-    """Class-respecting injection of a pattern graph into a host graph.
-
-    ``mapping[x]`` is the host vertex assigned to pattern vertex ``x``.
-    Edge realization is the verifier's job, never assumed here.
-    """
-
-    mapping: list[int]
-
-    def image(self, xs: Iterable[int]) -> list[int]:
-        return [self.mapping[x] for x in xs]
-
-    def edge_image(self, pattern: LabeledGraph) -> set[frozenset[int]]:
-        out = set()
-        for u, v in pattern.edges():
-            out.add(frozenset((self.mapping[u], self.mapping[v])))
-        return out
-
-    def is_injective(self) -> bool:
-        vals = [v for v in self.mapping if v >= 0]
-        return len(vals) == len(set(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +333,24 @@ def blow_up(R: ReducedGraph, K: int) -> ReducedGraph:
             for b in range(K):
                 out.add_edge(i * K + a, j * K + b)
     return out
+
+
+def matching_completion(adj: Sequence[int], left: Sequence[int],
+                        right: Sequence[int]) -> list[tuple[int, int]]:
+    """Pairs joining the vertices of ``left`` and ``right`` that no row of
+    ``adj`` matches across, in list order: together with a matching
+    between the lists they form one of size min(|left|, |right|)."""
+    rmask = mask_of(right)
+    hit = 0
+    free_left = []
+    for p in left:
+        row = adj[p] & rmask
+        if row:
+            hit |= row
+        else:
+            free_left.append(p)
+    free_right = [q for q in right if not hit >> q & 1]
+    return list(zip(free_left, free_right))
 
 
 def square(G: LabeledGraph) -> LabeledGraph:

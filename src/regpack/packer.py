@@ -35,7 +35,6 @@ from .errors import (
 )
 from .graphs import (
     BipartiteGraph,
-    Embedding,
     LabeledGraph,
     PartitionedGraph,
     ReducedGraph,
@@ -49,7 +48,7 @@ from .graphs import (
 from .params import ParamSet, q as q_fn
 from .patching import repatch
 from .regularity import pipeline_certificate, random_split, restrict_super_regular
-from .uniform import UniformEmbedResult, run_uniform_embed
+from .uniform import UniformEmbedResult, expand_matrix, run_uniform_embed
 
 
 @dataclass
@@ -82,12 +81,6 @@ class PackingResult:
     failure_log: list[str]
     s_real: int
 
-    def edge_images(self, templates: list[PartitionedGraph]) -> list[set[frozenset[int]]]:
-        out = []
-        for phi, t in zip(self.embeddings, templates):
-            out.append({frozenset((phi[x], phi[y])) for x, y in t.graph.edges()})
-        return out
-
 
 def validate_instance(inst: PackInstance) -> list[str]:
     """Mechanical (S1)-(S8)-style checks; returns violations."""
@@ -118,12 +111,14 @@ def validate_instance(inst: PackInstance) -> list[str]:
         if total > budget + 1e-9:
             v.append(f"(S4) pair ({a},{b}) oversubscribed: sum k = {total} > {budget:.2f}")
     s = len(inst.templates)
-    lam_nodes = {(i, x) for (i, x, ip, xp) in inst.lam} | {(ip, xp) for (i, x, ip, xp) in inst.lam}
     deg: dict[tuple[int, int], int] = {}
     per_tpl: dict[tuple[int, int, int], int] = {}
     for (i, x, ip, xp) in inst.lam:
         if not (0 <= i < s and 0 <= ip < s):
             v.append("(S8) collision constraint references a padded or missing template")
+            continue
+        if not (0 <= x < inst.templates[i].graph.n and 0 <= xp < inst.templates[ip].graph.n):
+            v.append(f"(S8) collision constraint {(i, x, ip, xp)} names a vertex outside its template")
             continue
         deg[(i, x)] = deg.get((i, x), 0) + 1
         deg[(ip, xp)] = deg.get((ip, xp), 0) + 1
@@ -134,11 +129,10 @@ def validate_instance(inst: PackInstance) -> list[str]:
     if per_tpl and max(per_tpl.values()) > params.k:
         v.append("(S8) per-template collision degree exceeds k")
     per_class: dict[tuple[int, int], int] = {}
-    class_of = inst.templates[0].partition.class_of() if inst.templates else []
-    for (i, x) in lam_nodes:
-        if 0 <= i < s:
-            j = class_of[x]
-            per_class[(i, j)] = per_class.get((i, j), 0) + 1
+    class_of = {i: inst.templates[i].partition.class_of() for i in {i for i, _ in deg}}
+    for (i, x) in deg:
+        j = class_of[i][x]
+        per_class[(i, j)] = per_class.get((i, j), 0) + 1
     for (i, j), cnt in per_class.items():
         if cnt > params.eps * sizes[j]:
             v.append(f"(S8) template {i} has {cnt} constrained vertices in class {j}")
@@ -232,7 +226,6 @@ def run_main_packing(inst: PackInstance, rng, round_retry_cap: int = 6) -> Packi
 
     embeddings: list[dict[int, int] | None] = [None] * len(templates)
     rounds: list[RoundLog] = []
-    class_of_x = templates[0].partition.class_of() if templates else []
     eps_t = params.eps ** (1 / 3)
 
     for t in range(1, T + 1):
@@ -245,7 +238,7 @@ def run_main_packing(inst: PackInstance, rng, round_retry_cap: int = 6) -> Packi
             try:
                 result = _run_round(inst, templates, k_mats, A_list, embeddings, batch,
                                     G_cur, P_host, P_cur, d_now, d_next, beta_mat,
-                                    class_of_x, t, eps_t, rng, failure_log)
+                                    t, eps_t, rng)
                 rounds.append(result["log"])
                 G_cur = result["G_next"]
                 P_cur = result["P_next"]
@@ -283,19 +276,18 @@ class _RoundRestart(Exception):
 
 
 def _run_round(inst, templates, k_mats, A_list, embeddings, batch, G_cur, P_host, P_cur,
-               d_now, d_next, beta_mat, class_of_x, t, eps_t, rng, failure_log) -> dict:
+               d_now, d_next, beta_mat, t, eps_t, rng) -> dict:
     params = inst.params
     host = inst.host
     r = host.reduced.r
     n = max(host.partition.sizes())
-    K = params.K
 
     # Step 1: independent embeddings against (G^t, P)
     G_round = PartitionedGraph(G_cur, host.partition, host.reduced,
                                densities=[[d_now[i][j] for j in range(r)] for i in range(r)])
     results: dict[int, UniformEmbedResult] = {}
     for idx in batch:
-        A_eff = _collision_thinned_candidacy(inst, A_list, embeddings, idx, class_of_x, rng)
+        A_eff = _collision_thinned_candidacy(inst, A_list, embeddings, idx, rng)
         emb_params = dataclasses.replace(params, eps=max(min(eps_t ** 3, params.eps), 1e-6))
         try:
             res = run_uniform_embed(G_round, P_host, beta_mat, templates[idx], k_mats[idx],
@@ -402,8 +394,8 @@ def _run_round(inst, templates, k_mats, A_list, embeddings, batch, G_cur, P_host
         # exclusions thin the candidacy rows first.  The random part of the
         # window is redrawn (and grown when redraws keep failing) until no
         # candidacy row is starved, since a starved row cannot be matched.
-        RK = ReducedGraph(res.K * r, blow_up(host.reduced, res.K).edges())
-        bKr = _expand(beta_mat, r, res.K)
+        RK = blow_up(host.reduced, res.K)
+        bKr = expand_matrix(beta_mat, r, res.K)
         rows = None
         Z_classes: list[list[int]] = []
         for widen in range(6):
@@ -421,9 +413,8 @@ def _run_round(inst, templates, k_mats, A_list, embeddings, batch, G_cur, P_host
                     Z_classes.append(forced + extra)
                 if not feasible:
                     continue
-                cand = _patch_rows(inst, res, phi, templates[idx], A_list[idx], Z_classes,
-                                   P_next, lam_by_tpl.get(idx, []), embeddings, phis,
-                                   batch, idx)
+                cand = _patch_rows(res, phi, templates[idx], A_list[idx], Z_classes,
+                                   P_next, lam_by_tpl.get(idx, []), embeddings, phis)
                 if min((len(v) for v in cand.values()), default=2) >= 2:
                     rows = cand
                     break
@@ -437,7 +428,7 @@ def _run_round(inst, templates, k_mats, A_list, embeddings, batch, G_cur, P_host
                            res.N, rows, Z_classes,
                            beta_prime=float(params.beta) * inst.d0, delta=params.delta,
                            params=params, rng=rng,
-                           A0_check=_a0_checker(A_list[idx], class_of_x, templates[idx]))
+                           A0_check=_a0_checker(A_list[idx], templates[idx]))
         except (PatchFailure, HypothesisViolation) as exc:
             raise _RoundRestart(6 if isinstance(exc, HypothesisViolation) else 5,
                                 f"template {idx}: {exc}")
@@ -467,7 +458,7 @@ def _effective_d0(inst: PackInstance, A_eff) -> float:
     return inst.d0
 
 
-def _collision_thinned_candidacy(inst, A_list, embeddings, idx, class_of_x, rng):
+def _collision_thinned_candidacy(inst, A_list, embeddings, idx, rng):
     """Step-1 candidacy: exclude images taken by earlier collision partners."""
     params = inst.params
     host = inst.host
@@ -509,12 +500,11 @@ def _collision_thinned_candidacy(inst, A_list, embeddings, idx, class_of_x, rng)
     return out
 
 
-def _patch_rows(inst, res, phi, template, A_i, Z_classes, P_next, lam_entries,
-                embeddings, phis_round, batch, idx):
+def _patch_rows(res, phi, template, A_i, Z_classes, P_next, lam_entries,
+                embeddings, phis_round):
     """Candidacy rows for the patch: initial candidacy cut to the class
     window, intersected with the patch-graph neighbourhoods of all
     embedded out-of-window pattern neighbours, minus collision images."""
-    host = inst.host
     zall = {z for cls in Z_classes for z in cls}
     rows: dict[int, list[int]] = {}
     # collision exclusions within and across rounds
@@ -550,31 +540,22 @@ def _patch_rows(inst, res, phi, template, A_i, Z_classes, P_next, lam_entries,
     return rows
 
 
-def _a0_checker(A_i, class_of_x, template):
+def _a0_checker(A_i, template):
     if A_i is None:
         return None
+    class_of = template.partition.class_of()
+    pos = [None if Ab is None else ({p: a for a, p in enumerate(Ab.left_ids)},
+                                    {v: b for b, v in enumerate(Ab.right_ids)})
+           for Ab in A_i]
 
     def check(z, hv):
-        blk = template.partition.class_of()[z]
-        Ab = A_i[blk]
-        if Ab is None:
+        blk = class_of[z]
+        if A_i[blk] is None:
             return True
-        xpos = {p: a for a, p in enumerate(Ab.left_ids)}
-        vpos = {v: b for b, v in enumerate(Ab.right_ids)}
-        return bool((Ab.adj[xpos[z]] >> vpos[hv]) & 1)
+        xpos, vpos = pos[blk]
+        return bool((A_i[blk].adj[xpos[z]] >> vpos[hv]) & 1)
 
     return check
-
-
-def _expand(mat, r, K):
-    out = [[Fraction(0)] * (K * r) for _ in range(K * r)]
-    for i in range(r):
-        for j in range(r):
-            for a in range(i * K, (i + 1) * K):
-                for b in range(j * K, (j + 1) * K):
-                    if a != b:
-                        out[a][b] = Fraction(mat[i][j])
-    return out
 
 
 def _assert_packing(inst, templates, embeddings, A_list) -> None:
@@ -661,13 +642,11 @@ def pack_partite(host: PartitionedGraph, families: list[PartitionedGraph], param
     result = run_main_packing(inst, rng, round_retry_cap=round_retry_cap)
 
     member_embeddings: list[dict[int, int]] = []
-    pos = 0
     for b_idx, batch in enumerate(batches):
         phi_t = result.embeddings[b_idx]
         for ell, L in enumerate(batch):
             tau = taus_all[b_idx][ell]
             member_embeddings.append({x: phi_t[tau[x]] for x in range(L.graph.n)})
-        pos += len(batch)
     report = verify_packing(host, families, member_embeddings)
     if not report.ok:
         raise AssertionError("composed member embeddings failed verification: "
@@ -711,7 +690,6 @@ def merge_small_members(H_list: list[LabeledGraph], n: int, Delta: int,
     while len(small) >= 2:
         a = small.pop(0)
         b = small.pop(0)
-        used_a = {v for v in range(n) if a.degree(v) > 0}
         free_a = [v for v in range(n) if a.degree(v) == 0]
         used_b = sorted(v for v in range(n) if b.degree(v) > 0)
         if len(used_b) > len(free_a):
@@ -883,6 +861,11 @@ def pack_bipartite(G_pair: BipartiteGraph, H_pairs: list[BipartiteGraph], alpha:
     sizes = [nA, h2, nB - h2]
     R = ReducedGraph(3, [(0, 1), (0, 2)])
 
+    G = LabeledGraph(nA + nB)
+    for u in range(nA):
+        for v in iter_bits(G_pair.adj[u]):
+            G.add_edge(u, nA + v)
+    dfrac = Fraction(d).limit_denominator(10 ** 6)
     # host split of B, resampled until both pairs certify
     host_pg = None
     for _ in range(params.retry_cap):
@@ -890,12 +873,7 @@ def pack_bipartite(G_pair: BipartiteGraph, H_pairs: list[BipartiteGraph], alpha:
         rng.shuffle(ids)
         B1 = sorted(ids[:h2])
         B2 = sorted(ids[h2:])
-        G = LabeledGraph(nA + nB)
-        for u in range(nA):
-            for v in iter_bits(G_pair.adj[u]):
-                G.add_edge(u, nA + v)
         classes = [list(range(nA)), [nA + v for v in B1], [nA + v for v in B2]]
-        dfrac = Fraction(d).limit_denominator(10 ** 6)
         cand = PartitionedGraph(G, VertexPartition.from_lists(classes, nA + nB), R,
                                 densities=[[Fraction(0), dfrac, dfrac],
                                            [dfrac, Fraction(0), Fraction(0)],

@@ -8,15 +8,16 @@ The ladder is a family of root functions ordered pointwise on (0,1):
 
 where ``w`` counts embedding rounds.  Per-round tolerances are the
 iterates ``xi_t = g^t(2*eps)``; they approach 1 within a couple of
-iterations at any usable eps, so all consumers clamp them at
-``xi_max`` (default 0.25).  The clamp preserves monotonicity and keeps
-the degree/codegree checks meaningful at the instance sizes this
-package targets.
+iterations at any usable eps, so all consumers clamp them at the
+constant ``ParamSet.xi_max`` = 0.25.  The clamp preserves monotonicity
+and keeps the degree/codegree checks meaningful at the instance sizes
+this package targets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .errors import BadParams
 
@@ -60,30 +61,32 @@ class ParamSet:
     """Knobs for one pipeline run.
 
     ``K`` and ``w`` are derived, not free: ``K = (k+1)^2 * Delta_R`` and
-    ``w = K^2 * Delta_R^2 * (Delta_R + 1)``.
+    ``w = K^2 * Delta_R^2 * (Delta_R + 1)``.  The class-level constants
+    below are calibrated for desk-scale classes and are not settable.
     """
 
-    eps: float = 0.05
-    alpha: float = 0.25
-    beta: float = 0.1
-    gamma: float = 0.05
-    delta: float = 0.1
-    k: int = 1
-    Delta: int = 3
-    Delta_R: int = 1
-    C: int = 2
-    xi_max: float = 0.25
+    # tolerance of the probe-set check in the packer, as a fraction of |Q||W|/n
+    gamma: ClassVar[float] = 0.05
+    xi_max: ClassVar[float] = 0.25
     # Degree windows in the round certificates are max(xi*m, floor), where
     # floor is this many binomial standard deviations plus one.  At class
     # sizes below ~(4/xi)^2 the fluctuation scale sqrt(m) exceeds xi*m and a
     # fixed-fraction window would reject honest instances; at larger sizes
     # the floor is inactive.
-    cert_sd_floor: float = 4.0
-    retry_cap: int = 32
+    cert_sd_floor: ClassVar[float] = 4.0
+    retry_cap: ClassVar[int] = 32
+    mix_factor: ClassVar[int] = 50
+    exact_sampler_cap: ClassVar[int] = 24
+
+    eps: float = 0.05
+    alpha: float = 0.25
+    beta: float = 0.1
+    delta: float = 0.1
+    k: int = 1
+    Delta_R: int = 1
+    C: int = 2
     embed_retry_cap: int = 8
-    mix_factor: int = 50
     exact_sampler: bool = False
-    exact_sampler_cap: int = 24
     # When True, candidacy graphs accrue a constraint for every edge of the
     # matching-completed pattern, as in the asymptotic analysis.  The default
     # restricts constraints to real pattern edges, which is what makes the

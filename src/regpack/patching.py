@@ -20,7 +20,7 @@ import dataclasses
 from fractions import Fraction
 
 from .errors import EmbedFailure, HypothesisViolation, PatchFailure
-from .graphs import BipartiteGraph, LabeledGraph, ReducedGraph, pair_view
+from .graphs import BipartiteGraph, LabeledGraph, ReducedGraph, matching_completion, pair_view
 from .params import ParamSet
 from .regularity import pipeline_certificate
 from .slender import SlenderInput, run_slender
@@ -29,15 +29,14 @@ from .slender import SlenderInput, run_slender
 def repatch(H: LabeledGraph, pattern_classes: list[list[int]],
             P_host: LabeledGraph, R: ReducedGraph, beta_mat,
             phi: dict[int, int], N: dict[int, tuple[int, ...]],
-            F_rows: dict[int, dict[int, bool]] | list[BipartiteGraph],
+            F_rows: dict[int, list[int]],
             Z_classes: list[list[int]], beta_prime: float, delta: float,
             params: ParamSet, rng, A0_check=None) -> dict[int, int]:
     """Return phi' re-embedding Z inside W = phi(Z); conclusions asserted.
 
-    ``F_rows`` maps each z in Z to the set of permitted host images (a
-    list of per-class BipartiteGraph views also works).  ``beta_prime``
-    is the claimed candidacy density for the hypothesis certificate and
-    ``delta`` its tolerance.
+    ``F_rows`` maps each z in Z to the list of its permitted host images.
+    ``beta_prime`` is the claimed candidacy density for the hypothesis
+    certificate and ``delta`` its tolerance.
     """
     r = len(Z_classes)
     Z = [z for cls in Z_classes for z in cls]
@@ -83,17 +82,9 @@ def repatch(H: LabeledGraph, pattern_classes: list[list[int]],
             HZ.add_edge(lid(x), lid(y))
     HZ_star = HZ.copy()
     for i, j in R.edges():
-        matched_i = set()
-        matched_j = set()
-        for a in range(m):
-            for nb in HZ.neighbors(i * m + a):
-                if nb // m == j:
-                    matched_i.add(a)
-                    matched_j.add(nb - j * m)
-        free_i = [a for a in range(m) if a not in matched_i]
-        free_j = [b for b in range(m) if b not in matched_j]
-        for a, b in zip(free_i, free_j):
-            HZ_star.add_edge(i * m + a, j * m + b)
+        for a, b in matching_completion(HZ.adj, range(i * m, (i + 1) * m),
+                                        range(j * m, (j + 1) * m)):
+            HZ_star.add_edge(a, b)
 
     # auxiliary complete-partite graph plays the patching role: no
     # constraints beyond F bind inside the patch
@@ -151,8 +142,6 @@ def repatch(H: LabeledGraph, pattern_classes: list[list[int]],
 
 
 def _as_pairs(F_rows, Z_classes, W_classes) -> list[BipartiteGraph]:
-    if isinstance(F_rows, list) and F_rows and isinstance(F_rows[0], BipartiteGraph):
-        return F_rows
     out = []
     for cls, wcls in zip(Z_classes, W_classes):
         wpos = {w: b for b, w in enumerate(wcls)}

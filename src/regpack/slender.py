@@ -83,7 +83,6 @@ class SlenderOutput:
     F: list[BipartiteGraph]                  # per class, on (Y_j, U_j) with global ids
     p_host: list[Fraction] = field(default_factory=list)   # density ladder vs the host
     p_patch: list[Fraction] = field(default_factory=list)  # density ladder vs the reserve
-    failure_log: list[str] = field(default_factory=list)
     trace: list[dict] = field(default_factory=list)
 
 
@@ -133,7 +132,6 @@ def validate_input(s: SlenderInput, expected_w: int | None = None,
         if len(s.Y_classes[i]) != len(s.U_classes[i]):
             v.append(f"(V6) |Y_{i}|={len(s.Y_classes[i])} != |U_{i}|={len(s.U_classes[i])}")
     # (V6) pair structure of the completed pattern
-    ypos = [{p: k for k, p in enumerate(cls)} for cls in s.Y_classes]
     yclass = {}
     for i, cls in enumerate(s.Y_classes):
         for p in cls:

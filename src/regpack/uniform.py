@@ -30,8 +30,9 @@ from .graphs import (
     BipartiteGraph,
     LabeledGraph,
     PartitionedGraph,
-    ReducedGraph,
+    blow_up,
     iter_bits,
+    matching_completion,
     pair_view,
     popcount,
     square,
@@ -73,25 +74,8 @@ def refine_pattern(H: PartitionedGraph, kmat, C: int, params: ParamSet, rng):
         Y_classes.extend([sorted(cls[a] for a in blk) for blk in blocks])
 
     H_star = H.graph.copy()
-    yclass = {}
-    for j, cls in enumerate(Y_classes):
-        for p in cls:
-            yclass[p] = j
-    RK_edges = [(a, b) for i, j in H.reduced.edges()
-                for a in range(i * K, (i + 1) * K) for b in range(j * K, (j + 1) * K)]
-    for a, b in RK_edges:
-        ya, yb = Y_classes[a], Y_classes[b]
-        matched_a = set()
-        matched_b = set()
-        for p in ya:
-            for qn in H.graph.neighbors(p):
-                if yclass.get(qn) == b:
-                    matched_a.add(p)
-                    matched_b.add(qn)
-        free_a = [p for p in ya if p not in matched_a]
-        free_b = [qn for qn in yb if qn not in matched_b]
-        want = min(len(ya), len(yb)) - min(len(matched_a), len(matched_b))
-        for p, qn in list(zip(free_a, free_b))[:max(want, 0)]:
+    for a, b in blow_up(H.reduced, K).edges():
+        for p, qn in matching_completion(H.graph.adj, Y_classes[a], Y_classes[b]):
             H_star.add_edge(p, qn)
     return Y_classes, H_star, K
 
@@ -105,7 +89,6 @@ def refine_host(G: PartitionedGraph, P_host: LabeledGraph, A0: list[BipartiteGra
     on (Y_j, U_j).  Raises FailureType1 when the refined certificates
     keep failing.
     """
-    K = params.K
     r = G.reduced.r
     eps = params.eps
     eps_out = eps ** (1 / 3)
@@ -255,10 +238,9 @@ def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
             Y_classes, H_star, K = refine_pattern(H, kmat, C=eff.C, params=eff, rng=rng)
             schedule = round_schedule(H.reduced, K, eff.Delta_R)
             U_classes, A0_star = refine_host(G, P_host, A0, Y_classes, beta_mat, d0, eff, rng)
-            RK = _blown_reduced(H.reduced, K)
             sl_params = dataclasses.replace(eff, eps=min(eff.eps ** (1 / 3), 0.5))
             s = SlenderInput(
-                R_star=RK,
+                R_star=blow_up(H.reduced, K),
                 Y_classes=Y_classes,
                 U_classes=U_classes,
                 G_host=G.graph,
@@ -284,11 +266,6 @@ def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
             last = exc
     raise RetriesExhausted(
         f"uniform embedding failed {eff.embed_retry_cap} times; last: {last}") from last
-
-
-def _blown_reduced(R: ReducedGraph, K: int) -> ReducedGraph:
-    from .graphs import blow_up
-    return ReducedGraph(K * R.r, blow_up(R, K).edges())
 
 
 def _candidacy_hypergraph(H: PartitionedGraph, H_star: LabeledGraph, params: ParamSet) -> dict[int, tuple[int, ...]]:
@@ -373,7 +350,6 @@ def b_diagnostics(runs: list[UniformEmbedResult], H: PartitionedGraph, G: Partit
     """
     if len(runs) < 30:
         raise TooFewRuns(f"diagnostics need at least 30 runs, got {len(runs)}")
-    class_of = H.partition.class_of()
     vclass = G.partition.class_of()
     report: dict = {"runs": len(runs)}
     if b1_probes:

@@ -7,7 +7,6 @@ from regpack.balancer import (
     FlowNetwork,
     arithm_split,
     check_arithm_split,
-    csaba_embed,
     max_flow,
     pack_to_regular,
     permute_balance,
@@ -336,20 +335,3 @@ class TestPackToRegular:
         sizes = [n1] * a1 + [n2] * a2 + [n3] * a3
         assert sum(sizes) == n_bar
 
-
-class TestCsabaEmbed:
-    def test_respects_classes_and_forbidden(self):
-        rng = random.Random(8)
-        R = ReducedGraph(2, [(0, 1)])
-        n = 12
-        L = PartitionedGraph(
-            LabeledGraph(2 * n, [(i, n + i) for i in range(n)]),
-            VertexPartition.from_lists([list(range(n)), list(range(n, 2 * n))]), R)
-        host = LabeledGraph(2 * n, [(u, v) for u in range(n) for v in range(n, 2 * n)])
-        class_map = {0: list(range(n)), 1: list(range(n, 2 * n))}
-        forbidden = {0: set(range(3))}
-        img = csaba_embed(L, host, class_map, rng, forbidden=forbidden)
-        assert img is not None
-        assert img[0] not in forbidden[0]
-        for x in range(n):
-            assert img[x] < n and img[n + x] >= n

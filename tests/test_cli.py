@@ -192,6 +192,17 @@ class TestMalformedInput:
         path = _malformed_instance(tmp_path, edit)
         self._usage_error(capsys, ["pack", "--instance", str(path)], f"{path}: {message}")
 
+    @pytest.mark.parametrize("lam", [[0, 999, 1, 0], [0, -1, 1, 0]])
+    def test_lambda_vertex_outside_template(self, tmp_path, capsys, lam):
+        assert main(["gen", "host-superregular", "--n", "30", "--seed", "0",
+                     "--out", str(tmp_path)]) == 0
+        path = tmp_path / "instance.json"
+        data = json.loads(path.read_text())
+        data["lambda"] = [lam]
+        path.write_text(json.dumps(data))
+        self._usage_error(capsys, ["pack", "--instance", str(path)],
+                          f"(S8) collision constraint {tuple(lam)} names a vertex outside its template")
+
     def test_wrong_types(self, tmp_path, capsys):
         path = tmp_path / "x.json"
         path.write_text(json.dumps({"host": [], "templates": []}))

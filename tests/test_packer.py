@@ -54,6 +54,13 @@ class TestValidation:
         errs = validate_instance(inst)
         assert any("(S8)" in e for e in errs)
 
+    @pytest.mark.parametrize("lam", [(0, 96, 1, 0), (0, 0, 1, -1)])
+    def test_lambda_vertex_outside_template_rejected(self, lam):
+        inst, rng = simple_instance(n=48, s=3)
+        inst.lam = [lam]
+        errs = validate_instance(inst)
+        assert errs == [f"(S8) collision constraint {lam} names a vertex outside its template"]
+
 
 class TestMainPacking:
     def test_single_template(self):

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import two_class_instance
 from regpack.errors import HypothesisViolation
-from regpack.graphs import ReducedGraph, blow_up
+from regpack.graphs import blow_up
 from regpack.params import ParamSet
 from regpack.patching import repatch
 from regpack.uniform import run_uniform_embed
@@ -37,7 +37,7 @@ def refreshed_rows(res, P, Z_classes):
 
 def patch_setup(res, host, rng, size):
     Z_classes = [rng.sample(cls, size) for cls in res.Y_classes]
-    RK = ReducedGraph(2 * res.K, blow_up(host.reduced, res.K).edges())
+    RK = blow_up(host.reduced, res.K)
     bf = Fraction(9, 20)
     bKr = [[bf if RK.has_edge(i, j) else Fraction(0) for j in range(2 * res.K)]
            for i in range(2 * res.K)]
@@ -48,7 +48,7 @@ class TestRepatch:
     def test_empty_bad_set_is_identity(self):
         host, P, bmat, tpl, params, res, rng = embedded_instance(seed=1)
         Z_classes = [[] for _ in res.Y_classes]
-        RK = ReducedGraph(2 * res.K, blow_up(host.reduced, res.K).edges())
+        RK = blow_up(host.reduced, res.K)
         phi2 = repatch(tpl.graph, res.Y_classes, P.graph, RK, [[Fraction(0)] * (2 * res.K)] * (2 * res.K),
                        res.phi, res.N, {}, Z_classes, beta_prime=0.45, delta=0.1,
                        params=params, rng=rng)

@@ -83,7 +83,7 @@ class TestSlenderDegenerate:
         Y, H_star, K = refine_pattern(templates[0], kmat, 2, params, rng)
         sched = round_schedule(templates[0].reduced, K, params.Delta_R)
         U, A0s = refine_host(host, P.graph, [None, None], Y, bmat, 1.0, params, rng)
-        RK = ReducedGraph(2 * K, blow_up(templates[0].reduced, K).edges())
+        RK = blow_up(templates[0].reduced, K)
         dK = expand_matrix(host.densities, 2, K)
         bK = expand_matrix(bmat, 2, K)
         s = SlenderInput(
@@ -112,7 +112,7 @@ class TestValidation:
         U, A0s = refine_host(host, P.graph, [None, None], Y, bmat, 1.0, params, rng)
         from regpack.uniform import expand_matrix
         s = SlenderInput(
-            R_star=ReducedGraph(2 * K, blow_up(templates[0].reduced, K).edges()),
+            R_star=blow_up(templates[0].reduced, K),
             Y_classes=Y, U_classes=U, G_host=host.graph, P_host=P.graph,
             H=templates[0].graph, H_star=H_star, A0=A0s, schedule=sched,
             d_mat=expand_matrix(host.densities, 2, K),
