@@ -12,10 +12,11 @@ an exhaustive swap search.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BadParams, DegreeTooHigh, RetriesExhausted
-from .graphs import LabeledGraph, ReducedGraph, blow_up, mask_of, popcount, square
+from .graphs import LabeledGraph, ReducedGraph, blow_up, iter_bits, mask_of, square
 
 
 @dataclass
@@ -253,31 +254,38 @@ def round_schedule(R: ReducedGraph, K: int, Delta_R: int) -> list[list[int]]:
     return schedule
 
 
-def check_schedule(R: ReducedGraph, K: int, Delta_R: int, schedule: list[list[int]]) -> list[str]:
-    """Mechanical checks of the schedule properties; returns violations."""
+def schedule_violations(adj: list[int], schedule: list[list[int]], n: int) -> list[str]:
+    """Violations of the schedule properties on the graph with rows ``adj``:
+    the rounds partition ``range(n)``, each round is independent, and no
+    vertex has two neighbours in one other round.  Each vertex's neighbours
+    are walked once, so the cost does not grow with the number of rounds."""
     errs = []
-    RK = blow_up(R, K)
-    RK2 = square(RK)
-    seen: set[int] = set()
+    if sorted(v for cls in schedule for v in cls) != list(range(n)):
+        errs.append("schedule is not a partition of the vertex set")
+    round_of = [-1] * n
     for idx, cls in enumerate(schedule):
-        m = mask_of(cls)
         for v in cls:
-            if RK2.adj[v] & m:
-                errs.append(f"round class {idx} not independent in the blow-up square")
-                break
-        seen.update(cls)
-    if seen != set(range(K * R.r)):
-        errs.append("schedule does not partition the blow-up vertex set")
+            if 0 <= v < n:
+                round_of[v] = idx
+    dependent: set[int] = set()
+    crowded: set[tuple[int, int]] = set()
+    for v, a in enumerate(round_of):
+        hits = Counter(round_of[u] for u in iter_bits(adj[v])) if a >= 0 else {}
+        if a in hits:
+            dependent.add(a)
+        crowded.update((a, b) for b, c in hits.items() if c > 1 and b not in (a, -1))
+    errs += [f"round {a} is not independent" for a in sorted(dependent)]
+    errs += [f"a vertex of round {a} has two neighbours in round {b}" for a, b in sorted(crowded)]
+    return errs
+
+
+def check_schedule(R: ReducedGraph, K: int, Delta_R: int, schedule: list[list[int]]) -> list[str]:
+    """Mechanical checks of the schedule properties; returns violations.  A
+    round is independent in the square of the blow-up iff it is independent
+    in the blow-up and no vertex has two neighbours in it."""
+    errs = schedule_violations(blow_up(R, K).adj, schedule, K * R.r)
     if len(schedule) != (K * Delta_R) ** 2 * (Delta_R + 1):
         errs.append(f"schedule has {len(schedule)} classes, expected {(K * Delta_R) ** 2 * (Delta_R + 1)}")
-    for a, ca in enumerate(schedule):
-        for b in range(a + 1, len(schedule)):
-            cb = schedule[b]
-            mb = mask_of(cb)
-            for v in ca:
-                if popcount(RK.adj[v] & mb) > 1:
-                    errs.append(f"bipartite degree above 1 between round classes {a},{b}")
-                    break
     # window disjointness per R-edge
     first = {}
     last = {}

@@ -3,7 +3,7 @@
 Adjacency rows are Python ints used as bitsets, so neighbourhood
 intersections and degree counts cost O(n/64) words.  All types are
 immutable by convention after construction; the few mutating helpers
-(`add_edge`, `remove_edges`) are meant for builders, which freeze the
+(`add_edge`, `remove_edge`) are meant for builders, which freeze the
 object before sharing it.
 """
 
@@ -105,10 +105,6 @@ class LabeledGraph:
             self.adj[v] &= ~(1 << u)
             self._m -= 1
 
-    def remove_edges(self, edges: Iterable[tuple[int, int]]) -> None:
-        for u, v in edges:
-            self.remove_edge(u, v)
-
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj[u] >> v) & 1 == 1
 
@@ -184,9 +180,6 @@ class BipartiteGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj[u] >> v) & 1 == 1
-
-    def deg_left(self, u: int) -> int:
-        return popcount(self.adj[u])
 
     def right_adj(self) -> list[int]:
         return transpose(self.adj, self.nr)

@@ -518,6 +518,7 @@ def _patch_rows(res, phi, template, A_i, Z_classes, P_next, lam_entries,
         if img is not None:
             excluded.setdefault(x, set()).add(img)
     class_of_x = template.partition.class_of()
+    pos = _block_positions(A_i)
     for j, cls in enumerate(Z_classes):
         wset = [phi[z] for z in cls]
         for z in cls:
@@ -525,10 +526,8 @@ def _patch_rows(res, phi, template, A_i, Z_classes, P_next, lam_entries,
             if A_i is None or A_i[blk] is None:
                 allowed = set(wset)
             else:
-                Ab = A_i[blk]
-                xpos = {p: a for a, p in enumerate(Ab.left_ids)}
-                vpos = {v: b for b, v in enumerate(Ab.right_ids)}
-                arow = Ab.adj[xpos[z]]
+                xpos, vpos = pos[blk]
+                arow = A_i[blk].adj[xpos[z]]
                 allowed = {w for w in wset if w in vpos and (arow >> vpos[w]) & 1}
             for ynb in res.N[z]:
                 if ynb in zall:
@@ -540,13 +539,18 @@ def _patch_rows(res, phi, template, A_i, Z_classes, P_next, lam_entries,
     return rows
 
 
+def _block_positions(A_i):
+    """Per block of a candidacy list, the (left, right) id -> position maps."""
+    return [None if Ab is None else ({p: a for a, p in enumerate(Ab.left_ids)},
+                                     {v: b for b, v in enumerate(Ab.right_ids)})
+            for Ab in A_i or []]
+
+
 def _a0_checker(A_i, template):
     if A_i is None:
         return None
     class_of = template.partition.class_of()
-    pos = [None if Ab is None else ({p: a for a, p in enumerate(Ab.left_ids)},
-                                    {v: b for b, v in enumerate(Ab.right_ids)})
-           for Ab in A_i]
+    pos = _block_positions(A_i)
 
     def check(z, hv):
         blk = class_of[z]
@@ -577,11 +581,10 @@ def _assert_packing(inst, templates, embeddings, A_list) -> None:
             seen.add(e)
         Ai = A_list[idx] if idx < len(A_list) else None
         if Ai is not None:
-            for j, Ab in enumerate(Ai):
+            for j, (Ab, bpos) in enumerate(zip(Ai, _block_positions(Ai))):
                 if Ab is None:
                     continue
-                xpos = {p: a for a, p in enumerate(Ab.left_ids)}
-                vpos = {v: b for b, v in enumerate(Ab.right_ids)}
+                xpos, vpos = bpos
                 for p in tpl.partition.classes[j]:
                     if not (Ab.adj[xpos[p]] >> vpos[phi[p]]) & 1:
                         raise AssertionError(f"(T1) violated for template {idx}")

@@ -60,19 +60,18 @@ def repatch(H: LabeledGraph, pattern_classes: list[list[int]],
         if not pipeline_certificate(pair, delta, float(beta_mat[i][j]), params.cert_sd_floor):
             raise HypothesisViolation(f"patching pair ({i},{j}) on W failed its certificate")
     zset = set(Z)
-    for x, y in H.edges():
-        if x in zset and y in zset:
-            zc = {z: c for c, cls in enumerate(Z_classes) for z in cls}
-            if zc[x] != zc[y] and not R.has_edge(zc[x], zc[y]):
-                raise HypothesisViolation("pattern edge inside Z crosses a non-edge of R")
-
-    # pattern restricted to Z, completed pairwise to perfect matchings
     zpos = {}
     zclass = {}
     for c, cls in enumerate(Z_classes):
         for a, z in enumerate(cls):
             zpos[z] = a
             zclass[z] = c
+    for x, y in H.edges():
+        if x in zset and y in zset:
+            if zclass[x] != zclass[y] and not R.has_edge(zclass[x], zclass[y]):
+                raise HypothesisViolation("pattern edge inside Z crosses a non-edge of R")
+
+    # pattern restricted to Z, completed pairwise to perfect matchings
     local_n = r * m
     def lid(z):
         return zclass[z] * m + zpos[z]
@@ -103,7 +102,6 @@ def repatch(H: LabeledGraph, pattern_classes: list[list[int]],
     tau = [[Fraction(1) if i != j else Fraction(0) for j in range(r)] for i in range(r)]
     bmat = [[Fraction(beta_mat[i][j]) for j in range(r)] for i in range(r)]
     sl_params = dataclasses.replace(params, eps=delta, C=0)
-    schedule = [[i] for i in range(r)]
     s = SlenderInput(
         R_star=R,
         Y_classes=[[i * m + a for a in range(m)] for i in range(r)],
@@ -113,7 +111,7 @@ def repatch(H: LabeledGraph, pattern_classes: list[list[int]],
         H=HZ,
         H_star=HZ_star,
         A0=F_pairs,
-        schedule=schedule,
+        schedule=[[i] for i in range(r)],
         d_mat=bmat,
         beta_mat=tau,
         d0=beta_prime,
@@ -124,7 +122,7 @@ def repatch(H: LabeledGraph, pattern_classes: list[list[int]],
     last = None
     for _ in range(params.embed_retry_cap):
         try:
-            out = run_slender(s, rng, expected_w=len(schedule), check_certificates=False)
+            out = run_slender(s, rng)
             break
         except EmbedFailure as exc:
             last = exc

@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .coloring import schedule_violations
 from .errors import BadParams, FailureType1, FailureType2
 from .graphs import (
     BipartiteGraph,
@@ -39,7 +40,6 @@ from .graphs import (
     ReducedGraph,
     bit_matrix,
     iter_bits,
-    mask_of,
     pair_view,
     popcount,
 )
@@ -101,29 +101,15 @@ def validate_input(s: SlenderInput, expected_w: int | None = None,
     if len(s.U_classes) != q or s.R_star.r != q:
         v.append("class counts of Y, U and the class graph disagree")
         return v
-    # (V1) schedule partitions the class index set
-    seen: list[int] = []
-    for cls in s.schedule:
-        seen.extend(cls)
-    if sorted(seen) != list(range(q)):
-        v.append("(V1) schedule is not a partition of the class indices")
+    # (V1) the schedule partitions the class indices; (V2) every round is
+    # independent in the class graph and meets each neighbourhood at most once
+    for e in schedule_violations(s.R_star.adj, s.schedule, q):
+        v.append(("(V1) " if "partition" in e else "(V2) ") + e)
     if expected_w is not None and len(s.schedule) != expected_w:
         v.append(f"(V1) schedule length {len(s.schedule)} != expected {expected_w}")
-    # (V2) independence and pairwise degree bounds
     bound = s.class_degree_bound()
     if s.R_star.max_degree() > bound:
         v.append(f"(V2) class-graph degree {s.R_star.max_degree()} exceeds {bound}")
-    for idx, cls in enumerate(s.schedule):
-        m_cls = mask_of(cls)
-        for c in cls:
-            if s.R_star.adj[c] & m_cls:
-                v.append(f"(V2) schedule class {idx} is not independent")
-                break
-    for a, ca in enumerate(s.schedule):
-        for b in range(a + 1, len(s.schedule)):
-            mb = mask_of(s.schedule[b])
-            if any(popcount(s.R_star.adj[c] & mb) > 1 for c in ca):
-                v.append(f"(V2) bipartite class-degree above 1 between rounds {a},{b}")
     # (V4)/(V6) sizes
     m = max((len(c) for c in s.U_classes), default=0)
     for i in range(q):
@@ -131,23 +117,23 @@ def validate_input(s: SlenderInput, expected_w: int | None = None,
             v.append(f"(V4) |U_{i}|={len(s.U_classes[i])} outside [m-C, m]")
         if len(s.Y_classes[i]) != len(s.U_classes[i]):
             v.append(f"(V6) |Y_{i}|={len(s.Y_classes[i])} != |U_{i}|={len(s.U_classes[i])}")
-    # (V6) pair structure of the completed pattern
-    yclass = {}
+    # (V6) pair structure of the completed pattern, edges bucketed by class pair
+    yclass = {p: i for i, cls in enumerate(s.Y_classes) for p in cls}
+    pairs = {(i, j): [] for i, j in s.R_star.edges()}
     for i, cls in enumerate(s.Y_classes):
-        for p in cls:
-            yclass[p] = i
-    for i in range(q):
-        for j in range(i + 1, q):
-            edges = [(x, y) for x in s.Y_classes[i] for y in s.H_star.neighbors(x) if yclass.get(y) == j]
-            if not s.R_star.has_edge(i, j):
-                if edges:
-                    v.append(f"(V6) pattern edges between non-adjacent classes {i},{j}")
-                continue
-            want = min(len(s.Y_classes[i]), len(s.Y_classes[j]))
-            lefts = [x for x, _ in edges]
-            rights = [y for _, y in edges]
-            if len(edges) != want or len(set(lefts)) != len(edges) or len(set(rights)) != len(edges):
-                v.append(f"(V6) completed pair ({i},{j}) is not a matching of size {want}")
+        for x in cls:
+            for y in s.H_star.neighbors(x):
+                if yclass.get(y, -1) > i:
+                    pairs.setdefault((i, yclass[y]), []).append((x, y))
+    for (i, j), edges in sorted(pairs.items()):
+        if not s.R_star.has_edge(i, j):
+            v.append(f"(V6) pattern edges between non-adjacent classes {i},{j}")
+            continue
+        want = min(len(s.Y_classes[i]), len(s.Y_classes[j]))
+        lefts = [x for x, _ in edges]
+        rights = [y for _, y in edges]
+        if len(edges) != want or len(set(lefts)) != len(edges) or len(set(rights)) != len(edges):
+            v.append(f"(V6) completed pair ({i},{j}) is not a matching of size {want}")
     for x, y in s.H.edges():
         if not s.H_star.has_edge(x, y):
             v.append("pattern is not contained in its completion")
@@ -477,9 +463,13 @@ class _State:
 
 
 def run_slender(s: SlenderInput, rng, expected_w: int | None = None,
-                check_certificates: bool = True, trace: list[dict] | None = None) -> SlenderOutput:
-    """One attempt of the slender embedding; raises FailureType1/2 on abort."""
-    violations = validate_input(s, expected_w=expected_w, check_certificates=check_certificates)
+                trace: list[dict] | None = None) -> SlenderOutput:
+    """One attempt of the slender embedding; raises FailureType1/2 on abort.
+
+    The input is checked without its (V4)/(V5)/(V7) certificates: callers
+    build it from certified pairs, and the preparation re-certifies the
+    padded pairs."""
+    violations = validate_input(s, expected_w=expected_w, check_certificates=False)
     if violations:
         raise BadParams("invalid slender input: " + "; ".join(violations[:4]))
     state = _State(s, rng)

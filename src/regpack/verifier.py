@@ -84,7 +84,8 @@ def verify_packing(host: PartitionedGraph, templates: list[PartitionedGraph],
                 xpos = {p: a for a, p in enumerate(Ab.left_ids)}
                 vpos = {v: b for b, v in enumerate(Ab.right_ids)}
                 for p in tpl.partition.classes[j]:
-                    if p in phi and phi[p] in vpos and not Ab.has_edge(xpos[p], vpos[phi[p]]):
+                    hv = phi.get(p)
+                    if p not in xpos or hv not in vpos or not Ab.has_edge(xpos[p], vpos[hv]):
                         violations.append(f"(T1) template {idx}: vertex {p} outside its candidacy")
                         break
     if lam:
@@ -95,16 +96,7 @@ def verify_packing(host: PartitionedGraph, templates: list[PartitionedGraph],
                     violations.append(f"(T4) collision pair ({i},{x})~({ip},{xp}) shares an image")
 
     coverage = len(used) / len(host_edges) if host_edges else 0.0
-    leftover = host.graph.copy()
-    for e in used:
-        u, v = tuple(e)
-        leftover.remove_edge(u, v)
-    per_pair: dict[str, float] = {}
-    for i, j in host.reduced.edges():
-        ci = host.partition.classes[i]
-        cj = host.partition.classes[j]
-        cnt = sum(1 for u in ci for v in cj if leftover.has_edge(u, v))
-        per_pair[f"{i},{j}"] = cnt / (len(ci) * len(cj))
+    leftover, per_pair = _leftover(host, used)
     return VerifyReport(ok=not violations, violations=violations, coverage=coverage,
                         leftover_max_degree=leftover.max_degree(),
                         per_pair_leftover_density=per_pair)
@@ -113,11 +105,21 @@ def verify_packing(host: PartitionedGraph, templates: list[PartitionedGraph],
 def leftover_stats(host: PartitionedGraph, templates: list[PartitionedGraph],
                    embeddings: list[dict[int, int]]) -> dict:
     """Exact leftover graph statistics: J = G minus the union of images."""
+    covered = {frozenset((phi[x], phi[y]))
+               for tpl, phi in zip(templates, embeddings) for x, y in tpl.graph.edges()}
+    leftover, per_pair = _leftover(host, covered)
+    m = host.graph.num_edges()
+    return {
+        "coverage": len(covered) / m if m else 0.0,
+        "delta_J": leftover.max_degree(),
+        "per_pair_densities": per_pair,
+        "leftover_edges": leftover.num_edges(),
+    }
+
+
+def _leftover(host: PartitionedGraph, covered) -> tuple[LabeledGraph, dict[str, float]]:
+    """The host minus the covered edges, and its density on each class pair."""
     leftover = host.graph.copy()
-    covered = set()
-    for tpl, phi in zip(templates, embeddings):
-        for x, y in tpl.graph.edges():
-            covered.add(frozenset((phi[x], phi[y])))
     for e in covered:
         u, v = tuple(e)
         leftover.remove_edge(u, v)
@@ -127,13 +129,7 @@ def leftover_stats(host: PartitionedGraph, templates: list[PartitionedGraph],
         cj = host.partition.classes[j]
         cnt = sum(1 for u in ci for v in cj if leftover.has_edge(u, v))
         per_pair[f"{i},{j}"] = cnt / (len(ci) * len(cj))
-    m = host.graph.num_edges()
-    return {
-        "coverage": len(covered) / m if m else 0.0,
-        "delta_J": leftover.max_degree(),
-        "per_pair_densities": per_pair,
-        "leftover_edges": leftover.num_edges(),
-    }
+    return leftover, per_pair
 
 
 def oracle_pack_small(host: LabeledGraph, templates: list[LabeledGraph],

@@ -1,11 +1,13 @@
-"""Static hygiene of the package source: no module imports a name it never uses."""
+"""Static hygiene of the package source: no module imports a name it never
+uses, and every function or method is referenced somewhere."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "regpack"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "regpack"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -57,3 +59,50 @@ def test_checker_flags_unused_and_keeps_used_names():
         "y: E = 1\n"
     )
     assert unused_imports(source) == ["D (line 3)", "os (line 2)"]
+
+
+def referenced_names(sources: list[str]) -> set[str]:
+    """Every identifier read, imported or named in a dotted string such as
+    ``"BipartiteGraph.right_adj"`` (the form span targets use)."""
+    names: set[str] = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.update(node.value.split("."))
+    return names
+
+
+def unreferenced_functions(source: str, names: set[str]) -> list[str]:
+    return sorted(f"{node.name} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not (node.name.startswith("__") and node.name.endswith("__"))
+                  and node.name not in names)
+
+
+def test_every_function_is_referenced():
+    sources = [p.read_text() for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    names = referenced_names(sources)
+    dead = {p.name: unreferenced_functions(p.read_text(), names) for p in MODULES}
+    assert {k: v for k, v in dead.items() if v} == {}
+
+
+def test_reference_checker_flags_a_dead_method():
+    source = (
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.live()\n"
+        "    def live(self):\n"
+        "        return 1\n"
+        "    def dead(self):\n"
+        "        return 2\n"
+        "def target():\n"
+        "    pass\n"
+    )
+    names = referenced_names([source, "TARGETS = [('m', 'target')]\n"])
+    assert unreferenced_functions(source, names) == ["dead (line 6)"]

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import path3_instance, two_class_instance
 from regpack.errors import NotSuperRegular
@@ -53,7 +55,7 @@ class TestSlenderDegenerate:
 
     def test_empty_pattern_complete_host(self):
         s = self._complete_input(m=6)
-        out = run_slender(s, random.Random(0), expected_w=2, check_certificates=False)
+        out = run_slender(s, random.Random(0), expected_w=2)
         # class-respecting bijection consistent with the full candidacy
         assert sorted(out.phi.keys()) == list(range(12))
         assert {out.phi[p] for p in s.Y_classes[0]} == set(s.U_classes[0])
@@ -64,13 +66,13 @@ class TestSlenderDegenerate:
     def test_strict_mode_on_complete_instance(self):
         s = self._complete_input(m=6)
         s.params = dataclasses.replace(s.params, strict_candidacy=True)
-        out = run_slender(s, random.Random(1), expected_w=2, check_certificates=False)
+        out = run_slender(s, random.Random(1), expected_w=2)
         assert len(set(out.phi.values())) == 12
 
     def test_exact_sampler_path(self):
         s = self._complete_input(m=6)
         s.params = dataclasses.replace(s.params, exact_sampler=True)
-        out = run_slender(s, random.Random(2), expected_w=2, check_certificates=False)
+        out = run_slender(s, random.Random(2), expected_w=2)
         assert len(set(out.phi.values())) == 12
 
     def test_density_ladder_exact_identity(self):
@@ -91,7 +93,7 @@ class TestSlenderDegenerate:
             H=templates[0].graph, H_star=H_star, A0=A0s, schedule=sched,
             d_mat=dK, beta_mat=bK, d0=1.0,
             params=dataclasses.replace(params, eps=params.eps ** (1 / 3)), C=params.C)
-        out = run_slender(s, rng, expected_w=params.w, check_certificates=False)
+        out = run_slender(s, rng, expected_w=params.w)
         for j in range(2 * K):
             want_d = Fraction(1)
             want_b = Fraction(1)
@@ -131,6 +133,81 @@ class TestValidation:
         s_obj.schedule = [[0, 1], []]
         violations = validate_input(s_obj, expected_w=2, check_certificates=False)
         assert any("(V2)" in v for v in violations)
+
+
+def _three_class_input(R, schedule, Y=None, H_star=None):
+    """Three classes of two on a class graph R; complete host and candidacy."""
+    from regpack.graphs import BipartiteGraph
+    Y = Y if Y is not None else [[0, 1], [2, 3], [4, 5]]
+    U = [[0, 1], [2, 3], [4, 5]]
+    G = LabeledGraph(6, [(u, v) for i, j in R.edges() for u in U[i] for v in U[j]])
+    if H_star is None:
+        H_star = LabeledGraph(6, [(Y[i][a], Y[j][a]) for i, j in R.edges() for a in range(2)])
+    A0 = [BipartiteGraph(2, 2, [(a, b) for a in range(2) for b in range(2)],
+                         left_ids=U[i], right_ids=U[i]) for i in range(3)]
+    ones = [[Fraction(1)] * 3 for _ in range(3)]
+    return SlenderInput(
+        R_star=R, Y_classes=Y, U_classes=U, G_host=G, P_host=G, H=LabeledGraph(H_star.n),
+        H_star=H_star, A0=A0, schedule=schedule, d_mat=ones, beta_mat=ones, d0=1.0,
+        params=make_params(), C=0, max_class_degree=2)
+
+
+class TestScheduleValidation:
+    @pytest.mark.parametrize("schedule", [[[0, 1], [2]], [[2], [0, 1]]])
+    def test_two_neighbours_in_one_round_flagged_in_either_order(self, schedule):
+        # class 2 has both of its class-graph neighbours in the round {0, 1},
+        # whichever of the two rounds comes first
+        s = _three_class_input(ReducedGraph(3, [(0, 2), (1, 2)]), schedule)
+        violations = validate_input(s, expected_w=2, check_certificates=False)
+        assert violations == [f"(V2) a vertex of round {schedule.index([2])} has two "
+                              f"neighbours in round {schedule.index([0, 1])}"]
+
+    def test_valid_three_round_schedule_passes(self):
+        s = _three_class_input(ReducedGraph(3, [(0, 2), (1, 2)]), [[0], [2], [1]])
+        assert validate_input(s, expected_w=3, check_certificates=False) == []
+
+    def test_broken_partition_is_v1(self):
+        s = _three_class_input(ReducedGraph(3, [(0, 2), (1, 2)]), [[0], [2], []])
+        violations = validate_input(s, expected_w=3, check_certificates=False)
+        assert violations == ["(V1) schedule is not a partition of the vertex set"]
+
+
+def _v6_reference(s):
+    """The q^2 loop over class pairs that (V6) used to run, kept as the reference."""
+    v = []
+    q = len(s.Y_classes)
+    yclass = {}
+    for i, cls in enumerate(s.Y_classes):
+        for p in cls:
+            yclass[p] = i
+    for i in range(q):
+        for j in range(i + 1, q):
+            edges = [(x, y) for x in s.Y_classes[i] for y in s.H_star.neighbors(x) if yclass.get(y) == j]
+            if not s.R_star.has_edge(i, j):
+                if edges:
+                    v.append(f"(V6) pattern edges between non-adjacent classes {i},{j}")
+                continue
+            want = min(len(s.Y_classes[i]), len(s.Y_classes[j]))
+            lefts = [x for x, _ in edges]
+            rights = [y for _, y in edges]
+            if len(edges) != want or len(set(lefts)) != len(edges) or len(set(rights)) != len(edges):
+                v.append(f"(V6) completed pair ({i},{j}) is not a matching of size {want}")
+    return v
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_v6_pair_check_matches_the_class_pair_loop(data):
+    n = data.draw(st.integers(1, 9))
+    # class lists may repeat a vertex or leave one out
+    Y = data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=4), min_size=3, max_size=3))
+    pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+    H_star = LabeledGraph(n, data.draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else ())
+    R = ReducedGraph(3, data.draw(st.lists(st.sampled_from([(0, 1), (0, 2), (1, 2)]), max_size=3)))
+    s = _three_class_input(R, [[0], [1], [2]], Y=Y, H_star=H_star)
+    got = [e for e in validate_input(s, check_certificates=False)
+           if e.startswith("(V6)") and "|Y_" not in e]
+    assert got == _v6_reference(s)
 
 
 class TestUniformEmbed:

@@ -90,6 +90,19 @@ class TestMalformedEmbeddings:
         assert not rep.ok and "2 templates but 0 embeddings" in rep.violations[0]
         assert not verify_packing(host, [tpl], [{0: 0, 1: 1, 2: 2, 3: 3}] * 2).ok
 
+    def test_image_outside_candidacy_ids_is_a_violation(self):
+        # class 0's candidacy lists host vertex 1 only, so the image 0 of
+        # pattern vertex 0 lies outside it
+        from regpack.graphs import BipartiteGraph
+        host, tpl = _c4_case()
+        phi = {0: 0, 1: 1, 2: 2, 3: 3}
+        narrow = BipartiteGraph(2, 1, [(0, 0), (1, 0)], left_ids=[0, 1], right_ids=[1])
+        full = BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)], left_ids=[0, 1], right_ids=[0, 1])
+        assert verify_packing(host, [tpl], [phi], A_list=[[full, None]]).ok
+        rep = verify_packing(host, [tpl], [phi], A_list=[[narrow, None]])
+        assert not rep.ok
+        assert rep.violations == ["(T1) template 0: vertex 0 outside its candidacy"]
+
     @pytest.mark.parametrize("phi", [
         {0: 0, 1: 1, 2: 2, 3: -1},    # isolated vertex, wraps to host vertex 3
         {0: 0, 1: 1, 2: -1, 3: 3},    # edge endpoint: the leftover step shifted by -1
