@@ -156,7 +156,7 @@ def regularize_pair(H: BipartiteGraph, k: int) -> BipartiteGraph:
     return out
 
 
-def regularize_near(H: PartitionedGraph, kmat, C: int, rng=None) -> PartitionedGraph:
+def regularize_near(H: PartitionedGraph, kmat, C: int) -> PartitionedGraph:
     """Near-equiregular supergraph across possibly ragged class sizes.
 
     Per reduced edge: remove |V_i| - |V_j| vertices of the larger side
@@ -175,7 +175,7 @@ def regularize_near(H: PartitionedGraph, kmat, C: int, rng=None) -> PartitionedG
         a = len(Vi) - len(Vj)
         pair = pair_view(H.graph.adj, Vi, Vj)
         if a > 0:
-            removed = _disjoint_neighbourhood_set(pair, a, k)
+            removed = _disjoint_neighbourhood_set(pair, a)
             keep = [u for u in range(len(Vi)) if u not in set(removed)]
         else:
             removed = []
@@ -204,7 +204,7 @@ def regularize_near(H: PartitionedGraph, kmat, C: int, rng=None) -> PartitionedG
     return out
 
 
-def _disjoint_neighbourhood_set(pair: BipartiteGraph, a: int, k: int) -> list[int]:
+def _disjoint_neighbourhood_set(pair: BipartiteGraph, a: int) -> list[int]:
     chosen: list[int] = []
     for u in sorted(range(pair.nl), key=lambda u: popcount(pair.adj[u])):
         if len(chosen) == a:
@@ -382,17 +382,12 @@ def stack_family(families: list[PartitionedGraph], R: ReducedGraph, kmat, C: int
             best = plan
     plan = best
 
-    # host: complete r-partite on fresh ids with the family's class sizes,
-    # refined into the matching blocks
+    # host classes on fresh ids with the family's class sizes, refined into
+    # the matching blocks
     bounds = [0]
     for sz in sizes:
         bounds.append(bounds[-1] + sz)
     host_classes = [list(range(bounds[i], bounds[i + 1])) for i in range(r)]
-    host_adj = LabeledGraph(bounds[-1])
-    for i, j in R.edges():
-        for u in host_classes[i]:
-            for v in host_classes[j]:
-                host_adj.add_edge(u, v)
 
     union = LabeledGraph(bounds[-1])
     taus: list[dict[int, int]] = []
@@ -403,7 +398,7 @@ def stack_family(families: list[PartitionedGraph], R: ReducedGraph, kmat, C: int
         # of the same index
         forbidden = {x: set(images_of_W[i]) for i in range(r)
                      for x in W_sets[ell].get(i, [])}
-        img = _embed_blockwise(L, host_adj, union, host_classes, blocks, rng, forbidden)
+        img = _embed_blockwise(L, union, host_classes, blocks, rng, forbidden)
         if img is None:
             raise StackEmbedFailure(f"family member {ell} did not embed")
         for i in range(r):
@@ -416,11 +411,11 @@ def stack_family(families: list[PartitionedGraph], R: ReducedGraph, kmat, C: int
     part = VertexPartition.from_lists(host_classes, bounds[-1])
     union_pg = PartitionedGraph(union, part, R)
     kmat_eff = _effective_kmat(union_pg, kmat, R)
-    H = regularize_near(union_pg, kmat_eff, C, rng)
+    H = regularize_near(union_pg, kmat_eff, C)
     J = H.graph.copy()
     for x, y in union.edges():
         J.remove_edge(x, y)
-    _assert_decomposition(H.graph, union, taus, families, J)
+    _assert_decomposition(H.graph, taus, families, J)
     return H, taus, J, kmat_eff
 
 
@@ -445,7 +440,7 @@ def _effective_kmat(union_pg: PartitionedGraph, kmat, R: ReducedGraph):
             a = len(big) - len(small)
             try:
                 if a > 0:
-                    removed = _disjoint_neighbourhood_set(pair, a, k_try)
+                    removed = _disjoint_neighbourhood_set(pair, a)
                     keep = [u for u in range(len(big)) if u not in set(removed)]
                 else:
                     keep = list(range(len(big)))
@@ -523,7 +518,7 @@ def _block_plan(families, R: ReducedGraph, b: int, B: int, n_prime: int, rng) ->
     return {"blocks": plans, "deviation": deviation}
 
 
-def _embed_blockwise(L, host_adj, used_union, host_classes, blocks, rng, forbidden,
+def _embed_blockwise(L, used_union, host_classes, blocks, rng, forbidden,
                      restarts: int = 12):
     """Blockwise class-respecting embedding avoiding previously used edges.
 
@@ -617,7 +612,7 @@ def _swap_ok(L, img, used_union, x, other, v, forbidden) -> bool:
     return True
 
 
-def _assert_decomposition(H_graph, union, taus, families, J):
+def _assert_decomposition(H_graph, taus, families, J):
     """E(H) is exactly the disjoint union of the images and E(J)."""
     image_edges: list[set[frozenset[int]]] = []
     for img, L in zip(taus, families):

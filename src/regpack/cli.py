@@ -52,7 +52,7 @@ def _params_from_args(args, host: PartitionedGraph, k_mats) -> ParamSet:
         Delta_R=max(host.reduced.max_degree(), 1),
         C=2,
     )
-    if getattr(args, "retries", None):
+    if args.retries:
         p.embed_retry_cap = args.retries
     return p
 
@@ -255,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json-out", type=str, default=None)
-        p.add_argument("--retries", type=int, default=None)
 
     g = sub.add_parser("gen", help="generate instances and graph files")
     common(g)
@@ -278,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pack", help="run the packing pipeline on an instance")
     common(p)
     p.add_argument("--instance", type=str, required=True)
+    p.add_argument("--retries", type=int, default=None)
     p.add_argument("--gamma-n", type=int, default=1)
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--beta", type=float, default=0.1)
@@ -312,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("diagnose", help="embedding-distribution diagnostics")
     common(d)
     d.add_argument("--instance", type=str, required=True)
+    d.add_argument("--retries", type=int, default=None)
     d.add_argument("--runs", type=int, default=30)
     d.add_argument("--probes", type=int, default=5)
     d.add_argument("--eps", type=float, default=0.05)

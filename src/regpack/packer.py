@@ -139,7 +139,7 @@ def validate_instance(inst: PackInstance) -> list[str]:
     return v
 
 
-def _filler_template(host: PartitionedGraph, rng) -> tuple[PartitionedGraph, list[list[int]]]:
+def _filler_template(host: PartitionedGraph) -> tuple[PartitionedGraph, list[list[int]]]:
     """A k'=1 near-equiregular filler on the host partition."""
     from .balancer import regularize_near
 
@@ -147,7 +147,7 @@ def _filler_template(host: PartitionedGraph, rng) -> tuple[PartitionedGraph, lis
     empty = LabeledGraph(host.graph.n)
     pg = PartitionedGraph(empty, host.partition, host.reduced)
     k1 = [[1 if host.reduced.has_edge(i, j) else 0 for j in range(r)] for i in range(r)]
-    filled = regularize_near(pg, k1, C=1, rng=rng)
+    filled = regularize_near(pg, k1, C=1)
     return filled, k1
 
 
@@ -192,7 +192,7 @@ def run_main_packing(inst: PackInstance, rng, round_retry_cap: int = 6) -> Packi
     k_mats = [list(map(list, km)) for km in inst.k_mats]
     A_list = list(inst.A_list)
     while len(templates) < T * gamma_n:
-        filler, k1 = _filler_template(host, rng)
+        filler, k1 = _filler_template(host)
         templates.append(filler)
         k_mats.append(k1)
         A_list.append(None)
@@ -313,7 +313,7 @@ def _run_round(inst, templates, k_mats, A_list, embeddings, batch, G_cur, P_host
             G_next.remove_edge(phi[x], phi[y])
     for i, j in host.reduced.edges():
         pair = pair_view(G_next.adj, host.partition.classes[i], host.partition.classes[j])
-        if not pipeline_certificate(pair, eps_t, float(d_next[i][j]), params.cert_sd_floor):
+        if not pipeline_certificate(pair, eps_t, float(d_next[i][j])):
             raise _RoundRestart(3, f"depleted pair ({i},{j}) lost its certificate")
 
     # Step 2: conflict bookkeeping
@@ -424,8 +424,7 @@ def _run_round(inst, templates, k_mats, A_list, embeddings, batch, G_cur, P_host
         if rows is None:
             raise _RoundRestart(5, f"template {idx}: patch window starved at every width")
         try:
-            phi2 = repatch(templates[idx].graph, res.Y_classes, P_next, RK, bKr, phi,
-                           res.N, rows, Z_classes,
+            phi2 = repatch(templates[idx].graph, P_next, RK, bKr, phi, rows, Z_classes,
                            beta_prime=float(params.beta) * inst.d0, delta=params.delta,
                            params=params, rng=rng,
                            A0_check=_a0_checker(A_list[idx], templates[idx]))
@@ -684,8 +683,7 @@ def quasirandomness_check(G: LabeledGraph, p: float, eps: float) -> list[str]:
     return errs
 
 
-def merge_small_members(H_list: list[LabeledGraph], n: int, Delta: int,
-                        min_edges: int, rng) -> list[LabeledGraph]:
+def merge_small_members(H_list: list[LabeledGraph], n: int, min_edges: int) -> list[LabeledGraph]:
     """Overlay members with few edges pairwise onto disjoint vertex sets,
     then pad at most one leftover small member with a path forest."""
     big = [H for H in H_list if H.num_edges() >= min_edges]
@@ -797,7 +795,7 @@ def pack_quasirandom(G: LabeledGraph, H_list: list[LabeledGraph], alpha: float, 
         if H.max_degree() > Delta:
             raise BadParams("member degree above the stated bound")
 
-    H_list = merge_small_members(H_list, n, Delta, max(n // 4, 1), rng)
+    H_list = merge_small_members(H_list, n, max(n // 4, 1))
     if r is None:
         r = next((cand for cand in range(Delta + 1, n) if n % cand == 0), None)
         if r is None:
@@ -827,7 +825,7 @@ def pack_quasirandom(G: LabeledGraph, H_list: list[LabeledGraph], alpha: float, 
         cand = PartitionedGraph(pruned, partition, R,
                                 densities=[[Fraction(p).limit_denominator(10 ** 6) if i != j else Fraction(0)
                                             for j in range(r)] for i in range(r)])
-        if all(pipeline_certificate(cand.pair_view(i, j), params.eps, p, params.cert_sd_floor)
+        if all(pipeline_certificate(cand.pair_view(i, j), params.eps, p)
                for i, j in R.edges()):
             host_pg = cand
             break
@@ -881,7 +879,7 @@ def pack_bipartite(G_pair: BipartiteGraph, H_pairs: list[BipartiteGraph], alpha:
                                 densities=[[Fraction(0), dfrac, dfrac],
                                            [dfrac, Fraction(0), Fraction(0)],
                                            [dfrac, Fraction(0), Fraction(0)]])
-        if all(pipeline_certificate(cand.pair_view(i, j), params.eps, d, params.cert_sd_floor)
+        if all(pipeline_certificate(cand.pair_view(i, j), params.eps, d)
                for i, j in R.edges()):
             host_pg = cand
             break

@@ -62,18 +62,13 @@ class ParamSet:
 
     ``K`` and ``w`` are derived, not free: ``K = (k+1)^2 * Delta_R`` and
     ``w = K^2 * Delta_R^2 * (Delta_R + 1)``.  The class-level constants
-    below are calibrated for desk-scale classes and are not settable.
+    below are calibrated for desk-scale classes and are not settable; the
+    degree-window floor they work with is ``regularity.SD_FLOOR``.
     """
 
     # tolerance of the probe-set check in the packer, as a fraction of |Q||W|/n
     gamma: ClassVar[float] = 0.05
     xi_max: ClassVar[float] = 0.25
-    # Degree windows in the round certificates are max(xi*m, floor), where
-    # floor is this many binomial standard deviations plus one.  At class
-    # sizes below ~(4/xi)^2 the fluctuation scale sqrt(m) exceeds xi*m and a
-    # fixed-fraction window would reject honest instances; at larger sizes
-    # the floor is inactive.
-    cert_sd_floor: ClassVar[float] = 4.0
     retry_cap: ClassVar[int] = 32
     mix_factor: ClassVar[int] = 50
     exact_sampler_cap: ClassVar[int] = 24

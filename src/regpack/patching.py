@@ -26,10 +26,8 @@ from .regularity import pipeline_certificate
 from .slender import SlenderInput, run_slender
 
 
-def repatch(H: LabeledGraph, pattern_classes: list[list[int]],
-            P_host: LabeledGraph, R: ReducedGraph, beta_mat,
-            phi: dict[int, int], N: dict[int, tuple[int, ...]],
-            F_rows: dict[int, list[int]],
+def repatch(H: LabeledGraph, P_host: LabeledGraph, R: ReducedGraph, beta_mat,
+            phi: dict[int, int], F_rows: dict[int, list[int]],
             Z_classes: list[list[int]], beta_prime: float, delta: float,
             params: ParamSet, rng, A0_check=None) -> dict[int, int]:
     """Return phi' re-embedding Z inside W = phi(Z); conclusions asserted.
@@ -52,12 +50,12 @@ def repatch(H: LabeledGraph, pattern_classes: list[list[int]],
 
     # hypothesis (a): every F[Z_i, W_i] certified at (delta, beta')
     for i in range(r):
-        if not pipeline_certificate(F_pairs[i], delta, beta_prime, params.cert_sd_floor):
+        if not pipeline_certificate(F_pairs[i], delta, beta_prime):
             raise HypothesisViolation(f"patch candidacy class {i} failed its ({delta},{beta_prime}) certificate")
     # hypothesis (b): P restricted to W certified at (delta, beta) per pair
     for i, j in R.edges():
         pair = pair_view(P_host.adj, W_classes[i], W_classes[j])
-        if not pipeline_certificate(pair, delta, float(beta_mat[i][j]), params.cert_sd_floor):
+        if not pipeline_certificate(pair, delta, float(beta_mat[i][j])):
             raise HypothesisViolation(f"patching pair ({i},{j}) on W failed its certificate")
     zset = set(Z)
     zpos = {}
@@ -135,7 +133,7 @@ def repatch(H: LabeledGraph, pattern_classes: list[list[int]],
             local_img = out.phi[c * m + a]
             phi2[z] = W_classes[local_img // m][local_img % m]
 
-    _assert_conclusions(H, phi, phi2, zset, P_host, F_pairs, Z_classes, W_classes, N, A0_check)
+    _assert_conclusions(H, phi, phi2, zset, P_host, F_pairs, Z_classes, W_classes, A0_check)
     return phi2
 
 
@@ -155,7 +153,7 @@ def _as_pairs(F_rows, Z_classes, W_classes) -> list[BipartiteGraph]:
     return out
 
 
-def _assert_conclusions(H, phi, phi2, zset, P_host, F_pairs, Z_classes, W_classes, N, A0_check):
+def _assert_conclusions(H, phi, phi2, zset, P_host, F_pairs, Z_classes, W_classes, A0_check):
     """Exact patch conclusions, checked on every success."""
     for x in phi:
         if x not in zset and phi2[x] != phi[x]:

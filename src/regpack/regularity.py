@@ -28,6 +28,10 @@ from .graphs import BipartiteGraph, PartitionedGraph, bit_matrix, iter_bits, mas
 
 EXACT_PAIR_CAP = 2000
 PAIR_SAMPLE = 200_000
+# Degree windows are floored at this many binomial standard deviations plus
+# one: below ~(4/eps)^2 vertices the fluctuation scale sqrt(n) exceeds eps*n,
+# and a fixed-fraction window would reject honest instances.
+SD_FLOOR = 4.0
 # float-boundary slack so window checks like deg <= (d+eps)*n are stable
 # when the bound is hit exactly
 _SLACK = 1e-9
@@ -185,9 +189,13 @@ def super_regularity_certificate(B: BipartiteGraph, eps: float, d: float,
                             empirical_density=d_emp, probes=probe_list, probes_ok=probes_ok)
 
 
-def pipeline_certificate(B: BipartiteGraph, eps: float, d: float,
-                         sd_floor: float = 4.0) -> bool:
-    """Degree+codegree check with a small-side fluctuation floor.
+def window(eps: float, d: float, n: int) -> float:
+    """Half-width of the degree window around d*n: eps*n with the ``SD_FLOOR`` floor."""
+    return max(eps * n, SD_FLOOR * math.sqrt(max(d * (1 - d), 0.0) * n) + 1.0)
+
+
+def pipeline_certificate(B: BipartiteGraph, eps: float, d: float) -> bool:
+    """Degree+codegree check with a small-side fluctuation floor (``window``).
 
     Identical to the plain certificate once eps*|side| dominates the
     binomial scale sqrt(d(1-d)|side|); on the few-dozen-vertex classes
@@ -198,9 +206,8 @@ def pipeline_certificate(B: BipartiteGraph, eps: float, d: float,
     nl, nr = B.nl, B.nr
     if nl < 2 or nr < 2:
         return True
-    var = max(d * (1 - d), 0.0)
-    wl = max(eps * nr, sd_floor * math.sqrt(var * nr) + 1.0)
-    wr = max(eps * nl, sd_floor * math.sqrt(var * nl) + 1.0)
+    wl = window(eps, d, nr)
+    wr = window(eps, d, nl)
     for row in B.adj:
         if abs(popcount(row) - d * nr) > wl + _SLACK:
             return False
@@ -217,8 +224,7 @@ def pipeline_certificate(B: BipartiteGraph, eps: float, d: float,
 
 
 def random_split(B: BipartiteGraph, d: float, beta: float, rng,
-                 eps: float = 0.05, cap: int = 32,
-                 sd_floor: float = 4.0) -> tuple[BipartiteGraph, BipartiteGraph]:
+                 eps: float = 0.05, cap: int = 32) -> tuple[BipartiteGraph, BipartiteGraph]:
     """Split B into a beta-dense reserve P and the remainder B - P.
 
     Each edge joins P independently with probability beta/d; the draw is
@@ -240,8 +246,8 @@ def random_split(B: BipartiteGraph, d: float, beta: float, rng,
             P.adj[u] = keep
         rest = BipartiteGraph(B.nl, B.nr, left_ids=B.left_ids, right_ids=B.right_ids)
         rest.adj = [r & ~k for r, k in zip(B.adj, P.adj)]
-        ok_p = pipeline_certificate(P, 2 * eps, beta, sd_floor)
-        ok_r = pipeline_certificate(rest, 2 * eps, d - beta, sd_floor)
+        ok_p = pipeline_certificate(P, 2 * eps, beta)
+        ok_r = pipeline_certificate(rest, 2 * eps, d - beta)
         if ok_p and ok_r:
             return P, rest
         last = (ok_p, ok_r)

@@ -6,8 +6,15 @@ class graph is a matching.  Classes are embedded one schedule round at
 a time by sampling a near-uniform perfect matching of the current
 candidacy graph A(i) on (Y_i, U_i); a vertex stays a candidate exactly
 while it is adjacent in the host to the images of all embedded pattern
-neighbours.  A parallel family B^j tracks the same constraints against
-the patching graph P and is returned as the candidacy bigraph F.
+neighbours.
+
+Two candidacy tracks run side by side, one ``_Track`` each: the host
+track (A against G, with the densities d) and the patching track (B
+against the reserve P, with the densities beta).  Both take the same
+constraint and density-ladder update after every round and the same
+degree-window certificate; the host track also supplies the matchings
+and the codegree check, and the patching track is returned as the
+candidacy bigraph F.
 
 Candidacy policy.  With ``strict_candidacy`` the completion edges that
 turn each pair into a perfect matching also constrain candidacy (the
@@ -28,7 +35,6 @@ is path-dependent, so single rounds are never backtracked.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -50,7 +56,7 @@ from .matching import (
     sample_switch_chain,
 )
 from .params import ParamSet
-from .regularity import pipeline_certificate, super_regularity_certificate
+from .regularity import _SLACK, pipeline_certificate, super_regularity_certificate, window
 
 
 @dataclass
@@ -141,18 +147,29 @@ def validate_input(s: SlenderInput, expected_w: int | None = None,
     # (V4)/(V5)/(V7) certificates
     if check_certificates:
         eps = s.params.eps
-        floor = s.params.cert_sd_floor
         for i, j in s.R_star.edges():
-            B = pair_view(s.G_host.adj, s.U_classes[i], s.U_classes[j])
-            if not pipeline_certificate(B, eps, float(s.d_mat[i][j]), floor):
-                v.append(f"(V4) host pair ({i},{j}) failed the ({eps},{float(s.d_mat[i][j])}) certificate")
-            Bp = pair_view(s.P_host.adj, s.U_classes[i], s.U_classes[j])
-            if not pipeline_certificate(Bp, eps, float(s.beta_mat[i][j]), floor):
-                v.append(f"(V5) patching pair ({i},{j}) failed the ({eps},{float(s.beta_mat[i][j])}) certificate")
+            for tag, name, graph, dens in (("(V4)", "host", s.G_host, s.d_mat),
+                                           ("(V5)", "patching", s.P_host, s.beta_mat)):
+                d = float(dens[i][j])
+                if not pipeline_certificate(pair_view(graph.adj, s.U_classes[i], s.U_classes[j]), eps, d):
+                    v.append(f"{tag} {name} pair ({i},{j}) failed the ({eps},{d}) certificate")
         for i in range(q):
-            if not pipeline_certificate(s.A0[i], eps, s.d0, floor):
+            if not pipeline_certificate(s.A0[i], eps, s.d0):
                 v.append(f"(V7) initial candidacy class {i} failed the ({eps},{s.d0}) certificate")
     return v
+
+
+@dataclass
+class _Track:
+    """Candidacy against the host (densities d) or the patching reserve (beta)."""
+
+    name: str
+    dens: list[list[Fraction]]
+    # adjacency per ordered class pair, local indices, artificial vertices padded in
+    pairs: dict[tuple[int, int], list[int]] = field(default_factory=dict)
+    rows: list[list[int]] = field(default_factory=list)   # candidacy rows over U'_j, per class
+    px: list[list[float]] = field(default_factory=list)   # per-row density ladder
+    p: list[Fraction] = field(default_factory=list)       # exact per-class density ladder
 
 
 class _State:
@@ -165,64 +182,42 @@ class _State:
         self.m = max((len(c) for c in s.U_classes), default=0)
         self.ny = [len(c) for c in s.Y_classes]
         self.nbrs = [s.R_star.neighbors(i) for i in range(self.q)]
-        self.full = (1 << self.m) - 1 if self.m else 0
         self.real_mask = [(1 << self.ny[i]) - 1 for i in range(self.q)]
-        # host adjacency per ordered class pair, local indexing, artificial
-        # vertices padded in during preparation
-        self.Gp: dict[tuple[int, int], list[int]] = {}
-        self.Pp: dict[tuple[int, int], list[int]] = {}
+        d0 = Fraction(s.d0).limit_denominator(10 ** 9)
+        self.tracks = (_Track("host", s.d_mat, p=[d0] * self.q),
+                       _Track("patching", s.beta_mat, p=[d0] * self.q))
         # pattern pairings per ordered class pair: partner local index or -1
         self.psi: dict[tuple[int, int], list[int]] = {}
         self.real_nbr: dict[tuple[int, int], list[int]] = {}
-        # candidacy rows over U'_j, per class
-        self.A: list[list[int]] = []
-        self.B: list[list[int]] = []
         self.A0_rows: list[list[int]] = []
-        self.px_d: list[list[float]] = []
-        self.px_b: list[list[float]] = []
-        self.p_d: list[Fraction] = [Fraction(s.d0).limit_denominator(10 ** 9) for _ in range(self.q)]
-        self.p_b: list[Fraction] = [Fraction(s.d0).limit_denominator(10 ** 9) for _ in range(self.q)]
         self.f: list[list[int]] = [[-1] * self.m for _ in range(self.q)]
-        self.embedded: list[bool] = [False] * self.q
 
     # -- preparation -------------------------------------------------------
 
     def prepare(self) -> None:
         s, rng, m, q = self.s, self.rng, self.m, self.q
         ypos = [{p: k for k, p in enumerate(cls)} for cls in s.Y_classes]
-        yclass = {}
-        for i, cls in enumerate(s.Y_classes):
-            for p in cls:
-                yclass[p] = i
-        # real-real host adjacency
+        yclass = {p: i for i, cls in enumerate(s.Y_classes) for p in cls}
+        # real-real adjacency
         for i in range(q):
             pad = [0] * (m - len(s.U_classes[i]))
             for j in self.nbrs[i]:
-                self.Gp[(i, j)] = pair_view(s.G_host.adj, s.U_classes[i], s.U_classes[j]).adj + pad
-                self.Pp[(i, j)] = pair_view(s.P_host.adj, s.U_classes[i], s.U_classes[j]).adj + pad
-        # artificial host vertices: Bernoulli(d) edges to real vertices only
+                for tr, graph in zip(self.tracks, (s.G_host, s.P_host)):
+                    tr.pairs[(i, j)] = pair_view(graph.adj, s.U_classes[i], s.U_classes[j]).adj + pad
+        # artificial vertices: Bernoulli(density) edges to real vertices only,
+        # the host draw before the patching draw in every cell
         for i in range(q):
             for j in self.nbrs[i]:
                 if i > j:
                     continue
-                dij = float(self.s.d_mat[i][j])
-                bij = float(self.s.beta_mat[i][j])
-                for a in range(self.ny[i], m):
-                    for b in range(self.ny[j]):
-                        if rng.random() < dij:
-                            self.Gp[(i, j)][a] |= 1 << b
-                            self.Gp[(j, i)][b] |= 1 << a
-                        if rng.random() < bij:
-                            self.Pp[(i, j)][a] |= 1 << b
-                            self.Pp[(j, i)][b] |= 1 << a
-                for b in range(self.ny[j], m):
-                    for a in range(self.ny[i]):
-                        if rng.random() < dij:
-                            self.Gp[(i, j)][a] |= 1 << b
-                            self.Gp[(j, i)][b] |= 1 << a
-                        if rng.random() < bij:
-                            self.Pp[(i, j)][a] |= 1 << b
-                            self.Pp[(j, i)][b] |= 1 << a
+                probs = [float(tr.dens[i][j]) for tr in self.tracks]
+                cells = [(a, b) for a in range(self.ny[i], m) for b in range(self.ny[j])]
+                cells += [(a, b) for b in range(self.ny[j], m) for a in range(self.ny[i])]
+                for a, b in cells:
+                    for tr, prob in zip(self.tracks, probs):
+                        if rng.random() < prob:
+                            tr.pairs[(i, j)][a] |= 1 << b
+                            tr.pairs[(j, i)][b] |= 1 << a
         # candidacy rows from A0, padded with Bernoulli(d0) artificial edges
         for i in range(q):
             rows = [0] * m
@@ -236,10 +231,9 @@ class _State:
                     if rng.random() < s.d0:
                         rows[a] |= 1 << b
             self.A0_rows.append(rows)
-        self.A = [list(rows) for rows in self.A0_rows]
-        self.B = [list(rows) for rows in self.A0_rows]
-        self.px_d = [[float(s.d0)] * m for _ in range(q)]
-        self.px_b = [[float(s.d0)] * m for _ in range(q)]
+        for tr in self.tracks:
+            tr.rows = [list(rows) for rows in self.A0_rows]
+            tr.px = [[float(s.d0)] * m for _ in range(q)]
         # pattern pairings: real edges first, completion pairs the leftovers
         for i in range(q):
             for j in self.nbrs[i]:
@@ -265,25 +259,14 @@ class _State:
         s, m = self.s, self.m
         errs: list[str] = []
         eps2 = 2 * s.params.eps
-        for i in range(self.q):
-            for j in self.nbrs[i]:
-                if i > j or m < 2:
-                    continue
-                B = BipartiteGraph(m, m)
-                B.adj = list(self.Gp[(i, j)])
-                if not pipeline_certificate(B, eps2, float(s.d_mat[i][j]), s.params.cert_sd_floor):
-                    errs.append(f"(P2) padded host pair ({i},{j}) not ({eps2},{float(s.d_mat[i][j])})-certified")
-                Bp = BipartiteGraph(m, m)
-                Bp.adj = list(self.Pp[(i, j)])
-                if not pipeline_certificate(Bp, eps2, float(s.beta_mat[i][j]), s.params.cert_sd_floor):
-                    errs.append(f"(P2) padded patching pair ({i},{j}) not certified")
-        for i in range(self.q):
-            if m < 2:
-                continue
-            BA = BipartiteGraph(m, m)
-            BA.adj = list(self.A0_rows[i])
-            if not pipeline_certificate(BA, eps2, s.d0, s.params.cert_sd_floor):
-                errs.append(f"(P2) padded candidacy class {i} not certified")
+        checks = [(f"{tr.name} pair ({i},{j})", tr.pairs[(i, j)], float(tr.dens[i][j]))
+                  for i in range(self.q) for j in self.nbrs[i] if i < j for tr in self.tracks]
+        checks += [(f"candidacy class {i}", self.A0_rows[i], s.d0) for i in range(self.q)]
+        for label, rows, d in checks if m >= 2 else ():
+            B = BipartiteGraph(m, m)
+            B.adj = list(rows)
+            if not pipeline_certificate(B, eps2, d):
+                errs.append(f"(P2) padded {label} not ({eps2},{d})-certified")
         errs.extend(self._check_p3())
         return errs
 
@@ -294,7 +277,8 @@ class _State:
             return []
         errs = []
         budget = min(tuple_cap, 50 * len(arty))
-        window = 2 * s.params.eps * m
+        tol = 2 * s.params.eps * m
+        host = self.tracks[0].pairs
         for _ in range(budget):
             j, a = arty[rng.randrange(len(arty))]
             cand_i = [i for i in self.nbrs[j]]
@@ -309,13 +293,13 @@ class _State:
                 q2.append((ell, rng.randrange(max(self.ny[ell], 1))))
             base = self.A0_rows[i][y]
             for (ell, b) in q2:
-                base &= self.Gp[(ell, i)][b]
-            inter = base & self.Gp[(j, i)][a]
+                base &= host[(ell, i)][b]
+            inter = base & host[(j, i)][a]
             want = float(s.d_mat[j][i]) * popcount(base)
-            if abs(popcount(inter) - want) > window:
+            if abs(popcount(inter) - want) > tol:
                 errs.append(
                     f"(P3) artificial vertex ({j},{a}) deviates by "
-                    f"{abs(popcount(inter) - want):.1f} > {window:.1f} on a sampled tuple")
+                    f"{abs(popcount(inter) - want):.1f} > {tol:.1f} on a sampled tuple")
                 if len(errs) >= 5:
                     break
         return errs
@@ -331,56 +315,43 @@ class _State:
             for i in cls:
                 if self.m == 0:
                     continue
-                dropped = self._build_and_embed(i, t, xi_prev, trace)
+                dropped = self._build_and_embed(i, t, xi_prev)
                 if trace is not None:
                     trace.append({"round": t, "class": i, "dropped_max_degree": dropped})
             touched = set()
             for i in cls:
-                self.embedded[i] = True
                 for j in self.nbrs[i]:
                     self._apply_constraints(i, j, strict)
                     touched.add(j)
-                    # density ladder: one neighbour per round by (V2)
-                    self.p_d[j] *= Fraction(s.d_mat[i][j])
-                    self.p_b[j] *= Fraction(s.beta_mat[i][j])
             for j in sorted(touched):
                 self._certify_class(j, t, xi_now)
 
-    def _window_ok(self, count: int, center: float, width: float) -> bool:
-        return abs(count - center) <= width + 1e-9
-
-    def _width(self, xi: float, p: float, scale: int) -> float:
-        base = xi * self.m
-        sd = math.sqrt(max(p * (1 - p), 0.0) * self.m)
-        return max(base * scale, self.s.params.cert_sd_floor * sd + 1.0)
-
-    def _build_and_embed(self, i: int, t: int, xi_prev: float, trace) -> int:
+    def _build_and_embed(self, i: int, t: int, xi_prev: float) -> int:
         s, m = self.s, self.m
         strict = s.params.strict_candidacy
-        rows = list(self.A[i])
+        host, patch = self.tracks
+        rows = list(host.rows[i])
         dropped_deg = [0] * m
+        xi2 = 2 * xi_prev
         # drop candidates whose joint neighbourhood counts leave the
-        # per-neighbour windows, against both the host and the patching graph
+        # per-neighbour windows, on both tracks in one pass
         for j in self.nbrs[i]:
             partner = self.psi[(i, j)] if strict else self.real_nbr[(i, j)]
-            gp = self.Gp[(i, j)]
-            pp = self.Pp[(i, j)]
+            gp, pp = host.pairs[(i, j)], patch.pairs[(i, j)]
+            arows, brows = host.rows[j], patch.rows[j]
+            gpx, ppx = host.px[j], patch.px[j]
+            dij, bij = float(host.dens[i][j]), float(patch.dens[i][j])
             for a in range(m):
                 xj = partner[a]
                 if xj < 0:
                     continue
-                arow = self.A[j][xj]
-                brow = self.B[j][xj]
-                pd = float(s.d_mat[i][j]) * self.px_d[j][xj]
-                pb = float(s.beta_mat[i][j]) * self.px_b[j][xj]
-                cd = pd * m
-                cb = pb * m
-                wd = self._width(xi_prev, pd, 2)
-                wb = self._width(xi_prev, pb, 2)
-                keep = rows[a]
-                for v in iter_bits(keep):
-                    if not self._window_ok(popcount(arow & gp[v]), cd, wd) or \
-                            not self._window_ok(popcount(brow & pp[v]), cb, wb):
+                arow, brow = arows[xj], brows[xj]
+                pd, pb = dij * gpx[xj], bij * ppx[xj]
+                cd, cb = pd * m, pb * m
+                wd = window(xi2, pd, m) + _SLACK
+                wb = window(xi2, pb, m) + _SLACK
+                for v in iter_bits(rows[a]):
+                    if abs(popcount(arow & gp[v]) - cd) > wd or abs(popcount(brow & pp[v]) - cb) > wb:
                         rows[a] &= ~(1 << v)
                         dropped_deg[a] += 1
         ny = self.ny[i]
@@ -406,57 +377,42 @@ class _State:
         return sample_switch_chain(Bi, steps, self.rng, start=start).sigma
 
     def _apply_constraints(self, i: int, j: int, strict: bool) -> None:
+        """Constrain class j's rows by the images of class i on both tracks,
+        and step both density ladders (one neighbour per round by (V2))."""
         partner = self.psi[(i, j)] if strict else self.real_nbr[(i, j)]
-        gp = self.Gp[(i, j)]
-        pp = self.Pp[(i, j)]
-        dij = float(self.s.d_mat[i][j])
-        bij = float(self.s.beta_mat[i][j])
-        for a in range(self.m):
-            b = partner[a]
-            if b < 0:
-                continue
-            u = self.f[i][a]
-            self.A[j][b] &= gp[u]
-            self.B[j][b] &= pp[u]
-            self.px_d[j][b] *= dij
-            self.px_b[j][b] *= bij
+        fi = self.f[i]
+        for tr in self.tracks:
+            pair, rows, px = tr.pairs[(i, j)], tr.rows[j], tr.px[j]
+            dij = float(tr.dens[i][j])
+            for a in range(self.m):
+                b = partner[a]
+                if b < 0:
+                    continue
+                rows[b] &= pair[fi[a]]
+                px[b] *= dij
+            tr.p[j] *= Fraction(tr.dens[i][j])
 
     def _certify_class(self, j: int, t: int, xi: float) -> None:
-        """Per-vertex degree windows plus the codegree criterion on the real part."""
+        """Per-vertex degree windows on both tracks plus the codegree
+        criterion on the real part of the host track."""
         m = self.m
         if m == 0:
             return
-        mean_px = sum(self.px_d[j]) / m
-        for a in range(m):
-            deg = popcount(self.A[j][a])
-            width = self._width(xi, self.px_d[j][a], 1)
-            if not self._window_ok(deg, self.px_d[j][a] * m, width):
-                raise FailureType2(
-                    f"candidacy row {a} of class {j} has degree {deg}, "
-                    f"expected {self.px_d[j][a] * m:.2f} +- {width:.2f}", stage=(t, j))
-        col = bit_matrix(self.A[j], m).sum(axis=0).tolist()
-        wcol = self._width(xi, mean_px, 1)
-        for v in range(m):
-            if not self._window_ok(col[v], mean_px * m, wcol):
-                raise FailureType2(
-                    f"candidacy column {v} of class {j} has degree {col[v]}, "
-                    f"expected {mean_px * m:.2f} +- {wcol:.2f}", stage=(t, j))
-        mean_pb = sum(self.px_b[j]) / m
-        for a in range(m):
-            deg = popcount(self.B[j][a])
-            widthb = self._width(xi, self.px_b[j][a], 1)
-            if not self._window_ok(deg, self.px_b[j][a] * m, widthb):
-                raise FailureType2(
-                    f"patch candidacy row {a} of class {j} has degree {deg}", stage=(t, j))
-        colb = bit_matrix(self.B[j], m).sum(axis=0).tolist()
-        wcolb = self._width(xi, mean_pb, 1)
-        for v in range(m):
-            if not self._window_ok(colb[v], mean_pb * m, wcolb):
-                raise FailureType2(
-                    f"patch candidacy column {v} of class {j} has degree {colb[v]}", stage=(t, j))
+        for tr in self.tracks:
+            rows, px = tr.rows[j], tr.px[j]
+            mean = sum(px) / m
+            cols = bit_matrix(rows, m).sum(axis=0).tolist()
+            for kind, degs, ps in (("row", map(popcount, rows), px), ("column", cols, [mean] * m)):
+                for a, (deg, p) in enumerate(zip(degs, ps)):
+                    width = window(xi, p, m)
+                    if abs(deg - p * m) > width + _SLACK:
+                        raise FailureType2(
+                            f"{tr.name} candidacy {kind} {a} of class {j} has degree {deg}, "
+                            f"expected {p * m:.2f} +- {width:.2f}", stage=(t, j))
         if 1 - 5 * xi > 0 and self.ny[j] >= 2:
+            rows = self.tracks[0].rows[j]
             Bj = BipartiteGraph(self.ny[j], self.ny[j])
-            Bj.adj = [self.A[j][a] & self.real_mask[j] for a in range(self.ny[j])]
+            Bj.adj = [rows[a] & self.real_mask[j] for a in range(self.ny[j])]
             rep = super_regularity_certificate(Bj, xi, Bj.density())
             if not rep.codegree_ok:
                 raise FailureType2(f"codegree criterion failed for class {j}", stage=(t, j))
@@ -487,25 +443,25 @@ def run_slender(s: SlenderInput, rng, expected_w: int | None = None,
                 raise FailureType2(f"real vertex {pid} mapped to an artificial slot", stage=(None, i))
             phi[pid] = s.U_classes[i][u_local]
 
+    host, patch = state.tracks
     F: list[BipartiteGraph] = []
     for j in range(state.q):
         ny = state.ny[j]
         Fj = BipartiteGraph(ny, ny, left_ids=list(s.Y_classes[j]), right_ids=list(s.U_classes[j]))
-        Fj.adj = [state.B[j][a] & state.real_mask[j] for a in range(ny)]
+        Fj.adj = [patch.rows[j][a] & state.real_mask[j] for a in range(ny)]
         F.append(Fj)
 
     _assert_output(s, phi, F)
-    # exact rational identity: after all rounds the ladder equals the initial
-    # density times the product over class-graph neighbours
+    # exact rational identity: after all rounds each ladder equals the
+    # initial density times the product over class-graph neighbours
     for j in range(state.q):
-        want_d = Fraction(s.d0).limit_denominator(10 ** 9)
-        want_b = Fraction(s.d0).limit_denominator(10 ** 9)
-        for ell in s.R_star.neighbors(j):
-            want_d *= Fraction(s.d_mat[j][ell])
-            want_b *= Fraction(s.beta_mat[j][ell])
-        if state.p_d[j] != want_d or state.p_b[j] != want_b:
-            raise AssertionError(f"density ladder of class {j} broke its exact identity")
-    return SlenderOutput(phi=phi, F=F, p_host=list(state.p_d), p_patch=list(state.p_b),
+        for tr in state.tracks:
+            want = Fraction(s.d0).limit_denominator(10 ** 9)
+            for ell in s.R_star.neighbors(j):
+                want *= Fraction(tr.dens[j][ell])
+            if tr.p[j] != want:
+                raise AssertionError(f"{tr.name} density ladder of class {j} broke its exact identity")
+    return SlenderOutput(phi=phi, F=F, p_host=list(host.p), p_patch=list(patch.p),
                          trace=trace or [])
 
 
@@ -517,12 +473,6 @@ def _assert_output(s: SlenderInput, phi: dict[int, int], F: list[BipartiteGraph]
     for x, y in s.H.edges():
         if not s.G_host.has_edge(phi[x], phi[y]):
             raise AssertionError(f"pattern edge ({x},{y}) not realized in the host")
-    yclass = {}
-    ypos_local = {}
-    for i, cls in enumerate(s.Y_classes):
-        for a, p in enumerate(cls):
-            yclass[p] = i
-            ypos_local[p] = a
     for i in range(len(s.Y_classes)):
         upos = {u: b for b, u in enumerate(s.U_classes[i])}
         for a, pid in enumerate(s.Y_classes[i]):

@@ -38,7 +38,7 @@ from .graphs import (
     square,
 )
 from .params import ParamSet
-from .regularity import check_near_equiregular, pipeline_certificate, super_regularity_certificate
+from .regularity import check_near_equiregular, pipeline_certificate, super_regularity_certificate, window
 from .slender import SlenderInput, run_slender
 from .errors import NotSuperRegular
 
@@ -115,7 +115,7 @@ def _refine_one_block(G, Ai, Y_classes, U_classes, A0_star, i, d0, eps, params, 
     block = list(range(i * K, (i + 1) * K))
     m = max(len(Y_classes[j]) for j in block)
     # window for exceptional-vertex detection, with the small-class floor
-    width = max(2 * eps * m, params.cert_sd_floor * math.sqrt(max(d0 * (1 - d0), 0.0) * m) + 1)
+    width = window(2 * eps, d0, m)
     routed: dict[int, int] = {}
     if Ai is None:
         rest = list(Vi)
@@ -184,23 +184,21 @@ def _refine_one_block(G, Ai, Y_classes, U_classes, A0_star, i, d0, eps, params, 
 
 def _refined_events_hold(G, P_host, beta_mat, U_classes, A0_star, d0, eps_out, params) -> bool:
     K = params.K
-    floor = params.cert_sd_floor
+    # host then reserve, each against its own density matrix; a host without
+    # densities is not re-certified
+    tracks = ([(G.graph, G.densities)] if G.densities else []) + [(P_host, beta_mat)]
     for i, j in G.reduced.edges():
-        dij = float(G.densities[i][j]) if G.densities else None
-        bij = float(beta_mat[i][j])
         for a in range(i * K, (i + 1) * K):
             for b in range(j * K, (j + 1) * K):
                 ua, ub = U_classes[a], U_classes[b]
                 if len(ua) < 2 or len(ub) < 2:
                     continue
-                pair = pair_view(G.graph.adj, ua, ub)
-                if dij is not None and not pipeline_certificate(pair, eps_out, dij, floor):
-                    return False
-                ppair = pair_view(P_host.adj, ua, ub)
-                if not pipeline_certificate(ppair, eps_out, bij, floor):
-                    return False
+                for graph, dens in tracks:
+                    if not pipeline_certificate(pair_view(graph.adj, ua, ub), eps_out,
+                                                float(dens[i][j])):
+                        return False
     for Fj in A0_star:
-        if Fj.nl >= 2 and not pipeline_certificate(Fj, eps_out, d0, floor):
+        if Fj.nl >= 2 and not pipeline_certificate(Fj, eps_out, d0):
             return False
     return True
 
@@ -275,12 +273,10 @@ def _candidacy_hypergraph(H: PartitionedGraph, H_star: LabeledGraph, params: Par
 def _check_hypotheses(G, P_host, beta_mat, H, kmat, A0, d0, params) -> None:
     eps = params.eps
     for i, j in G.reduced.edges():
-        pair = G.pair_view(i, j)
-        if not super_regularity_certificate(pair, eps, float(G.densities[i][j])).ok:
-            raise NotSuperRegular(f"host pair ({i},{j}) failed its certificate")
-        ppair = pair_view(P_host.adj, G.partition.classes[i], G.partition.classes[j])
-        if not super_regularity_certificate(ppair, eps, float(beta_mat[i][j])).ok:
-            raise NotSuperRegular(f"patching pair ({i},{j}) failed its certificate")
+        for name, graph, dens in (("host", G.graph, G.densities), ("patching", P_host, beta_mat)):
+            pair = pair_view(graph.adj, G.partition.classes[i], G.partition.classes[j])
+            if not super_regularity_certificate(pair, eps, float(dens[i][j])).ok:
+                raise NotSuperRegular(f"{name} pair ({i},{j}) failed its certificate")
     ok, violations = check_near_equiregular(H, kmat, params.C)
     if not ok:
         raise NotNearEquiregular("; ".join(violations[:4]))

@@ -8,6 +8,7 @@ there cannot mask itself here.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -50,12 +51,14 @@ def verify_packing(host: PartitionedGraph, templates: list[PartitionedGraph],
         if phi is None:
             violations.append(f"template {idx}: missing embedding")
             continue
+        if not isinstance(phi, Mapping):
+            violations.append(f"template {idx}: embedding is not a vertex map")
+            continue
         if set(phi.keys()) != set(range(tpl.graph.n)):
             violations.append(f"template {idx}: embedding domain is not V(H)")
             continue
         images = list(phi.values())
-        if not all(isinstance(hv, Integral) and not isinstance(hv, bool) and 0 <= hv < n
-                   for hv in images):
+        if not all(_is_index(hv) and 0 <= hv < n for hv in images):
             violations.append(f"template {idx}: an image is not a host vertex 0..{n - 1}")
             continue
         if len(images) != len(set(images)):
@@ -88,18 +91,40 @@ def verify_packing(host: PartitionedGraph, templates: list[PartitionedGraph],
                     if p not in xpos or hv not in vpos or not Ab.has_edge(xpos[p], vpos[hv]):
                         violations.append(f"(T1) template {idx}: vertex {p} outside its candidacy")
                         break
-    if lam:
-        for (i, x, ip, xp) in lam:
-            if i < len(embeddings) and ip < len(embeddings) and \
-                    embeddings[i] is not None and embeddings[ip] is not None:
-                if embeddings[i].get(x) == embeddings[ip].get(xp):
-                    violations.append(f"(T4) collision pair ({i},{x})~({ip},{xp}) shares an image")
+    for entry in lam or ():
+        violations.extend(_collision_violations(entry, embeddings))
 
     coverage = len(used) / len(host_edges) if host_edges else 0.0
     leftover, per_pair = _leftover(host, used)
     return VerifyReport(ok=not violations, violations=violations, coverage=coverage,
                         leftover_max_degree=leftover.max_degree(),
                         per_pair_leftover_density=per_pair)
+
+
+def _is_index(v) -> bool:
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def _collision_violations(entry, embeddings) -> list[str]:
+    """(T4) for one collision constraint (i, x, i', x'): phi_i(x) != phi_i'(x').
+
+    An entry that is not four integers, or names a template or a vertex that
+    does not exist, is a violation itself rather than a vacuous pass."""
+    if not (isinstance(entry, (tuple, list)) and len(entry) == 4 and all(map(_is_index, entry))):
+        return [f"collision constraint {entry!r} is not four integers (i, x, i', x')"]
+    i, x, ip, xp = entry
+    imgs = []
+    for t, v in ((i, x), (ip, xp)):
+        if not 0 <= t < len(embeddings):
+            return [f"collision constraint {tuple(entry)} names missing template {t}"]
+        if not isinstance(embeddings[t], Mapping):
+            return []   # already reported as a missing or malformed embedding
+        if v not in embeddings[t]:
+            return [f"collision constraint {tuple(entry)} names vertex {v} outside template {t}"]
+        imgs.append(embeddings[t][v])
+    if imgs[0] == imgs[1]:
+        return [f"(T4) collision pair ({i},{x})~({ip},{xp}) shares an image"]
+    return []
 
 
 def leftover_stats(host: PartitionedGraph, templates: list[PartitionedGraph],

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from regpack.cli import main
+from regpack.cli import build_parser, main
 
 
 def run_cli(args):
@@ -273,6 +273,18 @@ class TestUsageErrors:
     def test_threads_flag_is_gone(self, tmp_path):
         assert main(["gen", "host-complete", "--n", "4", "--out", str(tmp_path),
                      "--threads", "2"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "host-complete", "--n", "4", "--out", "{tmp}"],
+        ["sample-matching", "--n", "6", "--trials", "10"],
+    ])
+    def test_retries_only_where_it_is_read(self, argv, tmp_path):
+        # only pack and diagnose build a ParamSet, so only they take --retries
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main(argv) == 0
+        assert main(argv + ["--retries", "3"]) == 2
+        for cmd in ("pack", "diagnose"):
+            assert build_parser().parse_args([cmd, "--instance", "x", "--retries", "3"]).retries == 3
 
 
 def test_console_entry_point():

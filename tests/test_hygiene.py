@@ -1,5 +1,6 @@
 """Static hygiene of the package source: no module imports a name it never
-uses, and every function or method is referenced somewhere."""
+uses, every function or method is referenced somewhere, and every
+parameter is read."""
 
 import ast
 from pathlib import Path
@@ -106,3 +107,38 @@ def test_reference_checker_flags_a_dead_method():
     )
     names = referenced_names([source, "TARGETS = [('m', 'target')]\n"])
     assert unreferenced_functions(source, names) == ["dead (line 6)"]
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters (bar ``self``, ``cls`` and ``_``-prefixed names) that their
+    function's body, nested functions included, never reads."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [f"{node.name}({p})" for p in params
+                if p not in ("self", "cls") and not p.startswith("_") and p not in read]
+    return sorted(out)
+
+
+def test_every_parameter_is_read():
+    unread = {p.name: unread_parameters(p.read_text()) for p in MODULES}
+    assert {k: v for k, v in unread.items() if v} == {}
+
+
+def test_parameter_checker_flags_an_ignored_argument():
+    source = (
+        "class A:\n"
+        "    def m(self, used, ignored, _private):\n"
+        "        def inner(x):\n"
+        "            return used + x\n"
+        "        return inner(1)\n"
+        "def f(a, *args, flag=None, **kw):\n"
+        "    a = 1\n"
+        "    return args, kw\n"
+    )
+    assert unread_parameters(source) == ["f(a)", "f(flag)", "m(ignored)"]

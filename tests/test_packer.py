@@ -234,7 +234,7 @@ class TestDrivers:
             rng = random.Random(seed)
             trees = [random_tree(i, 3, rng) for i in range(18, 112)]
             family = [LabeledGraph(n, list(T.edges())) for T in trees]
-            members = color_members(merge_small_members(family, n, 3, n // 4, rng), R, rng)
+            members = color_members(merge_small_members(family, n, n // 4), R, rng)
             masses = [sum(_pair_mass(L, i, j) for L in members) for i, j in R.edges()]
             mean = sum(masses) / len(masses)
             assert max(masses) <= 1.25 * mean, (seed, max(masses), mean)

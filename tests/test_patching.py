@@ -49,8 +49,8 @@ class TestRepatch:
         host, P, bmat, tpl, params, res, rng = embedded_instance(seed=1)
         Z_classes = [[] for _ in res.Y_classes]
         RK = blow_up(host.reduced, res.K)
-        phi2 = repatch(tpl.graph, res.Y_classes, P.graph, RK, [[Fraction(0)] * (2 * res.K)] * (2 * res.K),
-                       res.phi, res.N, {}, Z_classes, beta_prime=0.45, delta=0.1,
+        phi2 = repatch(tpl.graph, P.graph, RK, [[Fraction(0)] * (2 * res.K)] * (2 * res.K),
+                       res.phi, {}, Z_classes, beta_prime=0.45, delta=0.1,
                        params=params, rng=rng)
         assert phi2 == res.phi
 
@@ -58,7 +58,7 @@ class TestRepatch:
         host, P, bmat, tpl, params, res, rng = embedded_instance(seed=5)
         Z_classes, RK, bKr = patch_setup(res, host, rng, size=10)
         rows = refreshed_rows(res, P, Z_classes)
-        phi2 = repatch(tpl.graph, res.Y_classes, P.graph, RK, bKr, res.phi, res.N,
+        phi2 = repatch(tpl.graph, P.graph, RK, bKr, res.phi,
                        rows, Z_classes, beta_prime=0.45, delta=0.1, params=params, rng=rng)
         zall = {z for cls in Z_classes for z in cls}
         # (i) untouched outside Z
@@ -80,7 +80,7 @@ class TestRepatch:
         host, P, bmat, tpl, params, res, rng = embedded_instance(seed=7)
         Z_classes, RK, bKr = patch_setup(res, host, rng, size=10)
         rows = refreshed_rows(res, P, Z_classes)
-        phi2 = repatch(tpl.graph, res.Y_classes, P.graph, RK, bKr, res.phi, res.N,
+        phi2 = repatch(tpl.graph, P.graph, RK, bKr, res.phi,
                        rows, Z_classes, beta_prime=0.45, delta=0.1, params=params, rng=rng)
         for j, cls in enumerate(Z_classes):
             W = {res.phi[z] for z in cls}
@@ -93,7 +93,7 @@ class TestRepatch:
         Z_classes[0] = Z_classes[0][:5]
         rows = refreshed_rows(res, P, Z_classes)
         with pytest.raises(HypothesisViolation):
-            repatch(tpl.graph, res.Y_classes, P.graph, RK, bKr, res.phi, res.N,
+            repatch(tpl.graph, P.graph, RK, bKr, res.phi,
                     rows, Z_classes, beta_prime=0.45, delta=0.1, params=params, rng=rng)
 
     def test_sparse_candidacy_rejected(self):
@@ -107,5 +107,5 @@ class TestRepatch:
         # rejected either by the hypothesis certificate or by the embedding
         # itself (the diagonal pairs are not patching-graph adjacent)
         with pytest.raises((HypothesisViolation, PatchFailure)):
-            repatch(tpl.graph, res.Y_classes, P.graph, RK, bKr, res.phi, res.N,
+            repatch(tpl.graph, P.graph, RK, bKr, res.phi,
                     rows, Z_classes, beta_prime=0.45, delta=0.1, params=params, rng=rng)

@@ -1,7 +1,10 @@
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regpack.errors import BadParams, EmptySide, InfeasibleTargetSets
 from regpack.graphs import (
@@ -19,6 +22,7 @@ from regpack.regularity import (
     random_split,
     restrict_super_regular,
     super_regularity_certificate,
+    window,
 )
 
 
@@ -233,3 +237,32 @@ class TestRestrictSuperRegular:
         B = complete_bipartite(20)
         with pytest.raises(InfeasibleTargetSets):
             restrict_super_regular(B, {0: 0b11}, 0.5, random.Random(0))
+
+
+# The three window formulas that ``window`` replaced, kept as references.
+
+def _old_slender_width(xi, p, scale, m):
+    base = xi * m
+    sd = math.sqrt(max(p * (1 - p), 0.0) * m)
+    return max(base * scale, 4.0 * sd + 1.0)
+
+
+def _old_refine_width(eps, d0, m):
+    return max(2 * eps * m, 4.0 * math.sqrt(max(d0 * (1 - d0), 0.0) * m) + 1)
+
+
+def _old_pipeline_width(eps, d, n):
+    var = max(d * (1 - d), 0.0)
+    return max(eps * n, 4.0 * math.sqrt(var * n) + 1.0)
+
+
+unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@given(unit, unit, st.integers(0, 100_000))
+@settings(max_examples=500, deadline=None)
+def test_window_equals_the_formulas_it_replaced(x, p, m):
+    assert window(x, p, m) == _old_pipeline_width(x, p, m)
+    assert window(x, p, m) == _old_slender_width(x, p, 1, m)
+    assert window(2 * x, p, m) == _old_slender_width(x, p, 2, m)
+    assert window(2 * x, p, m) == _old_refine_width(x, p, m)

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -373,3 +375,30 @@ class TestRefineHost:
         Y, H_star, K = refine_pattern(templates[0], kmat, 2, params, rng)
         with pytest.raises(NotSuperRegular):
             refine_host(host, P.graph, A0, Y, bmat, 0.5, params, rng, cap=2)
+
+
+def test_seeded_embedding_stream_is_pinned():
+    """One seeded run on two classes of 62 (refined sizes 16 and 15, so the
+    padding draws run too): the embedding, the candidacy bigraph F and the
+    next draw of the stream are pinned.  A refactor that moves one draw or
+    one window bound changes these digests."""
+    from regpack.generators import certified_bipartite_host
+    n = 62
+    host, P, bmat, templates, kmat, rng = two_class_instance(n=n, seed=9)
+    A0 = []
+    for i in range(2):
+        B = certified_bipartite_host(n, 0.7, 0.05, rng)
+        B.left_ids = list(templates[0].partition.classes[i])
+        B.right_ids = list(host.partition.classes[i])
+        A0.append(B)
+    res = run_uniform_embed(host, P.graph, bmat, templates[0], kmat, A0, 0.7, make_params(), rng)
+
+    def sha(obj):
+        return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+    assert [len(c) for c in res.Y_classes] == [16, 16, 15, 15] * 2
+    assert sha(sorted(res.phi.items())) == \
+        "382d1205620f30f783f2f743edcd1b4a69543aece969838a36b530b7f30ba2d9"
+    assert sha([[Fj.left_ids, Fj.right_ids, Fj.adj] for Fj in res.F]) == \
+        "ebe512030950621180939d0352271df2e68b883eec2e8d35eb38618a3859dc68"
+    assert rng.random() == 0.23237041086185295

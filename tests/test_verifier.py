@@ -103,6 +103,27 @@ class TestMalformedEmbeddings:
         assert not rep.ok
         assert rep.violations == ["(T1) template 0: vertex 0 outside its candidacy"]
 
+    def test_embedding_as_a_list_is_a_violation(self):
+        host, tpl = _c4_case()
+        rep = verify_packing(host, [tpl], [[0, 1, 2, 3]])
+        assert rep.violations == ["template 0: embedding is not a vertex map"]
+
+    def test_collision_entry_outside_both_templates_is_not_a_collision(self):
+        # vertex 9 exists in neither template: both lookups used to give None,
+        # and None == None was reported as a shared image
+        host, tpl = _c4_case()
+        phis = [{0: 0, 1: 1, 2: 2, 3: 3}, {0: 1, 1: 0, 2: 3, 3: 2}]
+        assert verify_packing(host, [tpl, tpl], phis, lam=[(0, 1, 1, 1)]).ok
+        rep = verify_packing(host, [tpl, tpl], phis, lam=[(0, 9, 1, 9)])
+        assert rep.violations == ["collision constraint (0, 9, 1, 9) names vertex 9 outside template 0"]
+
+    @pytest.mark.parametrize("entry", [(0, 1, 1), (0, 1, 1, 1, 0), (0, 1.0, 1, 1), "0111"])
+    def test_malformed_collision_entry_is_a_violation(self, entry):
+        host, tpl = _c4_case()
+        phis = [{0: 0, 1: 1, 2: 2, 3: 3}, {0: 1, 1: 0, 2: 3, 3: 2}]
+        rep = verify_packing(host, [tpl, tpl], phis, lam=[entry])
+        assert rep.violations == [f"collision constraint {entry!r} is not four integers (i, x, i', x')"]
+
     @pytest.mark.parametrize("phi", [
         {0: 0, 1: 1, 2: 2, 3: -1},    # isolated vertex, wraps to host vertex 3
         {0: 0, 1: 1, 2: -1, 3: 3},    # edge endpoint: the leftover step shifted by -1
