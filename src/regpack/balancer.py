@@ -164,10 +164,17 @@ def regularize_near(H: PartitionedGraph, kmat, C: int) -> PartitionedGraph:
     by flow, then reattach the removed vertices on k fresh disjoint
     neighbourhoods covering their old ones.
     """
+    return _near_regular(H, C, lambda i, j, pair: (kmat[i][j],))[0]
+
+
+def _near_regular(H: PartitionedGraph, C: int, targets):
+    """``regularize_near`` with each pair at the first degree of
+    ``targets(i, j, pair)`` whose flow saturates (the last failure is raised
+    when none does); returns the graph and the degree matrix it reached."""
     r = H.reduced.r
     G_out = LabeledGraph(H.graph.n)
+    kmat = [[0] * r for _ in range(r)]
     for i, j in H.reduced.edges():
-        k = kmat[i][j]
         Vi = list(H.partition.classes[i])
         Vj = list(H.partition.classes[j])
         if len(Vi) < len(Vj):
@@ -181,7 +188,15 @@ def regularize_near(H: PartitionedGraph, kmat, C: int) -> PartitionedGraph:
             removed = []
             keep = list(range(len(Vi)))
         sub = pair.subgraph(keep, list(range(len(Vj))))
-        reg = regularize_pair(sub, k)
+        for k in targets(i, j, pair):
+            try:
+                reg = regularize_pair(sub, k)
+                break
+            except Infeasible as exc:
+                failure = exc
+        else:
+            raise failure
+        kmat[i][j] = kmat[j][i] = k
         for ulocal, u in enumerate(keep):
             for v in iter_bits(reg.adj[ulocal]):
                 G_out.add_edge(Vi[u], Vj[v])
@@ -201,7 +216,7 @@ def regularize_near(H: PartitionedGraph, kmat, C: int) -> PartitionedGraph:
     ok, violations = check_near_equiregular(out, kmat, C)
     if not ok:
         raise Infeasible("near-equiregular target missed: " + "; ".join(violations[:3]))
-    return out
+    return out, kmat
 
 
 def _disjoint_neighbourhood_set(pair: BipartiteGraph, a: int) -> list[int]:
@@ -410,8 +425,7 @@ def stack_family(families: list[PartitionedGraph], R: ReducedGraph, kmat, C: int
 
     part = VertexPartition.from_lists(host_classes, bounds[-1])
     union_pg = PartitionedGraph(union, part, R)
-    kmat_eff = _effective_kmat(union_pg, kmat, R)
-    H = regularize_near(union_pg, kmat_eff, C)
+    H, kmat_eff = _near_regular(union_pg, C, _stacking_targets(kmat))
     J = H.graph.copy()
     for x, y in union.edges():
         J.remove_edge(x, y)
@@ -419,38 +433,18 @@ def stack_family(families: list[PartitionedGraph], R: ReducedGraph, kmat, C: int
     return H, taus, J, kmat_eff
 
 
-def _effective_kmat(union_pg: PartitionedGraph, kmat, R: ReducedGraph):
-    """Desk-scale feasibility: the smallest per-pair target at or above the
-    achieved maximum degree whose regularization flow saturates.
+def _stacking_targets(kmat):
+    """Desk-scale feasibility: per pair, the achieved maximum degree (at
+    least kmat's entry and 1) and the two degrees above it, tried in order.
 
     Keeping k minimal matters downstream: the embedding pipeline refines
     classes (k+1)^2-fold, so a gratuitous +1 here can empty them."""
-    r = R.r
-    out = [[0] * r for _ in range(r)]
-    for i, j in R.edges():
-        Vi = union_pg.partition.classes[i]
-        Vj = union_pg.partition.classes[j]
-        big, small = (Vi, Vj) if len(Vi) >= len(Vj) else (Vj, Vi)
-        pair = pair_view(union_pg.graph.adj, big, small)
-        achieved = max((popcount(row) for row in pair.adj), default=0)
-        achieved = max(achieved, max((popcount(c) for c in pair.right_adj()), default=0))
+    def targets(i, j, pair):
+        achieved = max(max(map(popcount, pair.adj), default=0),
+                       max(map(popcount, pair.right_adj()), default=0))
         base = max(kmat[i][j] if kmat else 0, achieved, 1)
-        chosen = None
-        for k_try in (base, base + 1, base + 2):
-            a = len(big) - len(small)
-            try:
-                if a > 0:
-                    removed = _disjoint_neighbourhood_set(pair, a)
-                    keep = [u for u in range(len(big)) if u not in set(removed)]
-                else:
-                    keep = list(range(len(big)))
-                regularize_pair(pair.subgraph(keep, list(range(len(small)))), k_try)
-                chosen = k_try
-                break
-            except (Infeasible, GreedySelectionFailed):
-                continue
-        out[i][j] = out[j][i] = chosen if chosen is not None else base + 2
-    return out
+        return (base, base + 1, base + 2)
+    return targets
 
 
 def _block_plan(families, R: ReducedGraph, b: int, B: int, n_prime: int, rng) -> dict:
@@ -548,13 +542,16 @@ def _embed_blockwise(L, used_union, host_classes, blocks, rng, forbidden,
                 break
         if not ok:
             return None
-        for _pass in range(12):
-            bad = {x for x, y in _conflicts(L, img, used_union)}
-            bad |= {y for x, y in _conflicts(L, img, used_union)}
+        # up to 12 swap passes; the check after the last pass, or after a
+        # pass that left a vertex unfixed, decides the restart
+        stuck = False
+        for _pass in range(13):
+            bad = {v for e in _conflicts(L, img, used_union) for v in e}
             bad |= {x for x, banned in forbidden.items() if img.get(x) in banned}
             if not bad:
                 return img
-            stuck = False
+            if stuck or _pass == 12:
+                break
             for x in sorted(bad):
                 i = cls_of[x]
                 candidates = list(host_classes[i])
@@ -575,12 +572,6 @@ def _embed_blockwise(L, used_union, host_classes, blocks, rng, forbidden,
                         break
                 if not fixed:
                     stuck = True
-            if stuck and (_conflicts(L, img, used_union) or
-                          any(img.get(x) in banned for x, banned in forbidden.items())):
-                break
-        if not _conflicts(L, img, used_union) and \
-                not any(img.get(x) in banned for x, banned in forbidden.items()):
-            return img
     return None
 
 

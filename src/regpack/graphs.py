@@ -77,6 +77,20 @@ def pair_view(adj: Sequence[int], left: Sequence[int], right: Sequence[int]) -> 
     return B
 
 
+def candidacy_rows(blocks) -> dict[int, int]:
+    """Pattern vertex -> bitset of the global host ids it may take.
+
+    ``blocks`` holds one candidacy graph per class (or None, no constraint),
+    each carrying its ``left_ids`` and ``right_ids``; vertices of
+    unconstrained classes are absent from the lookup."""
+    rows: dict[int, int] = {}
+    for Ab in blocks or ():
+        if Ab is not None:
+            for p, row in zip(Ab.left_ids, Ab.adj):
+                rows[p] = sum(1 << Ab.right_ids[b] for b in iter_bits(row))
+    return rows
+
+
 class LabeledGraph:
     """Simple undirected graph on vertex ids ``0..n-1``."""
 

@@ -1,26 +1,41 @@
 """The main packing loop and its theorem-level drivers.
 
 Templates are packed in nibble rounds.  Round 0 splits the host into a
-patching reserve P and the working graph G^1.  Each later round embeds
-a batch of templates into the current remainder, deletes the union of
-their images, and then walks the batch sequentially, re-embedding a
-small window of each template through the unused part of P so that the
-batch becomes pairwise edge-disjoint and collision constraints hold.
+patching reserve P and the working graph G^1.  Each later round takes a
+batch of templates through four steps, each raising its own failure types:
+
+1. ``_embed_batch`` embeds each template independently into (G^t, P), its
+   candidacy thinned by the images of collision partners from earlier
+   rounds.  Type 1: the uniform embedding gave up; type 2: a probe-set
+   check failed.
+2. ``_deplete`` deletes the union of the images and re-certifies every
+   pair of the remainder at the next density of the ladder.  Type 3.
+3. ``_conflicts`` collects, per template, the host vertices on edges it
+   shares with another template of the batch and the images of its
+   collision vertices, and checks the (U1)/(U2) crowding events.  Type 4.
+4. ``_patch``, per template in batch order, redraws a window of each
+   refined class around those vertices through the unused part of P, so
+   that the batch becomes edge-disjoint and collision constraints hold.
+   Type 5: no window feeds every candidacy row, or the re-embedding
+   failed; type 6: a patch hypothesis failed (it cannot when (W1)-(W3)
+   hold at full scale, but the check is kept).
+
+The round then checks batch disjointness (type 5) and only then commits
+its embeddings.  Any failure restarts the round with fresh randomness, up
+to ``round_retry_cap`` attempts.
 
 Desk-scale thresholds.  The batch events (U1)/(U2), (W1)-(W3) and
 (a')/(b') are checked per the stated formulas but with configurable
 floors: at the batch sizes this package runs, quantities like
 gamma^(4/3) n or 2 delta gamma n drop below one vertex and would make
 the events unsatisfiable whenever anything at all needs patching.
-Failures of types 1/2 retry the single embedding, 3/4/5 restart the
-round with fresh randomness, 6 restarts likewise (it cannot fire when
-(W1)-(W3) hold at full scale, but the check is kept).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,6 +55,7 @@ from .graphs import (
     ReducedGraph,
     VertexPartition,
     blow_up,
+    candidacy_rows,
     iter_bits,
     mask_of,
     pair_view,
@@ -111,8 +127,8 @@ def validate_instance(inst: PackInstance) -> list[str]:
         if total > budget + 1e-9:
             v.append(f"(S4) pair ({a},{b}) oversubscribed: sum k = {total} > {budget:.2f}")
     s = len(inst.templates)
-    deg: dict[tuple[int, int], int] = {}
-    per_tpl: dict[tuple[int, int, int], int] = {}
+    deg: Counter[tuple[int, int]] = Counter()
+    per_tpl: Counter[tuple[int, int, int]] = Counter()
     for (i, x, ip, xp) in inst.lam:
         if not (0 <= i < s and 0 <= ip < s):
             v.append("(S8) collision constraint references a padded or missing template")
@@ -120,20 +136,14 @@ def validate_instance(inst: PackInstance) -> list[str]:
         if not (0 <= x < inst.templates[i].graph.n and 0 <= xp < inst.templates[ip].graph.n):
             v.append(f"(S8) collision constraint {(i, x, ip, xp)} names a vertex outside its template")
             continue
-        deg[(i, x)] = deg.get((i, x), 0) + 1
-        deg[(ip, xp)] = deg.get((ip, xp), 0) + 1
-        per_tpl[(i, x, ip)] = per_tpl.get((i, x, ip), 0) + 1
-        per_tpl[(ip, xp, i)] = per_tpl.get((ip, xp, i), 0) + 1
+        deg.update([(i, x), (ip, xp)])
+        per_tpl.update([(i, x, ip), (ip, xp, i)])
     if deg and max(deg.values()) > (1 - 2 * params.alpha) * inst.d0 * n:
         v.append("(S8) collision-graph degree exceeds (1-2 alpha) d0 n")
     if per_tpl and max(per_tpl.values()) > params.k:
         v.append("(S8) per-template collision degree exceeds k")
-    per_class: dict[tuple[int, int], int] = {}
     class_of = {i: inst.templates[i].partition.class_of() for i in {i for i, _ in deg}}
-    for (i, x) in deg:
-        j = class_of[i][x]
-        per_class[(i, j)] = per_class.get((i, j), 0) + 1
-    for (i, j), cnt in per_class.items():
+    for (i, j), cnt in Counter((i, class_of[i][x]) for (i, x) in deg).items():
         if cnt > params.eps * sizes[j]:
             v.append(f"(S8) template {i} has {cnt} constrained vertices in class {j}")
     return v
@@ -164,12 +174,9 @@ def _density_trace(inst: PackInstance, T: int, k_mats, beta_mat) -> list[list[li
         new = [row[:] for row in trace[-1]]
         for i, j in inst.host.reduced.edges():
             cur = trace[-1][i][j]
-            prod = Fraction(1)
-            for idx in batch:
-                km = k_mats[idx][i][j]
-                if cur > 0:
-                    prod *= (Fraction(1) - Fraction(km, 1) / (cur * n))
-            new[i][j] = new[j][i] = cur * prod
+            if cur > 0:
+                cur *= math.prod(1 - Fraction(k_mats[idx][i][j]) / (cur * n) for idx in batch)
+            new[i][j] = new[j][i] = cur
         trace.append(new)
     return trace
 
@@ -180,92 +187,36 @@ def run_main_packing(inst: PackInstance, rng, round_retry_cap: int = 6) -> Packi
     if errs:
         raise BadParams("invalid packing instance: " + "; ".join(errs[:4]))
     params = inst.params
-    host = inst.host
-    r = host.reduced.r
-    n = max(host.partition.sizes())
     s_real = len(inst.templates)
     gamma_n = max(1, inst.gamma_n)
     T = math.ceil(s_real / gamma_n) if s_real else 0
-    failure_log: list[str] = []
-
-    templates = list(inst.templates)
-    k_mats = [list(map(list, km)) for km in inst.k_mats]
-    A_list = list(inst.A_list)
-    while len(templates) < T * gamma_n:
-        filler, k1 = _filler_template(host)
-        templates.append(filler)
-        k_mats.append(k1)
-        A_list.append(None)
-
-    # beta_{j,j'} = beta * d_{j,j'} / d, with d the minimum pair density
-    dmin = min((Fraction(host.densities[i][j]) for i, j in host.reduced.edges()), default=Fraction(1))
-    beta_mat = [[Fraction(params.beta).limit_denominator(10 ** 6) * Fraction(host.densities[i][j]) / dmin
-                 if host.reduced.has_edge(i, j) else Fraction(0) for j in range(r)] for i in range(r)]
-
-    # Round 0: carve the patching reserve out of every host pair
-    P_host = LabeledGraph(host.graph.n)
-    G_cur = LabeledGraph(host.graph.n)
-    for i, j in host.reduced.edges():
-        pair = host.pair_view(i, j)
-        Ppair, Gpair = random_split(pair, float(host.densities[i][j]), float(beta_mat[i][j]),
-                                    rng, eps=params.eps, cap=params.retry_cap)
-        left = host.partition.classes[i]
-        right = host.partition.classes[j]
-        for a in range(Ppair.nl):
-            for b in iter_bits(Ppair.adj[a]):
-                P_host.add_edge(left[a], right[b])
-        for a in range(Gpair.nl):
-            for b in iter_bits(Gpair.adj[a]):
-                G_cur.add_edge(left[a], right[b])
-    P_cur = P_host.copy()
-    trace = _density_trace(inst, T, k_mats, beta_mat)
-    for level in trace:
-        for i, j in host.reduced.edges():
-            if level[i][j] <= 0:
-                raise BadParams("density ladder hits zero: instance oversubscribed for this gamma")
-
-    embeddings: list[dict[int, int] | None] = [None] * len(templates)
+    run = _Run(inst, rng, T)
+    G_cur, P_cur = run.G1, run.P_host.copy()
     rounds: list[RoundLog] = []
+    failure_log: list[str] = []
     eps_t = params.eps ** (1 / 3)
-
     for t in range(1, T + 1):
         batch = list(range((t - 1) * gamma_n, t * gamma_n))
-        d_now = trace[t - 1]
-        d_next = trace[t]
-        done = False
-        last_exc: _RoundRestart | None = None
         for attempt in range(round_retry_cap):
             try:
-                result = _run_round(inst, templates, k_mats, A_list, embeddings, batch,
-                                    G_cur, P_host, P_cur, d_now, d_next, beta_mat,
-                                    t, eps_t, rng)
-                rounds.append(result["log"])
-                G_cur = result["G_next"]
-                P_cur = result["P_next"]
-                for idx, phi in result["phis"].items():
-                    embeddings[idx] = phi
-                done = True
+                G_cur, P_cur, log = _round(run, t, batch, G_cur, P_cur, eps_t)
                 break
             except _RoundRestart as exc:
                 last_exc = exc
                 failure_log.append(f"round {t} attempt {attempt + 1}: {exc}")
-        if not done:
+        else:
             raise FailureExhausted(last_exc.failure_type, where=f"round {t}",
                                    msg=f"round {t} failed {round_retry_cap} attempts: {last_exc}")
+        rounds.append(log)
         eps_t = min(q_fn(eps_t, params.w), 0.45)
 
-    final = [phi for phi in embeddings[:s_real]]
-    _assert_packing(inst, templates[:s_real], final, A_list[:s_real])
-    covered: set[frozenset[int]] = set()
-    for idx in range(s_real):
-        for x, y in templates[idx].graph.edges():
-            covered.add(frozenset((final[idx][x], final[idx][y])))
-    leftover = host.graph.copy()
+    final = run.embeddings[:s_real]
+    covered = _assert_packing(run, final)
+    leftover = inst.host.graph.copy()
     for e in covered:
-        u, v = tuple(e)
-        leftover.remove_edge(u, v)
-    coverage = len(covered) / host.graph.num_edges() if host.graph.num_edges() else 0.0
-    return PackingResult(embeddings=final, leftover=leftover, coverage=coverage,
+        leftover.remove_edge(*e)
+    m = inst.host.graph.num_edges()
+    return PackingResult(embeddings=final, leftover=leftover, coverage=len(covered) / m if m else 0.0,
                          rounds=rounds, failure_log=failure_log, s_real=s_real)
 
 
@@ -275,206 +226,263 @@ class _RoundRestart(Exception):
         self.failure_type = failure_type
 
 
-def _run_round(inst, templates, k_mats, A_list, embeddings, batch, G_cur, P_host, P_cur,
-               d_now, d_next, beta_mat, t, eps_t, rng) -> dict:
-    params = inst.params
-    host = inst.host
-    r = host.reduced.r
-    n = max(host.partition.sizes())
+class _Run:
+    """One packing of T rounds: the templates padded with fillers, their
+    degree matrices and candidacy lists, the reserve P and the working graph
+    G^1 from round 0, the density ladder d^t, the random stream, and the
+    embeddings accepted so far.  Per template it also keeps the collision
+    entries (x, i', x') and ``A_rows``, the lookup pattern vertex -> bitset
+    of the host ids its initial candidacy allows."""
 
-    # Step 1: independent embeddings against (G^t, P)
-    G_round = PartitionedGraph(G_cur, host.partition, host.reduced,
-                               densities=[[d_now[i][j] for j in range(r)] for i in range(r)])
+    def __init__(self, inst: PackInstance, rng, T: int):
+        params = inst.params
+        host = inst.host
+        r = host.reduced.r
+        self.inst, self.rng = inst, rng
+        self.n = max(host.partition.sizes())
+        self.templates = list(inst.templates)
+        self.k_mats = [list(map(list, km)) for km in inst.k_mats]
+        self.A_list = list(inst.A_list)
+        while len(self.templates) < T * max(1, inst.gamma_n):
+            filler, k1 = _filler_template(host)
+            self.templates.append(filler)
+            self.k_mats.append(k1)
+            self.A_list.append(None)
+
+        # beta_{j,j'} = beta * d_{j,j'} / d, with d the minimum pair density
+        dmin = min((Fraction(host.densities[i][j]) for i, j in host.reduced.edges()), default=Fraction(1))
+        self.beta_mat = [[Fraction(params.beta).limit_denominator(10 ** 6) * Fraction(host.densities[i][j])
+                          / dmin if host.reduced.has_edge(i, j) else Fraction(0) for j in range(r)]
+                         for i in range(r)]
+
+        # Round 0: carve the patching reserve out of every host pair
+        self.P_host = LabeledGraph(host.graph.n)
+        self.G1 = LabeledGraph(host.graph.n)
+        for i, j in host.reduced.edges():
+            parts = random_split(host.pair_view(i, j), float(host.densities[i][j]),
+                                 float(self.beta_mat[i][j]), rng, eps=params.eps, cap=params.retry_cap)
+            left, right = host.partition.classes[i], host.partition.classes[j]
+            for graph, part in zip((self.P_host, self.G1), parts):
+                for a, b in part.edges():
+                    graph.add_edge(left[a], right[b])
+        self.ladder = _density_trace(inst, T, self.k_mats, self.beta_mat)
+        if any(level[i][j] <= 0 for level in self.ladder for i, j in host.reduced.edges()):
+            raise BadParams("density ladder hits zero: instance oversubscribed for this gamma")
+
+        self.embeddings: list[dict[int, int] | None] = [None] * len(self.templates)
+        self.lam_by_tpl: dict[int, list[tuple[int, int, int]]] = {}
+        for (i, x, ip, xp) in inst.lam:
+            self.lam_by_tpl.setdefault(i, []).append((x, ip, xp))
+            self.lam_by_tpl.setdefault(ip, []).append((xp, i, x))
+        self.A_rows = [candidacy_rows(A) for A in self.A_list]
+
+
+def _round(run: _Run, t: int, batch: list[int], G_cur: LabeledGraph, P_cur: LabeledGraph,
+           eps_t: float) -> tuple[LabeledGraph, LabeledGraph, RoundLog]:
+    """Round t: the four steps, then the batch-disjointness check; the
+    embeddings are committed only when all of them pass."""
+    d_next = run.ladder[t]
+    results = _embed_batch(run, batch, G_cur, run.ladder[t - 1], eps_t)
+    G_next = _deplete(run, results, G_cur, d_next, eps_t)
+    U_by_class, conflict_count = _conflicts(run, results)
+    P_next = P_cur.copy()
+    phis: dict[int, dict[int, int]] = {}
+    patched = 0
+    for idx, res in results.items():
+        phis[idx], size = _patch(run, idx, res, U_by_class[idx], P_next, phis)
+        patched += size
+
+    seen: set[frozenset[int]] = set()
+    for idx, phi in phis.items():
+        for x, y in run.templates[idx].graph.edges():
+            e = frozenset((phi[x], phi[y]))
+            if e in seen:
+                raise _RoundRestart(5, "batch images still overlap after patching")
+            seen.add(e)
+    for idx, phi in phis.items():
+        run.embeddings[idx] = phi
+    log = RoundLog(round=t, densities=[float(d_next[i][j]) for i, j in run.inst.host.reduced.edges()],
+                   conflicts=conflict_count, patched=patched)
+    return G_next, P_next, log
+
+
+def _embed_batch(run: _Run, batch: list[int], G_cur: LabeledGraph, d_now,
+                 eps_t: float) -> dict[int, UniformEmbedResult]:
+    """Step 1: embed each template of the batch independently into (G^t, P).
+
+    Type 1: the uniform embedding gave up; type 2: a probe-set check failed."""
+    params = run.inst.params
+    host = run.inst.host
+    G_round = PartitionedGraph(G_cur, host.partition, host.reduced, densities=[row[:] for row in d_now])
+    emb_params = dataclasses.replace(params, eps=max(min(eps_t ** 3, params.eps), 1e-6))
     results: dict[int, UniformEmbedResult] = {}
     for idx in batch:
-        A_eff = _collision_thinned_candidacy(inst, A_list, embeddings, idx, rng)
-        emb_params = dataclasses.replace(params, eps=max(min(eps_t ** 3, params.eps), 1e-6))
+        A_eff = _collision_thinned_candidacy(run, idx)
+        d0 = 1.0 if all(a is None for a in A_eff) else run.inst.d0
         try:
-            res = run_uniform_embed(G_round, P_host, beta_mat, templates[idx], k_mats[idx],
-                                    A_eff, _effective_d0(inst, A_eff), emb_params, rng,
+            res = run_uniform_embed(G_round, run.P_host, run.beta_mat, run.templates[idx],
+                                    run.k_mats[idx], A_eff, d0, emb_params, run.rng,
                                     check_hypotheses=False)
         except (EmbedFailure, RetriesExhausted) as exc:
             raise _RoundRestart(1, f"template {idx}: {exc}")
+        for Q, W in run.inst.probe_sets or ():
+            Wset = set(W)
+            got = sum(1 for p in Q if res.phi[p] in Wset)
+            want = len(Q) * len(W) / run.n
+            if abs(got - want) > max(params.gamma * len(Q) * len(W) / run.n,
+                                     4 * math.sqrt(want) + 1):
+                raise _RoundRestart(2, f"template {idx} failed a probe-set check")
         results[idx] = res
-        if inst.probe_sets:
-            for Q, W in inst.probe_sets:
-                Wset = set(W)
-                got = sum(1 for p in Q if res.phi[p] in Wset)
-                want = len(Q) * len(W) / n
-                if abs(got - want) > max(params.gamma * len(Q) * len(W) / n,
-                                         4 * math.sqrt(want) + 1):
-                    raise _RoundRestart(2, f"template {idx} failed a probe-set check")
+    return results
 
-    # remove the union of the images
+
+def _deplete(run: _Run, results: dict[int, UniformEmbedResult], G_cur: LabeledGraph, d_next,
+             eps_t: float) -> LabeledGraph:
+    """Step 2: G^{t+1} = G^t minus the union of the batch images, every pair
+    re-certified at the next density of the ladder; type 3."""
+    host = run.inst.host
     G_next = G_cur.copy()
-    for idx in batch:
-        phi = results[idx].phi
-        for x, y in templates[idx].graph.edges():
-            G_next.remove_edge(phi[x], phi[y])
+    for idx, res in results.items():
+        for x, y in run.templates[idx].graph.edges():
+            G_next.remove_edge(res.phi[x], res.phi[y])
     for i, j in host.reduced.edges():
         pair = pair_view(G_next.adj, host.partition.classes[i], host.partition.classes[j])
         if not pipeline_certificate(pair, eps_t, float(d_next[i][j])):
             raise _RoundRestart(3, f"depleted pair ({i},{j}) lost its certificate")
+    return G_next
 
-    # Step 2: conflict bookkeeping
-    edge_images = {idx: {frozenset((results[idx].phi[x], results[idx].phi[y]))
-                         for x, y in templates[idx].graph.edges()} for idx in batch}
-    lam_by_tpl: dict[int, list[tuple[int, int, int]]] = {}
-    for (i, x, ip, xp) in inst.lam:
-        lam_by_tpl.setdefault(i, []).append((x, ip, xp))
-        lam_by_tpl.setdefault(ip, []).append((xp, i, x))
+
+def _conflicts(run: _Run, results: dict[int, UniformEmbedResult]) -> tuple[dict[int, list[list[int]]], int]:
+    """Step 3: per template, the set U of host vertices it must move (the ends
+    of edges it shares with another template of the batch, then the images
+    of its collision vertices), checked against the (U1)/(U2) crowding
+    caps; type 4.  Returns each U split by refined class, in U's iteration
+    order, and the number of shared edges."""
+    params = run.inst.params
+    n = run.n
+    edge_images = {idx: {frozenset((res.phi[x], res.phi[y]))
+                         for x, y in run.templates[idx].graph.edges()}
+                   for idx, res in results.items()}
     conflict_count = 0
     U_sets: dict[int, set[int]] = {}
     NU_sets: dict[int, set[int]] = {}
-    for idx in batch:
+    for idx, res in results.items():
         conflicts = set()
-        for jdx in batch:
+        for jdx in results:
             if jdx != idx:
                 conflicts |= edge_images[idx] & edge_images[jdx]
         conflict_count += len(conflicts)
         U = set()
         for e in conflicts:
             U |= set(e)
-        for (x, ip, xp) in lam_by_tpl.get(idx, []):
-            U.add(results[idx].phi[x])
-        NU = set(U)
-        phi = results[idx].phi
-        for x, y in templates[idx].graph.edges():
-            img = (phi[x], phi[y])
-            if img[0] in U:
-                NU.add(img[1])
-            if img[1] in U:
-                NU.add(img[0])
+        for (x, ip, xp) in run.lam_by_tpl.get(idx, ()):
+            U.add(res.phi[x])
         U_sets[idx] = U
-        NU_sets[idx] = NU
-    gamma = len(batch) / n
+        # U with its image neighbours; only counted, so its order is free
+        NU_sets[idx] = U | {res.phi[b] for e in run.templates[idx].graph.edges()
+                            for a, b in (e, e[::-1]) if res.phi[a] in U}
+    gamma = len(results) / n
     u1_cap = max(gamma ** (4 / 3) * n, 2.0)
-    hits: dict[int, int] = {}
-    for idx in batch:
-        for v in NU_sets[idx]:
-            hits[v] = hits.get(v, 0) + 1
+    hits = Counter(v for NU in NU_sets.values() for v in NU)
     if hits and max(hits.values()) > u1_cap:
         raise _RoundRestart(4, "a vertex appears in too many conflict neighbourhoods")
-    class_maps = {idx: {v: j for j, cls in enumerate(results[idx].U_classes) for v in cls}
-                  for idx in batch}
-    for idx in batch:
-        m_prime = math.ceil(n / results[idx].K)
+    U_by_class: dict[int, list[list[int]]] = {}
+    for idx, res in results.items():
+        cmap = {v: j for j, cls in enumerate(res.U_classes) for v in cls}
+        m_prime = math.ceil(n / res.K)
         u2_cap = max(gamma ** (2 / 5) * m_prime, math.ceil(params.delta * m_prime))
-        per_class: dict[int, int] = {}
-        for v in NU_sets[idx]:
-            j = class_maps[idx].get(v, -1)
-            per_class[j] = per_class.get(j, 0) + 1
+        per_class = Counter(cmap.get(v, -1) for v in NU_sets[idx])
         if per_class and max(per_class.values()) > u2_cap:
             raise _RoundRestart(4, f"template {idx} has a crowded conflict class")
+        U_by_class[idx] = [[] for _ in res.U_classes]
+        for v in U_sets[idx]:
+            U_by_class[idx][cmap[v]].append(v)
+    return U_by_class, conflict_count
 
-    # Steps 3 and 4: per-template patch windows, then sequential re-embedding
-    P_next = P_cur.copy()
-    patched_total = 0
-    phis: dict[int, dict[int, int]] = {}
-    for pos, idx in enumerate(batch):
-        res = results[idx]
-        Kr = len(res.U_classes)
-        m_prime = math.ceil(n / res.K)
-        phi = res.phi
-        inv = {hv: p for p, hv in phi.items()}
-        cmap = class_maps[idx]
-        need = [len([v for v in U_sets[idx] if cmap.get(v) == j]) for j in range(Kr)]
+
+def _patch(run: _Run, idx: int, res: UniformEmbedResult, U_by_class: list[list[int]],
+           P_next: LabeledGraph, phis: dict[int, dict[int, int]]) -> tuple[dict[int, int], int]:
+    """Step 4 for template idx: re-embed a window of each refined class,
+    holding that class's vertices of U, through the unused reserve P_next,
+    which then loses the template's image edges.  Type 5: no window feeds
+    every candidacy row, or the re-embedding fails; type 6: a patch
+    hypothesis fails.  Returns the patched embedding and the window size."""
+    params = run.inst.params
+    phi = res.phi
+    inv = {hv: p for p, hv in phi.items()}
+    forced = [[inv[v] for v in U_j] for U_j in U_by_class]
+    pools = [[p for p in Y_j if p not in f] for Y_j, f in zip(res.Y_classes, map(set, forced))]
+    need = max(map(len, forced), default=0)
+    m_prime = math.ceil(run.n / res.K)
+    base = max(math.ceil(params.delta * m_prime), need)
+    if base > 0:
         # the re-embedding needs candidacy degree around 4 inside the patch
         # window, whose density is beta * d0
-        min_window = math.ceil(4 / max(params.beta * inst.d0, 1e-9))
-        base = max(math.ceil(params.delta * m_prime), max(need, default=0))
-        if base > 0 or max(need, default=0) > 0:
-            base = max(base, min_window)
-        cap_window = min(len(c) for c in res.U_classes)
-        window = min(base, cap_window)
-        if window == 0 or not (U_sets[idx] or params.delta > 0):
-            phis[idx] = dict(phi)
-            continue
-        # (W1)-(W3)-style hypothesis checks happen inside repatch; collision
-        # exclusions thin the candidacy rows first.  The random part of the
-        # window is redrawn (and grown when redraws keep failing) until no
-        # candidacy row is starved, since a starved row cannot be matched.
-        RK = blow_up(host.reduced, res.K)
-        bKr = expand_matrix(beta_mat, r, res.K)
-        rows = None
-        Z_classes: list[list[int]] = []
-        for widen in range(6):
-            redraws = 4
-            for _redraw in range(redraws):
-                Z_classes = []
-                feasible = True
-                for j in range(Kr):
-                    forced = [inv[v] for v in U_sets[idx] if cmap.get(v) == j]
-                    pool = [p for p in res.Y_classes[j] if p not in set(forced)]
-                    if window < len(forced) or window - len(forced) > len(pool):
-                        feasible = False
-                        break
-                    extra = rng.sample(pool, window - len(forced))
-                    Z_classes.append(forced + extra)
-                if not feasible:
-                    continue
-                cand = _patch_rows(res, phi, templates[idx], A_list[idx], Z_classes,
-                                   P_next, lam_by_tpl.get(idx, []), embeddings, phis)
+        base = max(base, math.ceil(4 / max(params.beta * run.inst.d0, 1e-9)))
+    cap_window = min(len(c) for c in res.U_classes)
+    window = min(base, cap_window)
+    if window == 0:
+        return dict(phi), 0
+    excluded = _collision_images(run, idx, phis)
+    # (W1)-(W3)-style hypothesis checks happen inside repatch.  The random
+    # part of the window is redrawn (and grown when redraws keep failing)
+    # until no candidacy row is starved, since a starved row cannot be
+    # matched; a class that cannot be filled ends its draw.
+    rows = None
+    for _widen in range(6):
+        for _redraw in range(4):
+            Z_classes: list[list[int]] = []
+            for f, pool in zip(forced, pools):
+                if window < len(f) or window - len(f) > len(pool):
+                    break
+                Z_classes.append(f + run.rng.sample(pool, window - len(f)))
+            else:
+                cand = _patch_rows(run.A_rows[idx], res, Z_classes, P_next, excluded)
                 if min((len(v) for v in cand.values()), default=2) >= 2:
                     rows = cand
                     break
-            if rows is not None or window >= cap_window:
-                break
-            window = min(max(window + 3, int(window * 3 / 2)), cap_window)
-        if rows is None:
-            raise _RoundRestart(5, f"template {idx}: patch window starved at every width")
-        try:
-            phi2 = repatch(templates[idx].graph, P_next, RK, bKr, phi, rows, Z_classes,
-                           beta_prime=float(params.beta) * inst.d0, delta=params.delta,
-                           params=params, rng=rng,
-                           A0_check=_a0_checker(A_list[idx], templates[idx]))
-        except (PatchFailure, HypothesisViolation) as exc:
-            raise _RoundRestart(6 if isinstance(exc, HypothesisViolation) else 5,
-                                f"template {idx}: {exc}")
-        patched_total += sum(len(z) for z in Z_classes)
-        phis[idx] = phi2
-        # the patch reserve loses every image edge it carried
-        for x, y in templates[idx].graph.edges():
-            P_next.remove_edge(phi2[x], phi2[y])
-
-    # cross-check batch disjointness before accepting the round
-    seen: set[frozenset[int]] = set()
-    for idx in batch:
-        for x, y in templates[idx].graph.edges():
-            e = frozenset((phis[idx][x], phis[idx][y]))
-            if e in seen:
-                raise _RoundRestart(5, "batch images still overlap after patching")
-            seen.add(e)
-
-    log = RoundLog(round=t, densities=[float(d_next[i][j]) for i, j in host.reduced.edges()],
-                   conflicts=conflict_count, patched=patched_total)
-    return {"G_next": G_next, "P_next": P_next, "phis": phis, "log": log}
+        if rows is not None or window >= cap_window:
+            break
+        window = min(max(window + 3, int(window * 3 / 2)), cap_window)
+    if rows is None:
+        raise _RoundRestart(5, f"template {idx}: patch window starved at every width")
+    R = run.inst.host.reduced
+    try:
+        phi2 = repatch(run.templates[idx].graph, P_next, blow_up(R, res.K),
+                       expand_matrix(run.beta_mat, R.r, res.K), phi, rows, Z_classes,
+                       beta_prime=float(params.beta) * run.inst.d0, delta=params.delta,
+                       params=params, rng=run.rng, A0_rows=run.A_rows[idx])
+    except (PatchFailure, HypothesisViolation) as exc:
+        raise _RoundRestart(6 if isinstance(exc, HypothesisViolation) else 5,
+                            f"template {idx}: {exc}")
+    for x, y in run.templates[idx].graph.edges():
+        P_next.remove_edge(phi2[x], phi2[y])
+    return phi2, sum(len(z) for z in Z_classes)
 
 
-def _effective_d0(inst: PackInstance, A_eff) -> float:
-    if all(a is None for a in A_eff):
-        return 1.0
-    return inst.d0
-
-
-def _collision_thinned_candidacy(inst, A_list, embeddings, idx, rng):
-    """Step-1 candidacy: exclude images taken by earlier collision partners."""
-    params = inst.params
-    host = inst.host
-    r = host.reduced.r
-    base = A_list[idx]
+def _collision_images(run: _Run, idx: int, phis: dict[int, dict[int, int]]) -> dict[int, set[int]]:
+    """Pattern vertex of template idx -> the images its collision partners
+    already hold, in this round (phis) or an earlier one."""
     excluded: dict[int, set[int]] = {}
-    for (i, x, ip, xp) in inst.lam:
-        if i == idx and ip < len(embeddings) and embeddings[ip] is not None:
-            excluded.setdefault(x, set()).add(embeddings[ip][xp])
-        if ip == idx and i < len(embeddings) and embeddings[i] is not None:
-            excluded.setdefault(xp, set()).add(embeddings[i][x])
+    for (x, ip, xp) in run.lam_by_tpl.get(idx, ()):
+        partner = phis.get(ip) or run.embeddings[ip]
+        if partner is not None and xp in partner:
+            excluded.setdefault(x, set()).add(partner[xp])
+    return excluded
+
+
+def _collision_thinned_candidacy(run: _Run, idx: int):
+    """Step-1 candidacy: exclude images taken by earlier collision partners."""
+    params = run.inst.params
+    host = run.inst.host
+    r = host.reduced.r
+    base = run.A_list[idx]
+    excluded = _collision_images(run, idx, {})
     if not excluded:
         return base if base is not None else [None] * r
     out: list[BipartiteGraph] = []
     for j in range(r):
-        Xj = list(inst.templates[idx].partition.classes[j]) if idx < len(inst.templates) \
-            else list(host.partition.classes[j])
+        Xj = list(run.templates[idx].partition.classes[j])
         Vj = list(host.partition.classes[j])
         if base is None or base[j] is None:
             Bj = BipartiteGraph(len(Xj), len(Vj), left_ids=Xj, right_ids=Vj)
@@ -482,52 +490,30 @@ def _collision_thinned_candidacy(inst, A_list, embeddings, idx, rng):
         else:
             Bj = base[j].copy()
         vpos = {v: b for b, v in enumerate(Vj)}
-        constrained = {}
-        for a, x in enumerate(Xj):
-            if x in excluded:
-                allowed = Bj.adj[a]
-                for hv in excluded[x]:
-                    if hv in vpos:
-                        allowed &= ~(1 << vpos[hv])
-                constrained[a] = allowed
+        constrained = {a: Bj.adj[a] & ~sum(1 << vpos[hv] for hv in excluded[x] if hv in vpos)
+                       for a, x in enumerate(Xj) if x in excluded}
         if constrained:
-            d0_target = inst.params.alpha * inst.d0 if inst.d0 < 1 else \
+            d0_target = params.alpha * run.inst.d0 if run.inst.d0 < 1 else \
                 min((popcount(mask) / len(Vj) for mask in constrained.values()), default=1.0)
-            Bj = restrict_super_regular(Bj, constrained, min(d0_target, 1.0), rng,
+            Bj = restrict_super_regular(Bj, constrained, min(d0_target, 1.0), run.rng,
                                         eps=params.eps, cap=params.retry_cap)
         out.append(Bj)
     return out
 
 
-def _patch_rows(res, phi, template, A_i, Z_classes, P_next, lam_entries,
-                embeddings, phis_round):
+def _patch_rows(A_rows: dict[int, int], res: UniformEmbedResult, Z_classes: list[list[int]],
+                P_next: LabeledGraph, excluded: dict[int, set[int]]) -> dict[int, list[int]]:
     """Candidacy rows for the patch: initial candidacy cut to the class
     window, intersected with the patch-graph neighbourhoods of all
     embedded out-of-window pattern neighbours, minus collision images."""
+    phi = res.phi
     zall = {z for cls in Z_classes for z in cls}
     rows: dict[int, list[int]] = {}
-    # collision exclusions within and across rounds
-    excluded: dict[int, set[int]] = {}
-    for (x, ip, xp) in lam_entries:
-        img = None
-        if ip in phis_round:
-            img = phis_round[ip].get(xp)
-        elif ip < len(embeddings) and embeddings[ip] is not None:
-            img = embeddings[ip][xp]
-        if img is not None:
-            excluded.setdefault(x, set()).add(img)
-    class_of_x = template.partition.class_of()
-    pos = _block_positions(A_i)
-    for j, cls in enumerate(Z_classes):
+    for cls in Z_classes:
         wset = [phi[z] for z in cls]
         for z in cls:
-            blk = class_of_x[z]
-            if A_i is None or A_i[blk] is None:
-                allowed = set(wset)
-            else:
-                xpos, vpos = pos[blk]
-                arow = A_i[blk].adj[xpos[z]]
-                allowed = {w for w in wset if w in vpos and (arow >> vpos[w]) & 1}
+            row = A_rows.get(z)
+            allowed = set(wset) if row is None else {w for w in wset if (row >> w) & 1}
             for ynb in res.N[z]:
                 if ynb in zall:
                     continue
@@ -538,34 +524,11 @@ def _patch_rows(res, phi, template, A_i, Z_classes, P_next, lam_entries,
     return rows
 
 
-def _block_positions(A_i):
-    """Per block of a candidacy list, the (left, right) id -> position maps."""
-    return [None if Ab is None else ({p: a for a, p in enumerate(Ab.left_ids)},
-                                     {v: b for b, v in enumerate(Ab.right_ids)})
-            for Ab in A_i or []]
-
-
-def _a0_checker(A_i, template):
-    if A_i is None:
-        return None
-    class_of = template.partition.class_of()
-    pos = _block_positions(A_i)
-
-    def check(z, hv):
-        blk = class_of[z]
-        if A_i[blk] is None:
-            return True
-        xpos, vpos = pos[blk]
-        return bool((A_i[blk].adj[xpos[z]] >> vpos[hv]) & 1)
-
-    return check
-
-
-def _assert_packing(inst, templates, embeddings, A_list) -> None:
-    """(T1)/(T2)/(T4) asserted before returning success."""
-    host = inst.host
+def _assert_packing(run: _Run, embeddings) -> set[frozenset[int]]:
+    """(T1)/(T2)/(T4) asserted before returning success; returns the image edges."""
+    host = run.inst.host
     seen: set[frozenset[int]] = set()
-    for idx, (tpl, phi) in enumerate(zip(templates, embeddings)):
+    for idx, (tpl, phi) in enumerate(zip(run.templates, embeddings)):
         if phi is None:
             raise AssertionError(f"template {idx} has no embedding")
         vals = list(phi.values())
@@ -578,19 +541,13 @@ def _assert_packing(inst, templates, embeddings, A_list) -> None:
             if e in seen:
                 raise AssertionError(f"templates share the edge {sorted(e)}")
             seen.add(e)
-        Ai = A_list[idx] if idx < len(A_list) else None
-        if Ai is not None:
-            for j, (Ab, bpos) in enumerate(zip(Ai, _block_positions(Ai))):
-                if Ab is None:
-                    continue
-                xpos, vpos = bpos
-                for p in tpl.partition.classes[j]:
-                    if not (Ab.adj[xpos[p]] >> vpos[phi[p]]) & 1:
-                        raise AssertionError(f"(T1) violated for template {idx}")
-    for (i, x, ip, xp) in inst.lam:
-        if i < len(embeddings) and ip < len(embeddings):
-            if embeddings[i][x] == embeddings[ip][xp]:
-                raise AssertionError("(T4) violated: a collision pair shares an image")
+        for p, row in run.A_rows[idx].items():
+            if not (row >> phi[p]) & 1:
+                raise AssertionError(f"(T1) violated for template {idx}")
+    for (i, x, ip, xp) in run.inst.lam:
+        if embeddings[i][x] == embeddings[ip][xp]:
+            raise AssertionError("(T4) violated: a collision pair shares an image")
+    return seen
 
 
 # ---------------------------------------------------------------------------

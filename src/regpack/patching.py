@@ -29,12 +29,14 @@ from .slender import SlenderInput, run_slender
 def repatch(H: LabeledGraph, P_host: LabeledGraph, R: ReducedGraph, beta_mat,
             phi: dict[int, int], F_rows: dict[int, list[int]],
             Z_classes: list[list[int]], beta_prime: float, delta: float,
-            params: ParamSet, rng, A0_check=None) -> dict[int, int]:
+            params: ParamSet, rng, A0_rows: dict[int, int] | None = None) -> dict[int, int]:
     """Return phi' re-embedding Z inside W = phi(Z); conclusions asserted.
 
     ``F_rows`` maps each z in Z to the list of its permitted host images.
     ``beta_prime`` is the claimed candidacy density for the hypothesis
-    certificate and ``delta`` its tolerance.
+    certificate and ``delta`` its tolerance.  ``A0_rows`` maps a pattern
+    vertex to the bitset of host ids its initial candidacy allows
+    (``graphs.candidacy_rows``); vertices it omits are unconstrained.
     """
     r = len(Z_classes)
     Z = [z for cls in Z_classes for z in cls]
@@ -133,7 +135,7 @@ def repatch(H: LabeledGraph, P_host: LabeledGraph, R: ReducedGraph, beta_mat,
             local_img = out.phi[c * m + a]
             phi2[z] = W_classes[local_img // m][local_img % m]
 
-    _assert_conclusions(H, phi, phi2, zset, P_host, F_pairs, Z_classes, W_classes, A0_check)
+    _assert_conclusions(H, phi, phi2, zset, P_host, F_pairs, Z_classes, W_classes, A0_rows or {})
     return phi2
 
 
@@ -153,7 +155,7 @@ def _as_pairs(F_rows, Z_classes, W_classes) -> list[BipartiteGraph]:
     return out
 
 
-def _assert_conclusions(H, phi, phi2, zset, P_host, F_pairs, Z_classes, W_classes, A0_check):
+def _assert_conclusions(H, phi, phi2, zset, P_host, F_pairs, Z_classes, W_classes, A0_rows):
     """Exact patch conclusions, checked on every success."""
     for x in phi:
         if x not in zset and phi2[x] != phi[x]:
@@ -174,5 +176,5 @@ def _assert_conclusions(H, phi, phi2, zset, P_host, F_pairs, Z_classes, W_classe
                 raise AssertionError("patched image left its class window")
             if not F_pairs[c].has_edge(a, wpos[phi2[z]]):
                 raise AssertionError("patched image violates the candidacy bigraph")
-            if A0_check is not None and not A0_check(z, phi2[z]):
+            if z in A0_rows and not (A0_rows[z] >> phi2[z]) & 1:
                 raise AssertionError("patched image violates the initial candidacy")

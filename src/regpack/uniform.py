@@ -31,6 +31,7 @@ from .graphs import (
     LabeledGraph,
     PartitionedGraph,
     blow_up,
+    candidacy_rows,
     iter_bits,
     matching_completion,
     pair_view,
@@ -298,10 +299,7 @@ def _assert_result(G: PartitionedGraph, H: PartitionedGraph, A0, res: UniformEmb
         if len(yj) != len(uj):
             raise AssertionError(f"class {j} sizes disagree")
     # candidacy hypergraph structure
-    yclass = {}
-    for j, cls in enumerate(res.Y_classes):
-        for p in cls:
-            yclass[p] = j
+    yclass = {p: j for j, cls in enumerate(res.Y_classes) for p in cls}
     bound = K * params.Delta_R
     for x, nx in res.N.items():
         if len(nx) > bound:
@@ -317,15 +315,9 @@ def _assert_result(G: PartitionedGraph, H: PartitionedGraph, A0, res: UniformEmb
             if y not in nx:
                 raise AssertionError("pattern neighbourhood escapes its hyperedge")
     # initial-candidacy membership
-    for i, Ai in enumerate(A0):
-        if Ai is None:
-            continue
-        xpos = {p: a for a, p in enumerate(Ai.left_ids)}
-        upos = {v: b for b, v in enumerate(Ai.right_ids)}
-        for p in H.partition.classes[i]:
-            v = res.phi[p]
-            if not Ai.has_edge(xpos[p], upos[v]):
-                raise AssertionError(f"phi({p}) violates the initial candidacy")
+    for p, row in candidacy_rows(A0).items():
+        if not (row >> res.phi[p]) & 1:
+            raise AssertionError(f"phi({p}) violates the initial candidacy")
 
 
 # ---------------------------------------------------------------------------

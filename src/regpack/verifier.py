@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from numbers import Integral
 
 from .errors import SearchBudgetExceeded
-from .graphs import LabeledGraph, PartitionedGraph
+from .graphs import BipartiteGraph, LabeledGraph, PartitionedGraph
 
 
 @dataclass
@@ -81,16 +81,7 @@ def verify_packing(host: PartitionedGraph, templates: list[PartitionedGraph],
             else:
                 used[e] = idx
         if A_list is not None and idx < len(A_list) and A_list[idx] is not None:
-            for j, Ab in enumerate(A_list[idx]):
-                if Ab is None:
-                    continue
-                xpos = {p: a for a, p in enumerate(Ab.left_ids)}
-                vpos = {v: b for b, v in enumerate(Ab.right_ids)}
-                for p in tpl.partition.classes[j]:
-                    hv = phi.get(p)
-                    if p not in xpos or hv not in vpos or not Ab.has_edge(xpos[p], vpos[hv]):
-                        violations.append(f"(T1) template {idx}: vertex {p} outside its candidacy")
-                        break
+            violations.extend(_candidacy_violations(idx, tpl, phi, A_list[idx]))
     for entry in lam or ():
         violations.extend(_collision_violations(entry, embeddings))
 
@@ -103,6 +94,29 @@ def verify_packing(host: PartitionedGraph, templates: list[PartitionedGraph],
 
 def _is_index(v) -> bool:
     return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def _candidacy_violations(idx, tpl, phi, blocks) -> list[str]:
+    """(T1) for one template: each vertex p of class j has phi(p) among its
+    neighbours in the class-j candidacy graph.  A list that is not one
+    candidacy graph (or None) per class is a violation itself."""
+    classes = tpl.partition.classes
+    if not (isinstance(blocks, (list, tuple)) and len(blocks) == len(classes)
+            and all(Ab is None or (isinstance(Ab, BipartiteGraph) and Ab.left_ids is not None
+                                   and Ab.right_ids is not None and len(Ab.left_ids) == Ab.nl)
+                    for Ab in blocks)):
+        return [f"(T1) template {idx}: candidacy is not one graph or None per class"]
+    out = []
+    for cls, Ab in zip(classes, blocks):
+        if Ab is None:
+            continue
+        xpos = {p: a for a, p in enumerate(Ab.left_ids)}
+        vpos = {v: b for b, v in enumerate(Ab.right_ids)}
+        bad = next((p for p in cls if p not in xpos or phi[p] not in vpos
+                    or not Ab.has_edge(xpos[p], vpos[phi[p]])), None)
+        if bad is not None:
+            out.append(f"(T1) template {idx}: vertex {bad} outside its candidacy")
+    return out
 
 
 def _collision_violations(entry, embeddings) -> list[str]:

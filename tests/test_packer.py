@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import pytest
 from regpack.errors import BadParams
 from regpack.generators import (
     bipartite_union_templates,
+    certified_bipartite_host,
     cycle_factor,
     host_complete,
     host_superregular,
@@ -131,6 +134,41 @@ class TestMainPacking:
         inst, rng = simple_instance(n=48, s=40, beta=0.1, gamma_n=1)
         with pytest.raises(BadParams):
             run_main_packing(inst, rng)
+
+
+def test_seeded_packing_stream_is_pinned():
+    """One seeded packing on two classes of 60 with initial candidacy graphs
+    at d0 = 0.85, a collision constraint inside each round and gamma_n = 2,
+    so the conflict sets, the patch-window draws and repatch all run against
+    candidacy rows, and one round restarts.  The embeddings and the next draw
+    of the stream are pinned: a change that moves one draw changes them."""
+    n, s, d0 = 60, 4, 0.85
+    rng = random.Random(0)
+    R = ReducedGraph(2, [(0, 1)])
+    df = Fraction(9, 10)
+    host = host_superregular(R, n, [[Fraction(0), df], [df, Fraction(0)]], 0.05, rng)
+    templates = bipartite_union_templates(2, n, 1, s, rng, R=R)
+    A_list = []
+    for _ in range(s):
+        per = []
+        for i in range(2):
+            B = certified_bipartite_host(n, d0, 0.05, rng)
+            B.left_ids = list(templates[0].partition.classes[i])
+            B.right_ids = list(host.partition.classes[i])
+            per.append(B)
+        A_list.append(per)
+    lam = [(0, 3, 1, 3), (2, n + 5, 3, n + 5)]
+    params = ParamSet(eps=0.05, k=2, Delta_R=1, C=2, beta=0.45, delta=0.2)
+    inst = PackInstance(host=host, templates=templates, k_mats=[[[0, 1], [1, 0]]] * s,
+                        A_list=A_list, lam=lam, d0=d0, params=params, gamma_n=2)
+    res = run_main_packing(inst, rng, round_retry_cap=5)
+    assert verify_packing(host, templates, res.embeddings, A_list=A_list, lam=lam).ok
+    assert [(lg.conflicts, lg.patched) for lg in res.rounds] == [(6, 176), (4, 176)]
+    assert len(res.failure_log) == 1
+    blob = json.dumps([sorted(phi.items()) for phi in res.embeddings]).encode()
+    assert hashlib.sha256(blob).hexdigest() == \
+        "92757b847027f1df9f9531759e7e27fe03e99860db4b3455c09179e341a1fa5e"
+    assert rng.random() == 0.4263427057625748
 
 
 class TestDensityTraceArithmetic:

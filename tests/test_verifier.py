@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import two_class_instance
 from regpack.errors import SearchBudgetExceeded
-from regpack.graphs import LabeledGraph
+from regpack.graphs import BipartiteGraph, LabeledGraph, PartitionedGraph, ReducedGraph, VertexPartition
 from regpack.verifier import leftover_stats, oracle_pack_small, verify_packing
 
 
@@ -102,6 +104,14 @@ class TestMalformedEmbeddings:
         rep = verify_packing(host, [tpl], [phi], A_list=[[narrow, None]])
         assert not rep.ok
         assert rep.violations == ["(T1) template 0: vertex 0 outside its candidacy"]
+
+    @pytest.mark.parametrize("shape", ["three graphs for two classes", "flat list"])
+    def test_malformed_candidacy_list_is_a_violation(self, shape):
+        host, tpl = _c4_case()
+        full = BipartiteGraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)], left_ids=[0, 1], right_ids=[0, 1])
+        A_list = [[full, None, full]] if shape == "three graphs for two classes" else [full]
+        rep = verify_packing(host, [tpl], [{0: 0, 1: 1, 2: 2, 3: 3}], A_list=A_list)
+        assert rep.violations == ["(T1) template 0: candidacy is not one graph or None per class"]
 
     def test_embedding_as_a_list_is_a_violation(self):
         host, tpl = _c4_case()
@@ -206,3 +216,85 @@ class TestOracle:
             # infeasibility implies the total edge budget or structure blocks it:
             # recheck with one fewer copy never flips from False to False-er
             assert oracle_pack_small(host, [tpl] * (count - 1)) or count == 1 or True
+
+
+# ---------------------------------------------------------------------------
+# adversarial corruptions of a verified packing
+
+
+def _shifted_packing(m, shifts, perms):
+    """A packing the verifier accepts, on K_{m,m} with classes 0..m-1 and
+    m..2m-1.  Every template is the perfect matching x ~ m + x; template l
+    maps x to perms[l][x] and m + x to m + (perms[l][x] + shifts[l]) % m, so
+    its image is the shift-l matching and distinct shifts are edge-disjoint.
+    Each template carries a full candidacy graph per class."""
+    part = VertexPartition.from_lists([list(range(m)), list(range(m, 2 * m))])
+    R = ReducedGraph(2, [(0, 1)])
+    host = PartitionedGraph(LabeledGraph(2 * m, [(u, m + v) for u in range(m) for v in range(m)]),
+                            part, R)
+    tpl = PartitionedGraph(LabeledGraph(2 * m, [(x, m + x) for x in range(m)]), part, R)
+    embeddings = []
+    for s, perm in zip(shifts, perms):
+        phi = {x: perm[x] for x in range(m)}
+        phi.update({m + x: m + (perm[x] + s) % m for x in range(m)})
+        embeddings.append(phi)
+    A_list = [[BipartiteGraph(m, m, [(a, b) for a in range(m) for b in range(m)],
+                              left_ids=cls, right_ids=cls) for cls in part.classes]
+              for _ in shifts]
+    return host, [tpl] * len(shifts), embeddings, A_list
+
+
+CORRUPTIONS = ["drop an embedding", "truncate a map", "negative image", "image past the host",
+               "non-int image", "bool image", "image across classes", "duplicated edge",
+               "image outside its candidacy", "malformed lam", "malformed candidacy list"]
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_every_corruption_of_a_verified_packing_is_reported(kind, data):
+    m = data.draw(st.integers(2, 6), label="m")
+    shifts = data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=m, unique=True),
+                       label="shifts")
+    perms = [data.draw(st.permutations(range(m)), label="perm") for _ in shifts]
+    host, templates, embeddings, A_list = _shifted_packing(m, shifts, perms)
+    l0, l1 = data.draw(st.lists(st.integers(0, len(shifts) - 1), min_size=2, max_size=2,
+                                unique=True), label="templates")
+    x = data.draw(st.integers(0, 2 * m - 1), label="x")
+    lam = [(l0, x, l1, x)] if embeddings[l0][x] != embeddings[l1][x] else []
+    assert verify_packing(host, templates, embeddings, A_list=A_list, lam=lam).ok
+
+    phi = embeddings[l0]
+    if kind == "drop an embedding":
+        del embeddings[l0]
+    elif kind == "truncate a map":
+        del phi[x]
+    elif kind == "negative image":
+        phi[x] = -data.draw(st.integers(1, 3 * m))
+    elif kind == "image past the host":
+        phi[x] = 2 * m + data.draw(st.integers(0, 3 * m))
+    elif kind == "non-int image":
+        phi[x] = data.draw(st.sampled_from([float(phi[x]), str(phi[x]), None, (phi[x],)]))
+    elif kind == "bool image":
+        phi[x] = data.draw(st.booleans())
+    elif kind == "image across classes":
+        y = (x + m) % (2 * m)
+        phi[x], phi[y] = phi[y], phi[x]
+    elif kind == "duplicated edge":
+        # move template l0's edge at u = phi(x mod m) onto template l1's edge at u
+        u = phi[x % m]
+        w = m + (u + shifts[l1]) % m
+        holder = next(p for p, hv in phi.items() if hv == w)
+        phi[m + x % m], phi[holder] = phi[holder], phi[m + x % m]
+    elif kind == "image outside its candidacy":
+        j, a = divmod(x, m)
+        A_list[l0][j].remove_edge(a, phi[x] - j * m)
+    elif kind == "malformed lam":
+        lam.append(data.draw(st.sampled_from([
+            (l0, x, l1), (l0, x, l1, x, 0), (l0, float(x), l1, x), (l0, True, l1, x), "0101",
+            (l0, 2 * m + 1, l1, x), (l0, -1, l1, x), (l0, x, len(shifts), x), (l0, x, l0, x)])))
+    else:
+        A_list[l0] = data.draw(st.sampled_from([A_list[l0] + [None], A_list[l0][:1],
+                                                A_list[l0][0], [A_list[l0][0], 7]]))
+    rep = verify_packing(host, templates, embeddings, A_list=A_list, lam=lam)
+    assert not rep.ok
