@@ -3,7 +3,10 @@
 Hosts meant to carry a tight certificate are built as random regular
 bipartite graphs (circulant offsets destroyed by degree-preserving
 2-switches) and resampled until the certificate passes, so the claimed
-(eps, d) is a verified property rather than an expectation.
+(eps, d) is a verified property rather than an expectation.  The switch
+loop draws its indices with CPython's own ``randrange`` rejection loop on
+``getrandbits``, inlined, so a seed gives the same graphs, and leaves the
+generator in the same state, as one ``randrange`` call per draw did.
 """
 
 from __future__ import annotations
@@ -21,35 +24,52 @@ from .graphs import (
     PartitionedGraph,
     ReducedGraph,
     VertexPartition,
-    iter_bits,
 )
 from .regularity import super_regularity_certificate
 
 
 def random_regular_bipartite(n: int, k: int, rng) -> BipartiteGraph:
-    """k-regular bipartite graph on n+n vertices, randomized by 2-switches."""
+    """k-regular bipartite graph on n+n vertices, randomized by 2-switches.
+
+    Each edge index is ``rng.randrange(n * k)`` written out: draw
+    ``getrandbits(width)`` until the value is below ``n * k``.
+    """
     if not 0 <= k <= n:
         raise BadParams(f"need 0 <= k <= n, got k={k}, n={n}")
     offsets = rng.sample(range(n), k)
     B = BipartiteGraph(n, n)
-    for u in range(n):
-        for o in offsets:
-            B.add_edge(u, (u + o) % n)
-    edges = B.edges()
-    for _ in range(10 * n * max(k, 1)):
-        i = rng.randrange(len(edges))
-        j = rng.randrange(len(edges))
-        (a, b), (c, d) = edges[i], edges[j]
-        if a == c or b == d:
+    if k == 0:
+        return B
+    bit = [1 << v for v in range(n)]
+    rows = [sum(bit[(u + o) % n] for o in offsets) for u in range(n)]
+    # edge e is (left[e], right[e]), listed as B.edges() lists them;
+    # a switch keeps both left ends and swaps the right ones
+    left = [u for u in range(n) for _ in range(k)]
+    right = [v for u in range(n) for v in sorted((u + o) % n for o in offsets)]
+    getrandbits = rng.getrandbits
+    size = n * k
+    width = size.bit_length()
+    for _ in range(10 * n * k):
+        i = getrandbits(width)
+        while i >= size:
+            i = getrandbits(width)
+        j = getrandbits(width)
+        while j >= size:
+            j = getrandbits(width)
+        a = left[i]
+        c = left[j]
+        if a == c:
             continue
-        if B.has_edge(a, d) or B.has_edge(c, b):
+        b = right[i]
+        d = right[j]
+        if b == d or rows[a] & bit[d] or rows[c] & bit[b]:
             continue
-        B.remove_edge(a, b)
-        B.remove_edge(c, d)
-        B.add_edge(a, d)
-        B.add_edge(c, b)
-        edges[i] = (a, d)
-        edges[j] = (c, b)
+        flip = bit[b] | bit[d]
+        rows[a] ^= flip
+        rows[c] ^= flip
+        right[i] = d
+        right[j] = b
+    B.adj = rows
     return B
 
 
@@ -143,9 +163,7 @@ def host_superregular(R: ReducedGraph, class_size: int, densities, eps: float, r
             # unequal sides: pad the smaller side virtually, then drop it
             m = max(ni, nj)
             B = certified_bipartite_host(m, d, eps, rng).subgraph(range(ni), range(nj))
-        for u in range(ni):
-            for v in iter_bits(B.adj[u]):
-                G.add_edge(classes[i][u], classes[j][v])
+        G.add_block(B.adj, nj, bounds[i], bounds[j])
     return PartitionedGraph(G, VertexPartition.from_lists(classes), R, densities=dmat)
 
 
@@ -242,10 +260,7 @@ def bipartite_union_templates(r: int, class_size: int, k: int, count: int, rng,
         for i, j in R.edges():
             ni, nj = sizes[i], sizes[j]
             if ni == nj:
-                B = random_regular_bipartite(ni, k, rng)
-                for a in range(ni):
-                    for b in iter_bits(B.adj[a]):
-                        G.add_edge(classes[i][a], classes[j][b])
+                G.add_block(random_regular_bipartite(ni, k, rng).adj, nj, bounds[i], bounds[j])
             else:
                 # ragged sizes: k layers of min-size matchings, resampled on collision
                 m = min(ni, nj)

@@ -113,6 +113,25 @@ class LabeledGraph:
             self.adj[v] |= 1 << u
             self._m += 1
 
+    def add_block(self, rows: Sequence[int], ncols: int, left: int, right: int) -> None:
+        """Add the pair whose bit ``b`` of ``rows[a]`` is the edge ``(left + a, right + b)``.
+
+        The id ranges ``left..left+len(rows)-1`` and ``right..right+ncols-1``
+        must lie in ``0..n-1`` and be disjoint; edges already present count once.
+        """
+        nl = len(rows)
+        inside = min(left, right) >= 0 and max(left + nl, right + ncols) <= self.n
+        overlap = left < right + ncols and right < left + nl
+        if not inside or overlap:
+            raise BadParams(f"block {nl}x{ncols} at ({left}, {right}) does not fit n={self.n}")
+        adj = self.adj
+        for a, row in enumerate(rows):
+            row <<= right
+            self._m += popcount(row & ~adj[left + a])
+            adj[left + a] |= row
+        for b, col in enumerate(transpose(rows, ncols)):
+            adj[right + b] |= col << left
+
     def remove_edge(self, u: int, v: int) -> None:
         if self.has_edge(u, v):
             self.adj[u] &= ~(1 << v)

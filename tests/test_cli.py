@@ -69,6 +69,18 @@ class TestGen:
                       "--out", str(tmp_path / "x"), "--seed", "1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag,host_edges,template_edges", [
+        (["--k", "0"], 320, 0), (["--d", "0.0"], 0, 20), (["--d", "0.02"], 8, 20)])
+    def test_host_superregular_with_zero_degree_pairs(self, tmp_path, capsys, flag, host_edges,
+                                                      template_edges):
+        rc = run_cli(["gen", "host-superregular", "--n", "20", "--r", "2", *flag,
+                      "--out", str(tmp_path / "z"), "--seed", "0"])
+        assert rc == 0
+        from regpack.generators import read_instance
+        host, templates = read_instance(tmp_path / "z" / "instance.json")[:2]
+        assert host.graph.num_edges() == host_edges
+        assert [T.graph.num_edges() for T in templates] == [template_edges] * 4
+
 
 @pytest.fixture(scope="module")
 def instance_dir(tmp_path_factory):

@@ -285,6 +285,32 @@ def test_transpose_and_column_counts_match_bit_loop(case):
     assert bit_matrix(rows, m).sum(axis=0).tolist() == _ref_column_counts(rows, m)
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_add_block_matches_add_edge_loop(data):
+    nl = data.draw(st.integers(0, 9))
+    nr = data.draw(st.sampled_from(WIDTHS[:5]))
+    n = nl + nr + data.draw(st.integers(0, 4))
+    left, right = (0, n - nr) if data.draw(st.booleans()) else (n - nl, 0)
+    # a graph already holding some edges, so overlaps must count once
+    G = LabeledGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                         if data.draw(st.booleans(), label=f"edge {u},{v}")])
+    rows = data.draw(st.lists(st.integers(0, (1 << nr) - 1), min_size=nl, max_size=nl))
+    expected = G.copy()
+    for a, row in enumerate(rows):
+        for b in iter_bits(row):
+            expected.add_edge(left + a, right + b)
+    G.add_block(rows, nr, left, right)
+    assert G.adj == expected.adj
+    assert G.num_edges() == expected.num_edges()
+
+
+@pytest.mark.parametrize("left,right", [(0, 2), (2, 0), (-1, 4), (0, 5)])
+def test_add_block_refuses_overlapping_or_outside_ranges(left, right):
+    with pytest.raises(BadParams):
+        LabeledGraph(7).add_block([1, 2, 3], 3, left, right)
+
+
 # ---------------------------------------------------------------------------
 # matching completion against the loop that refine_pattern used to carry
 
