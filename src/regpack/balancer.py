@@ -31,7 +31,6 @@ from .graphs import (
     ReducedGraph,
     VertexPartition,
     iter_bits,
-    mask_of,
     pair_view,
     popcount,
 )
@@ -387,10 +386,11 @@ def stack_family(families: list[PartitionedGraph], R: ReducedGraph, kmat, C: int
     if n_prime == 0:
         B, n_prime = 1, 0
 
+    deg = _class_degrees(families)
     best = None
     best_dev = None
     for _resample in range(resamples):
-        plan = _block_plan(families, R, b, B, n_prime, rng)
+        plan = _block_plan(families, R, b, B, n_prime, deg, rng)
         dev = plan["deviation"]
         if best_dev is None or dev < best_dev:
             best_dev = dev
@@ -447,10 +447,20 @@ def _stacking_targets(kmat):
     return targets
 
 
-def _block_plan(families, R: ReducedGraph, b: int, B: int, n_prime: int, rng) -> dict:
-    """Exceptional windows, degree-sorted blocks, random shifts; measured."""
+def _class_degrees(families) -> list[list[list[int]]]:
+    """deg[ell][j][x]: the number of neighbours vertex x of member ell has
+    in member ell's class j."""
+    return [[[popcount(row & mask) for row in L.graph.adj] for mask in L.partition.masks()]
+            for L in families]
+
+
+def _block_plan(families, R: ReducedGraph, b: int, B: int, n_prime: int, deg, rng) -> dict:
+    """Exceptional windows, degree-sorted blocks, random shifts; measured.
+
+    ``deg`` is the ``_class_degrees`` table of the family.  It is built once
+    per stack and shared by all resamples: every sort key and every block
+    sum below is read from it."""
     r = R.r
-    s = len(families)
     plans = []
     # per family and class: ordered vertex list cut into B blocks of n' after
     # an exceptional window of the remaining size
@@ -458,14 +468,12 @@ def _block_plan(families, R: ReducedGraph, b: int, B: int, n_prime: int, rng) ->
         per_class = []
         for i in range(r):
             cls = list(L.partition.classes[i])
-            n_i = len(cls)
-            exc_size = n_i - B * n_prime
+            exc_size = len(cls) - B * n_prime
             nbr = sorted(R.neighbors(i))
             # nested random windows over degree-sorted orders
             window = list(cls)
-            for depth, j in enumerate(nbr[:max(len(nbr), 1)]):
-                mask = mask_of(L.partition.classes[j])
-                window.sort(key=lambda x: popcount(L.graph.adj[x] & mask))
+            for depth, j in enumerate(nbr):
+                window.sort(key=deg[ell][j].__getitem__)
                 target = exc_size if depth == len(nbr) - 1 else max(
                     exc_size, int(len(window) / max(b, 2)))
                 if len(window) > target:
@@ -473,12 +481,11 @@ def _block_plan(families, R: ReducedGraph, b: int, B: int, n_prime: int, rng) ->
                     window = [window[(a0 + off) % len(window)] for off in range(target)] \
                         if target else []
             exceptional = window[:exc_size]
-            rest = [x for x in cls if x not in set(exceptional)]
+            exc_set = set(exceptional)
             # iterated degree sort into b-ary blocks
-            order = rest
+            order = [x for x in cls if x not in exc_set]
             for j in nbr:
-                mask = mask_of(L.partition.classes[j])
-                order = sorted(order, key=lambda x: popcount(L.graph.adj[x] & mask))
+                order.sort(key=deg[ell][j].__getitem__)
             shift = rng.randrange(B) if B else 0
             blocks = []
             for q in range(B):
@@ -489,25 +496,24 @@ def _block_plan(families, R: ReducedGraph, b: int, B: int, n_prime: int, rng) ->
     # measured deviation: stacked average block degrees against the pair mean
     deviation = 0.0
     for i, j in R.edges():
-        masks = [mask_of(L.partition.classes[j]) for L in families]
+        degs = [deg[ell][j] for ell in range(len(families))]
         M_ij = sum(
-            sum(popcount(L.graph.adj[x] & masks[ell]) for x in L.partition.classes[i])
-            / max(len(L.partition.classes[i]), 1)
-            for ell, L in enumerate(families))
+            sum(d[x] for x in L.partition.classes[i]) / max(len(L.partition.classes[i]), 1)
+            for d, L in zip(degs, families))
         nblocks = len(plans[0][i]["blocks"])
         for q in range(nblocks):
             stacked = 0.0
-            for ell, L in enumerate(families):
-                blk = plans[ell][i]["blocks"][q]
+            for d, plan in zip(degs, plans):
+                blk = plan[i]["blocks"][q]
                 if blk:
-                    stacked += sum(popcount(L.graph.adj[x] & masks[ell]) for x in blk) / len(blk)
+                    stacked += sum(d[x] for x in blk) / len(blk)
             deviation = max(deviation, abs(stacked - M_ij))
         exc_stacked = 0.0
-        for ell, L in enumerate(families):
-            exc = plans[ell][i]["exceptional"]
+        for d, plan in zip(degs, plans):
+            exc = plan[i]["exceptional"]
             if exc:
-                exc_stacked += sum(popcount(L.graph.adj[x] & masks[ell]) for x in exc) / len(exc)
-        if any(plans[ell][i]["exceptional"] for ell in range(s)):
+                exc_stacked += sum(d[x] for x in exc) / len(exc)
+        if any(plan[i]["exceptional"] for plan in plans):
             deviation = max(deviation, abs(exc_stacked - M_ij))
     return {"blocks": plans, "deviation": deviation}
 

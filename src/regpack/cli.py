@@ -65,6 +65,10 @@ def _emit(payload: dict, args) -> None:
 
 
 def cmd_gen(args) -> int:
+    if args.r < 1:
+        raise BadParams(f"--r must be at least 1, got {args.r}")
+    if args.count < 0:
+        raise BadParams(f"--count must not be negative, got {args.count}")
     rng = random.Random(args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -213,6 +217,8 @@ def cmd_diagnose(args) -> int:
     host, templates, k_mats, iparams, lam = read_instance(args.instance)
     if not templates:
         raise BadParams(f"{args.instance}: diagnose needs at least one template")
+    if not host.partition.classes:
+        raise BadParams(f"{args.instance}: diagnose needs at least one class")
     params = _params_from_args(args, host, k_mats)
     beta = [[Fraction(1, 10) if host.reduced.has_edge(i, j) else Fraction(0)
              for j in range(host.reduced.r)] for i in range(host.reduced.r)]

@@ -44,6 +44,7 @@ from .errors import (
     EmbedFailure,
     FailureExhausted,
     HypothesisViolation,
+    InfeasibleTargetSets,
     PatchFailure,
     QuasirandomnessFailed,
     RetriesExhausted,
@@ -107,6 +108,9 @@ def validate_instance(inst: PackInstance) -> list[str]:
     if host.reduced.max_degree() > params.Delta_R:
         v.append("(S1) reduced-graph degree exceeds Delta_R")
     sizes = host.partition.sizes()
+    if not sizes:
+        v.append("(S3) the host partition has no classes")
+        return v
     n = max(sizes)
     for i, t in enumerate(inst.templates):
         if t.partition.sizes() != sizes:
@@ -310,20 +314,21 @@ def _embed_batch(run: _Run, batch: list[int], G_cur: LabeledGraph, d_now,
                  eps_t: float) -> dict[int, UniformEmbedResult]:
     """Step 1: embed each template of the batch independently into (G^t, P).
 
-    Type 1: the uniform embedding gave up; type 2: a probe-set check failed."""
+    Type 1: the collision thinning or the uniform embedding gave up; type 2:
+    a probe-set check failed."""
     params = run.inst.params
     host = run.inst.host
     G_round = PartitionedGraph(G_cur, host.partition, host.reduced, densities=[row[:] for row in d_now])
     emb_params = dataclasses.replace(params, eps=max(min(eps_t ** 3, params.eps), 1e-6))
     results: dict[int, UniformEmbedResult] = {}
     for idx in batch:
-        A_eff = _collision_thinned_candidacy(run, idx)
-        d0 = 1.0 if all(a is None for a in A_eff) else run.inst.d0
         try:
+            A_eff = _collision_thinned_candidacy(run, idx)
+            d0 = 1.0 if all(a is None for a in A_eff) else run.inst.d0
             res = run_uniform_embed(G_round, run.P_host, run.beta_mat, run.templates[idx],
                                     run.k_mats[idx], A_eff, d0, emb_params, run.rng,
                                     check_hypotheses=False)
-        except (EmbedFailure, RetriesExhausted) as exc:
+        except (EmbedFailure, RetriesExhausted, InfeasibleTargetSets) as exc:
             raise _RoundRestart(1, f"template {idx}: {exc}")
         for Q, W in run.inst.probe_sets or ():
             Wset = set(W)
@@ -472,7 +477,13 @@ def _collision_images(run: _Run, idx: int, phis: dict[int, dict[int, int]]) -> d
 
 
 def _collision_thinned_candidacy(run: _Run, idx: int):
-    """Step-1 candidacy: exclude images taken by earlier collision partners."""
+    """Step-1 candidacy: exclude images taken by earlier collision partners.
+
+    A class holding a constrained vertex is thinned to density d0, or to
+    the smallest constrained row's density when that is lower: the
+    embedding still checks the class against d0-windows, which a much
+    sparser class misses at every vertex.  A row that cannot reach the
+    target raises ``InfeasibleTargetSets``, which restarts the round."""
     params = run.inst.params
     host = run.inst.host
     r = host.reduced.r
@@ -493,9 +504,8 @@ def _collision_thinned_candidacy(run: _Run, idx: int):
         constrained = {a: Bj.adj[a] & ~sum(1 << vpos[hv] for hv in excluded[x] if hv in vpos)
                        for a, x in enumerate(Xj) if x in excluded}
         if constrained:
-            d0_target = params.alpha * run.inst.d0 if run.inst.d0 < 1 else \
-                min((popcount(mask) / len(Vj) for mask in constrained.values()), default=1.0)
-            Bj = restrict_super_regular(Bj, constrained, min(d0_target, 1.0), run.rng,
+            d0_target = min([run.inst.d0] + [popcount(mask) / len(Vj) for mask in constrained.values()])
+            Bj = restrict_super_regular(Bj, constrained, d0_target, run.rng,
                                         eps=params.eps, cap=params.retry_cap)
         out.append(Bj)
     return out

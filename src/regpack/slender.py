@@ -46,6 +46,7 @@ from .graphs import (
     ReducedGraph,
     bit_matrix,
     iter_bits,
+    mask_of,
     pair_view,
     popcount,
 )
@@ -197,7 +198,7 @@ class _State:
     def prepare(self) -> None:
         s, rng, m, q = self.s, self.rng, self.m, self.q
         ypos = [{p: k for k, p in enumerate(cls)} for cls in s.Y_classes]
-        yclass = {p: i for i, cls in enumerate(s.Y_classes) for p in cls}
+        ymask = [mask_of(cls) for cls in s.Y_classes]
         # real-real adjacency
         for i in range(q):
             pad = [0] * (m - len(s.U_classes[i]))
@@ -234,18 +235,19 @@ class _State:
         for tr in self.tracks:
             tr.rows = [list(rows) for rows in self.A0_rows]
             tr.px = [[float(s.d0)] * m for _ in range(q)]
-        # pattern pairings: real edges first, completion pairs the leftovers
+        # pattern pairings: real edges first, completion pairs the leftovers;
+        # a vertex with several neighbours in Y_j keeps the highest id
         for i in range(q):
             for j in self.nbrs[i]:
                 psi = [-1] * m
                 real = [-1] * m
                 for a, x in enumerate(s.Y_classes[i]):
-                    for ynb in s.H_star.neighbors(x):
-                        if yclass.get(ynb) == j:
-                            psi[a] = ypos[j][ynb]
-                    for ynb in s.H.neighbors(x):
-                        if yclass.get(ynb) == j:
-                            real[a] = ypos[j][ynb]
+                    hit = s.H_star.adj[x] & ymask[j]
+                    if hit:
+                        psi[a] = ypos[j][hit.bit_length() - 1]
+                    hit = s.H.adj[x] & ymask[j]
+                    if hit:
+                        real[a] = ypos[j][hit.bit_length() - 1]
                 used = set(p for p in psi if p >= 0)
                 free_j = [b for b in range(m) if b not in used]
                 free_i = [a for a in range(m) if psi[a] < 0]
@@ -402,9 +404,12 @@ class _State:
             rows, px = tr.rows[j], tr.px[j]
             mean = sum(px) / m
             cols = bit_matrix(rows, m).sum(axis=0).tolist()
+            # the ladder holds a handful of distinct values per class
+            widths = {p: window(xi, p, m) for p in set(px)}
+            widths[mean] = window(xi, mean, m)
             for kind, degs, ps in (("row", map(popcount, rows), px), ("column", cols, [mean] * m)):
                 for a, (deg, p) in enumerate(zip(degs, ps)):
-                    width = window(xi, p, m)
+                    width = widths[p]
                     if abs(deg - p * m) > width + _SLACK:
                         raise FailureType2(
                             f"{tr.name} candidacy {kind} {a} of class {j} has degree {deg}, "

@@ -1,10 +1,16 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regpack.balancer import (
     FlowNetwork,
+    _block_plan,
+    _class_degrees,
     arithm_split,
     check_arithm_split,
     max_flow,
@@ -15,12 +21,14 @@ from regpack.balancer import (
     stack_family,
 )
 from regpack.errors import BadParameters, Infeasible
+from regpack.generators import bipartite_union_templates
 from regpack.graphs import (
     BipartiteGraph,
     LabeledGraph,
     PartitionedGraph,
     ReducedGraph,
     VertexPartition,
+    mask_of,
     popcount,
 )
 
@@ -278,7 +286,6 @@ class TestPermuteBalance:
 
 class TestStackFamily:
     def _matching_family(self, s, r, n, seed):
-        from regpack.generators import bipartite_union_templates
         rng = random.Random(seed)
         R = ReducedGraph(r, [(i, j) for i in range(r) for j in range(i + 1, r)])
         return bipartite_union_templates(r, n, 1, s, rng, R=R), R
@@ -318,6 +325,110 @@ class TestStackFamily:
         from regpack.regularity import check_near_equiregular
         ok, v = check_near_equiregular(H, kmat, 1)
         assert ok, v
+
+    def test_seeded_stack_is_pinned(self):
+        """Eight matchings on a triangle of classes of 20, stacked with the
+        default 50 resamples: the template, the embeddings, J, the degree
+        matrix and the next draw of the stream are pinned."""
+        rng = random.Random(11)
+        R = ReducedGraph(3, [(0, 1), (0, 2), (1, 2)])
+        fams = bipartite_union_templates(3, 20, 1, 8, rng, R=R)
+        H, taus, J, kmat = stack_family(fams, R, [[0] * 3] * 3, C=2, rng=rng)
+        blob = json.dumps([H.graph.adj, [sorted(t.items()) for t in taus], J.adj, kmat])
+        assert hashlib.sha256(blob.encode()).hexdigest() == \
+            "0cc8d4f92ab36cae8431905c29425e28299f1481e725798c40ca0f18b409c34f"
+        assert rng.random() == 0.9416216986530109
+
+
+def _block_plan_reference(families, R, b, B, n_prime, rng):
+    """``_block_plan`` as it was before the degree table: every sort key and
+    block sum recounted from the adjacency rows, kept as the reference."""
+    r = R.r
+    s = len(families)
+    plans = []
+    for ell, L in enumerate(families):
+        per_class = []
+        for i in range(r):
+            cls = list(L.partition.classes[i])
+            n_i = len(cls)
+            exc_size = n_i - B * n_prime
+            nbr = sorted(R.neighbors(i))
+            window = list(cls)
+            for depth, j in enumerate(nbr[:max(len(nbr), 1)]):
+                mask = mask_of(L.partition.classes[j])
+                window.sort(key=lambda x: popcount(L.graph.adj[x] & mask))
+                target = exc_size if depth == len(nbr) - 1 else max(
+                    exc_size, int(len(window) / max(b, 2)))
+                if len(window) > target:
+                    a0 = rng.randrange(len(window))
+                    window = [window[(a0 + off) % len(window)] for off in range(target)] \
+                        if target else []
+            exceptional = window[:exc_size]
+            rest = [x for x in cls if x not in set(exceptional)]
+            order = rest
+            for j in nbr:
+                mask = mask_of(L.partition.classes[j])
+                order = sorted(order, key=lambda x: popcount(L.graph.adj[x] & mask))
+            shift = rng.randrange(B) if B else 0
+            blocks = []
+            for q in range(B):
+                qq = (q + shift) % B
+                blocks.append(order[qq * n_prime:(qq + 1) * n_prime])
+            per_class.append({"exceptional": exceptional, "blocks": blocks})
+        plans.append(per_class)
+    deviation = 0.0
+    for i, j in R.edges():
+        masks = [mask_of(L.partition.classes[j]) for L in families]
+        M_ij = sum(
+            sum(popcount(L.graph.adj[x] & masks[ell]) for x in L.partition.classes[i])
+            / max(len(L.partition.classes[i]), 1)
+            for ell, L in enumerate(families))
+        nblocks = len(plans[0][i]["blocks"])
+        for q in range(nblocks):
+            stacked = 0.0
+            for ell, L in enumerate(families):
+                blk = plans[ell][i]["blocks"][q]
+                if blk:
+                    stacked += sum(popcount(L.graph.adj[x] & masks[ell]) for x in blk) / len(blk)
+            deviation = max(deviation, abs(stacked - M_ij))
+        exc_stacked = 0.0
+        for ell, L in enumerate(families):
+            exc = plans[ell][i]["exceptional"]
+            if exc:
+                exc_stacked += sum(popcount(L.graph.adj[x] & masks[ell]) for x in exc) / len(exc)
+        if any(plans[ell][i]["exceptional"] for ell in range(s)):
+            deviation = max(deviation, abs(exc_stacked - M_ij))
+    return {"blocks": plans, "deviation": deviation}
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_block_plan_matches_the_recounting_reference(data):
+    """Several resamples sharing one degree table give the reference's
+    plans, the same deviation and the same generator state."""
+    r = data.draw(st.integers(2, 3))
+    edges = [(0, 1)] if r == 2 else data.draw(st.sampled_from(
+        [[(0, 1), (0, 2), (1, 2)], [(0, 1), (1, 2)], [(0, 2)]]))
+    R = ReducedGraph(r, edges)
+    sizes = data.draw(st.lists(st.integers(1, 14), min_size=r, max_size=r))
+    s = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, min(sizes)))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    families = bipartite_union_templates(r, 0, k, s, random.Random(seed), R=R, sizes=sizes)
+    b = data.draw(st.integers(1, 3))
+    Delta_R = max(R.max_degree(), 1)
+    B = b ** Delta_R
+    n_prime = min(sizes) // (B + 1)
+    if n_prime == 0:
+        B = 1
+    deg = _class_degrees(families)
+    got_rng, want_rng = random.Random(seed + 1), random.Random(seed + 1)
+    for _resample in range(3):
+        got = _block_plan(families, R, b, B, n_prime, deg, got_rng)
+        want = _block_plan_reference(families, R, b, B, n_prime, want_rng)
+        assert got["blocks"] == want["blocks"]
+        assert got["deviation"] == want["deviation"]
+        assert got_rng.getstate() == want_rng.getstate()
 
 
 class TestPackToRegular:

@@ -230,6 +230,28 @@ class TestMalformedInput:
         self._usage_error(capsys, ["diagnose", "--instance", str(path)],
                           f"{path}: diagnose needs at least one template")
 
+    @pytest.mark.parametrize("cmd,message", [
+        ("pack", "invalid packing instance: (S3) the host partition has no classes"),
+        ("diagnose", "diagnose needs at least one class"),
+    ])
+    def test_instance_without_classes(self, tmp_path, capsys, cmd, message):
+        empty = {"n": 0, "edges": [], "partition": []}
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({
+            "host": {**empty, "reduced_edges": [], "densities": []},
+            "templates": [{**empty, "k_matrix": []}] * 2, "lambda": []}))
+        self._usage_error(capsys, [cmd, "--instance", str(path)], message)
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--r", "0", "--r must be at least 1, got 0"),
+        ("--r", "-2", "--r must be at least 1, got -2"),
+        ("--count", "-1", "--count must not be negative, got -1"),
+    ])
+    def test_gen_refuses_bad_counts(self, tmp_path, capsys, flag, value, message):
+        self._usage_error(capsys, ["gen", "host-superregular", "--n", "20", flag, value,
+                                   "--out", str(tmp_path / "g")], message)
+        assert not (tmp_path / "g").exists()
+
     def test_instance_is_a_directory(self, tmp_path, capsys):
         self._usage_error(capsys, ["pack", "--instance", str(tmp_path)],
                           f"{tmp_path}: cannot read")

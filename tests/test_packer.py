@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from regpack.errors import BadParams
+from regpack.errors import BadParams, FailureExhausted
 from regpack.generators import (
     bipartite_union_templates,
     certified_bipartite_host,
@@ -15,7 +15,13 @@ from regpack.generators import (
     near_regular_bipartite,
     random_tree,
 )
-from regpack.graphs import BipartiteGraph, LabeledGraph, ReducedGraph
+from regpack.graphs import (
+    BipartiteGraph,
+    LabeledGraph,
+    PartitionedGraph,
+    ReducedGraph,
+    VertexPartition,
+)
 from regpack.params import ParamSet
 from regpack.packer import (
     PackInstance,
@@ -63,6 +69,14 @@ class TestValidation:
         inst.lam = [lam]
         errs = validate_instance(inst)
         assert errs == [f"(S8) collision constraint {lam} names a vertex outside its template"]
+
+    def test_host_without_classes_rejected(self):
+        host = PartitionedGraph(LabeledGraph(0), VertexPartition.from_lists([], 0), ReducedGraph(0))
+        inst = PackInstance(host=host, templates=[], k_mats=[], A_list=[],
+                            params=ParamSet(eps=0.05, k=2, Delta_R=1, C=2))
+        assert validate_instance(inst) == ["(S3) the host partition has no classes"]
+        with pytest.raises(BadParams, match="no classes"):
+            run_main_packing(inst, random.Random(0))
 
 
 class TestMainPacking:
@@ -136,14 +150,10 @@ class TestMainPacking:
             run_main_packing(inst, rng)
 
 
-def test_seeded_packing_stream_is_pinned():
-    """One seeded packing on two classes of 60 with initial candidacy graphs
-    at d0 = 0.85, a collision constraint inside each round and gamma_n = 2,
-    so the conflict sets, the patch-window draws and repatch all run against
-    candidacy rows, and one round restarts.  The embeddings and the next draw
-    of the stream are pinned: a change that moves one draw changes them."""
-    n, s, d0 = 60, 4, 0.85
-    rng = random.Random(0)
+def candidacy_instance(seed, lam, n=60, s=4, d0=0.85):
+    """Two classes of n, initial candidacy graphs at d0, gamma_n = 2 and the
+    collision constraints lam; returns the instance and its generator."""
+    rng = random.Random(seed)
     R = ReducedGraph(2, [(0, 1)])
     df = Fraction(9, 10)
     host = host_superregular(R, n, [[Fraction(0), df], [df, Fraction(0)]], 0.05, rng)
@@ -157,18 +167,44 @@ def test_seeded_packing_stream_is_pinned():
             B.right_ids = list(host.partition.classes[i])
             per.append(B)
         A_list.append(per)
-    lam = [(0, 3, 1, 3), (2, n + 5, 3, n + 5)]
     params = ParamSet(eps=0.05, k=2, Delta_R=1, C=2, beta=0.45, delta=0.2)
     inst = PackInstance(host=host, templates=templates, k_mats=[[[0, 1], [1, 0]]] * s,
                         A_list=A_list, lam=lam, d0=d0, params=params, gamma_n=2)
+    return inst, rng
+
+
+def test_seeded_packing_stream_is_pinned():
+    """One seeded packing on two classes of 60 with initial candidacy graphs
+    at d0 = 0.85, a collision constraint inside each round and gamma_n = 2,
+    so the conflict sets, the patch-window draws and repatch all run against
+    candidacy rows, and one round restarts.  The embeddings and the next draw
+    of the stream are pinned: a change that moves one draw changes them."""
+    n = 60
+    inst, rng = candidacy_instance(0, [(0, 3, 1, 3), (2, n + 5, 3, n + 5)], n=n)
     res = run_main_packing(inst, rng, round_retry_cap=5)
-    assert verify_packing(host, templates, res.embeddings, A_list=A_list, lam=lam).ok
+    assert verify_packing(inst.host, inst.templates, res.embeddings,
+                          A_list=inst.A_list, lam=inst.lam).ok
     assert [(lg.conflicts, lg.patched) for lg in res.rounds] == [(6, 176), (4, 176)]
     assert len(res.failure_log) == 1
     blob = json.dumps([sorted(phi.items()) for phi in res.embeddings]).encode()
     assert hashlib.sha256(blob).hexdigest() == \
         "92757b847027f1df9f9531759e7e27fe03e99860db4b3455c09179e341a1fa5e"
     assert rng.random() == 0.4263427057625748
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_collision_across_rounds_ends_verified_or_exhausted(seed):
+    """Template 2 (round 2) must avoid the image template 1 (round 1) gave
+    vertex 3, so its class is thinned.  Thinned far below the d0 that the
+    embedding checks against, every vertex is exceptional and
+    ``NotSuperRegular`` escapes the packer on the first attempt."""
+    inst, rng = candidacy_instance(seed, [(1, 3, 2, 3)])
+    try:
+        res = run_main_packing(inst, rng)
+    except FailureExhausted:
+        return
+    assert verify_packing(inst.host, inst.templates, res.embeddings,
+                          A_list=inst.A_list, lam=inst.lam).ok
 
 
 class TestDensityTraceArithmetic:
@@ -205,6 +241,12 @@ class TestDrivers:
         embs, result, info = pack_partite(host, fams, params, rng, batch_size=2, gamma_n=1)
         rep = verify_packing(host, fams, embs)
         assert rep.ok, rep.violations
+        # stacking and packing are seeded: the member embeddings and the next
+        # draw of the stream are pinned
+        blob = json.dumps([sorted(e.items()) for e in embs]).encode()
+        assert hashlib.sha256(blob).hexdigest() == \
+            "658f9835444f0ab786c27e7dc52f78a50e06b3d1514cd1a06fcda4d6e96a6bff"
+        assert rng.random() == 0.7979595828309389
 
     def test_pack_quasirandom_cycle_factors(self):
         rng = random.Random(33)

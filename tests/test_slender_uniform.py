@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import path3_instance, two_class_instance
-from regpack.errors import NotSuperRegular
-from regpack.graphs import LabeledGraph, ReducedGraph, blow_up
+from regpack.errors import FailureType2, NotSuperRegular
+from regpack.graphs import LabeledGraph, ReducedGraph, blow_up, popcount
 from regpack.params import ParamSet
-from regpack.slender import SlenderInput, run_slender, validate_input
+from regpack.regularity import _SLACK, window
+from regpack.slender import SlenderInput, _State, run_slender, validate_input
 from regpack.uniform import refine_host, refine_pattern, run_uniform_embed, b_diagnostics
 
 
@@ -210,6 +211,92 @@ def test_v6_pair_check_matches_the_class_pair_loop(data):
     got = [e for e in validate_input(s, check_certificates=False)
            if e.startswith("(V6)") and "|Y_" not in e]
     assert got == _v6_reference(s)
+
+
+def _pairings_reference(s, m, nbrs):
+    """The pattern pairings ``prepare`` built from a ``neighbors()`` loop
+    (the last neighbour in Y_j wins), kept as the reference."""
+    ypos = [{p: k for k, p in enumerate(cls)} for cls in s.Y_classes]
+    yclass = {p: i for i, cls in enumerate(s.Y_classes) for p in cls}
+    psi_all, real_all = {}, {}
+    for i in range(len(s.Y_classes)):
+        for j in nbrs[i]:
+            psi = [-1] * m
+            real = [-1] * m
+            for a, x in enumerate(s.Y_classes[i]):
+                for ynb in s.H_star.neighbors(x):
+                    if yclass.get(ynb) == j:
+                        psi[a] = ypos[j][ynb]
+                for ynb in s.H.neighbors(x):
+                    if yclass.get(ynb) == j:
+                        real[a] = ypos[j][ynb]
+            used = set(p for p in psi if p >= 0)
+            free_j = [b for b in range(m) if b not in used]
+            free_i = [a for a in range(m) if psi[a] < 0]
+            for a, b in zip(free_i, free_j):
+                psi[a] = b
+            psi_all[(i, j)] = psi
+            real_all[(i, j)] = real
+    return psi_all, real_all
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_prepare_pairings_match_the_neighbour_loop(data):
+    # pattern ids beyond the classes, several neighbours in one class and
+    # edges inside a class all occur
+    n = data.draw(st.integers(6, 10))
+    ids = data.draw(st.permutations(range(n)))
+    Y = [list(ids[0:2]), list(ids[2:4]), list(ids[4:6])]
+    pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+    star = data.draw(st.lists(st.sampled_from(pairs), max_size=20))
+    R = ReducedGraph(3, data.draw(st.lists(st.sampled_from([(0, 1), (0, 2), (1, 2)]), max_size=3)))
+    s = _three_class_input(R, [[0], [1], [2]], Y=Y, H_star=LabeledGraph(n, star))
+    s.H = LabeledGraph(n, data.draw(st.lists(st.sampled_from(star), max_size=10)) if star else ())
+    state = _State(s, random.Random(0))
+    state.prepare()
+    assert (state.psi, state.real_nbr) == _pairings_reference(s, state.m, state.nbrs)
+
+
+def _certify_windows_reference(state, j, xi):
+    """The degree-window loop of ``_certify_class`` with one ``window`` call
+    per row and column, kept as the reference: the first failure's text."""
+    m = state.m
+    for tr in state.tracks:
+        rows, px = tr.rows[j], tr.px[j]
+        mean = sum(px) / m
+        cols = [sum((row >> b) & 1 for row in rows) for b in range(m)]
+        for kind, degs, ps in (("row", map(popcount, rows), px), ("column", cols, [mean] * m)):
+            for a, (deg, p) in enumerate(zip(degs, ps)):
+                width = window(xi, p, m)
+                if abs(deg - p * m) > width + _SLACK:
+                    return (f"{tr.name} candidacy {kind} {a} of class {j} has degree {deg}, "
+                            f"expected {p * m:.2f} +- {width:.2f}")
+    return None
+
+
+@pytest.mark.parametrize("kind", ["row", "column"])
+def test_certify_class_failure_text_matches_the_reference(kind):
+    """Forty rows on a two-step ladder, each a cyclic run of its expected
+    degree; then one patching row is emptied, or one host column."""
+    m, xi = 40, 0.05
+    state = _State(TestSlenderDegenerate()._complete_input(m=m), random.Random(0))
+    px = [0.9] * 20 + [0.81] * 20
+    for tr in state.tracks:
+        tr.px = [list(px), list(px)]
+        rows = [sum(1 << ((a + t) % m) for t in range(round(p * m))) for a, p in enumerate(px)]
+        tr.rows = [list(rows), list(rows)]
+    host, patch = state.tracks
+    if kind == "row":
+        patch.rows[1][5] = 0
+    else:
+        host.rows[1] = [row & ~(1 << 7) for row in host.rows[1]]
+    want = _certify_windows_reference(state, 1, xi)
+    assert want is not None and f" {kind} " in want
+    with pytest.raises(FailureType2) as exc:
+        state._certify_class(1, 3, xi)
+    assert str(exc.value) == want
+    assert exc.value.stage == (3, 1)
 
 
 class TestUniformEmbed:
