@@ -196,21 +196,27 @@ def _near_regular(H: PartitionedGraph, C: int, targets):
         else:
             raise failure
         kmat[i][j] = kmat[j][i] = k
+        rows = [0] * len(Vi)
         for ulocal, u in enumerate(keep):
-            for v in iter_bits(reg.adj[ulocal]):
-                G_out.add_edge(Vi[u], Vj[v])
-        if removed:
-            taken: set[int] = set()
-            for u in removed:
-                old = list(iter_bits(pair.adj[u]))
-                fresh = [v for v in range(len(Vj)) if v not in taken and v not in old]
-                pick = old + fresh[:k - len(old)]
-                if len(pick) < k:
-                    raise GreedySelectionFailed(
-                        f"cannot reattach a removed vertex with {k} disjoint neighbours")
-                taken.update(pick)
-                for v in pick:
-                    G_out.add_edge(Vi[u], Vj[v])
+            rows[u] = reg.adj[ulocal]
+        # each removed vertex keeps its old neighbourhood; fresh picks avoid
+        # every removed vertex's old neighbourhood and the picks before them,
+        # so no vertex gains two reattached edges (degree k + 2)
+        taken = 0
+        for u in removed:
+            taken |= pair.adj[u]
+        for u in removed:
+            row = pair.adj[u]
+            for v in iter_bits(((1 << len(Vj)) - 1) & ~taken):
+                if popcount(row) >= k:
+                    break
+                row |= 1 << v
+            if popcount(row) < k:
+                raise GreedySelectionFailed(
+                    f"cannot reattach a removed vertex with {k} disjoint neighbours")
+            taken |= row
+            rows[u] = row
+        G_out.add_pair(rows, Vi, Vj)
     out = PartitionedGraph(G_out, H.partition, H.reduced)
     ok, violations = check_near_equiregular(out, kmat, C)
     if not ok:
@@ -346,7 +352,6 @@ def _pair_edge_counts(L: PartitionedGraph) -> list[list[int]]:
 
 
 def stack_family(families: list[PartitionedGraph], R: ReducedGraph, kmat, C: int, rng,
-                 W_sets: list[dict[int, list[int]]] | None = None,
                  resamples: int = 50):
     """Pack the family into one near-equiregular template.
 
@@ -375,7 +380,6 @@ def stack_family(families: list[PartitionedGraph], R: ReducedGraph, kmat, C: int
         if problems:
             raise BadParams(f"family member {ell} violates its partition: {problems[0]}")
     Delta_R = max(R.max_degree(), 1)
-    W_sets = W_sets or [dict() for _ in families]
 
     # block arithmetic: n_i = (B+1) n' + (exceptional), B = b^Delta_R with b
     # adapted to the class size
@@ -406,19 +410,12 @@ def stack_family(families: list[PartitionedGraph], R: ReducedGraph, kmat, C: int
 
     union = LabeledGraph(bounds[-1])
     taus: list[dict[int, int]] = []
-    images_of_W: dict[int, set[int]] = {i: set() for i in range(r)}
     for ell, L in enumerate(families):
-        blocks = plan["blocks"][ell]
         # block-respecting: map each pattern block onto the host window
         # of the same index
-        forbidden = {x: set(images_of_W[i]) for i in range(r)
-                     for x in W_sets[ell].get(i, [])}
-        img = _embed_blockwise(L, union, host_classes, blocks, rng, forbidden)
+        img = _embed_blockwise(L, union, host_classes, plan["blocks"][ell], rng)
         if img is None:
             raise StackEmbedFailure(f"family member {ell} did not embed")
-        for i in range(r):
-            for x in W_sets[ell].get(i, []):
-                images_of_W[i].add(img[x])
         for x, y in L.graph.edges():
             union.add_edge(img[x], img[y])
         taus.append(img)
@@ -518,8 +515,7 @@ def _block_plan(families, R: ReducedGraph, b: int, B: int, n_prime: int, deg, rn
     return {"blocks": plans, "deviation": deviation}
 
 
-def _embed_blockwise(L, used_union, host_classes, blocks, rng, forbidden,
-                     restarts: int = 12):
+def _embed_blockwise(L, used_union, host_classes, blocks, rng, restarts: int = 12):
     """Blockwise class-respecting embedding avoiding previously used edges.
 
     Pattern blocks land on fixed host windows (that is what keeps the union
@@ -553,7 +549,6 @@ def _embed_blockwise(L, used_union, host_classes, blocks, rng, forbidden,
         stuck = False
         for _pass in range(13):
             bad = {v for e in _conflicts(L, img, used_union) for v in e}
-            bad |= {x for x, banned in forbidden.items() if img.get(x) in banned}
             if not bad:
                 return img
             if stuck or _pass == 12:
@@ -568,7 +563,7 @@ def _embed_blockwise(L, used_union, host_classes, blocks, rng, forbidden,
                     other = occupied.get(v)
                     if other == x:
                         continue
-                    if _swap_ok(L, img, used_union, x, other, v, forbidden):
+                    if _swap_ok(L, img, used_union, x, other, v):
                         if other is not None:
                             img[other] = img[x]
                             occupied[img[x]] = other
@@ -589,9 +584,7 @@ def _conflicts(L, img, used_union):
     return out
 
 
-def _swap_ok(L, img, used_union, x, other, v, forbidden) -> bool:
-    if v in forbidden.get(x, ()):
-        return False
+def _swap_ok(L, img, used_union, x, other, v) -> bool:
     for ynb in L.graph.neighbors(x):
         if ynb == other:
             continue
@@ -599,8 +592,6 @@ def _swap_ok(L, img, used_union, x, other, v, forbidden) -> bool:
             return False
     if other is not None:
         old = img[x]
-        if old in forbidden.get(other, ()):
-            return False
         for ynb in L.graph.neighbors(other):
             if ynb == x:
                 continue

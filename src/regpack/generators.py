@@ -163,7 +163,7 @@ def host_superregular(R: ReducedGraph, class_size: int, densities, eps: float, r
             # unequal sides: pad the smaller side virtually, then drop it
             m = max(ni, nj)
             B = certified_bipartite_host(m, d, eps, rng).subgraph(range(ni), range(nj))
-        G.add_block(B.adj, nj, bounds[i], bounds[j])
+        G.add_pair(B.adj, classes[i], classes[j])
     return PartitionedGraph(G, VertexPartition.from_lists(classes), R, densities=dmat)
 
 
@@ -260,21 +260,21 @@ def bipartite_union_templates(r: int, class_size: int, k: int, count: int, rng,
         for i, j in R.edges():
             ni, nj = sizes[i], sizes[j]
             if ni == nj:
-                G.add_block(random_regular_bipartite(ni, k, rng).adj, nj, bounds[i], bounds[j])
+                rows = random_regular_bipartite(ni, k, rng).adj
             else:
                 # ragged sizes: k layers of min-size matchings, resampled on collision
                 m = min(ni, nj)
-                used: set[tuple[int, int]] = set()
+                rows = [0] * ni
                 for _layer in range(k):
                     for _try in range(50):
                         perm_i = rng.sample(range(ni), m)
                         perm_j = rng.sample(range(nj), m)
                         layer = list(zip(perm_i, perm_j))
-                        if all(e not in used for e in layer):
-                            used.update(layer)
+                        if not any(rows[a] >> b & 1 for a, b in layer):
                             for a, b in layer:
-                                G.add_edge(classes[i][a], classes[j][b])
+                                rows[a] |= 1 << b
                             break
+            G.add_pair(rows, classes[i], classes[j])
         out.append(PartitionedGraph(G, VertexPartition.from_lists(classes, bounds[-1]), R))
     return out
 

@@ -3,8 +3,12 @@
 Adjacency rows are Python ints used as bitsets, so neighbourhood
 intersections and degree counts cost O(n/64) words.  All types are
 immutable by convention after construction; the few mutating helpers
-(`add_edge`, `remove_edge`) are meant for builders, which freeze the
-object before sharing it.
+(`add_edge`, `add_pair`, `remove_edge`) are meant for builders, which
+freeze the object before sharing it.
+
+Pairs move between graphs through two primitives: `pair_view` cuts the
+pair between two vertex lists out of a graph's rows, and
+`LabeledGraph.add_pair`, its inverse, puts one back at given vertex ids.
 """
 
 from __future__ import annotations
@@ -64,6 +68,13 @@ def transpose(rows: Sequence[int], ncols: int) -> list[int]:
     return bit_rows(bit_matrix(rows, ncols).T)
 
 
+def scatter(rows: Sequence[int], ids: Sequence[int], n: int) -> list[int]:
+    """``rows`` with bit ``b`` moved to bit ``ids[b]``, as bitsets over ``0..n-1``."""
+    mat = np.zeros((len(rows), n), dtype=np.uint8)
+    mat[:, list(ids)] = bit_matrix(rows, len(ids))
+    return bit_rows(mat)
+
+
 def pair_view(adj: Sequence[int], left: Sequence[int], right: Sequence[int]) -> "BipartiteGraph":
     """The pair between vertex lists ``left`` and ``right`` of the rows ``adj``.
 
@@ -86,8 +97,8 @@ def candidacy_rows(blocks) -> dict[int, int]:
     rows: dict[int, int] = {}
     for Ab in blocks or ():
         if Ab is not None:
-            for p, row in zip(Ab.left_ids, Ab.adj):
-                rows[p] = sum(1 << Ab.right_ids[b] for b in iter_bits(row))
+            ids = Ab.right_ids
+            rows.update(zip(Ab.left_ids, scatter(Ab.adj, ids, max(ids, default=-1) + 1)))
     return rows
 
 
@@ -113,24 +124,27 @@ class LabeledGraph:
             self.adj[v] |= 1 << u
             self._m += 1
 
-    def add_block(self, rows: Sequence[int], ncols: int, left: int, right: int) -> None:
-        """Add the pair whose bit ``b`` of ``rows[a]`` is the edge ``(left + a, right + b)``.
+    def add_pair(self, rows: Sequence[int], left: Sequence[int], right: Sequence[int]) -> None:
+        """Add the pair whose bit ``b`` of ``rows[a]`` is the edge ``(left[a], right[b])``.
 
-        The id ranges ``left..left+len(rows)-1`` and ``right..right+ncols-1``
-        must lie in ``0..n-1`` and be disjoint; edges already present count once.
+        The inverse of `pair_view`.  ``rows`` holds one row per id of
+        ``left``; the ids of ``left`` and ``right`` lie in ``0..n-1`` and are
+        pairwise distinct.  Edges already present count once.
         """
-        nl = len(rows)
-        inside = min(left, right) >= 0 and max(left + nl, right + ncols) <= self.n
-        overlap = left < right + ncols and right < left + nl
-        if not inside or overlap:
-            raise BadParams(f"block {nl}x{ncols} at ({left}, {right}) does not fit n={self.n}")
+        left, right = list(left), list(right)
+        ids = left + right
+        if len(rows) != len(left):
+            raise BadParams(f"{len(rows)} rows for {len(left)} left ids")
+        if ids and (min(ids) < 0 or max(ids) >= self.n):
+            raise BadParams(f"pair ids outside 0..{self.n - 1}")
+        if len(set(ids)) != len(ids):
+            raise BadParams("pair ids repeat or the sides overlap")
+        # both sides as rows over the local ids left + right, then scattered
+        new = scatter([row << len(left) for row in rows] + transpose(rows, len(right)), ids, self.n)
         adj = self.adj
-        for a, row in enumerate(rows):
-            row <<= right
-            self._m += popcount(row & ~adj[left + a])
-            adj[left + a] |= row
-        for b, col in enumerate(transpose(rows, ncols)):
-            adj[right + b] |= col << left
+        self._m += sum(popcount(row & ~adj[u]) for u, row in zip(left, new))
+        for u, row in zip(ids, new):
+            adj[u] |= row
 
     def remove_edge(self, u: int, v: int) -> None:
         if self.has_edge(u, v):
@@ -355,9 +369,7 @@ def blow_up(R: ReducedGraph, K: int) -> ReducedGraph:
         raise BadParams("K must be >= 1")
     out = ReducedGraph(K * R.r)
     for i, j in R.edges():
-        for a in range(K):
-            for b in range(K):
-                out.add_edge(i * K + a, j * K + b)
+        out.add_pair([(1 << K) - 1] * K, range(i * K, i * K + K), range(j * K, j * K + K))
     return out
 
 

@@ -57,7 +57,6 @@ from .graphs import (
     VertexPartition,
     blow_up,
     candidacy_rows,
-    iter_bits,
     mask_of,
     pair_view,
     popcount,
@@ -265,10 +264,8 @@ class _Run:
         for i, j in host.reduced.edges():
             parts = random_split(host.pair_view(i, j), float(host.densities[i][j]),
                                  float(self.beta_mat[i][j]), rng, eps=params.eps, cap=params.retry_cap)
-            left, right = host.partition.classes[i], host.partition.classes[j]
             for graph, part in zip((self.P_host, self.G1), parts):
-                for a, b in part.edges():
-                    graph.add_edge(left[a], right[b])
+                graph.add_pair(part.adj, host.partition.classes[i], host.partition.classes[j])
         self.ladder = _density_trace(inst, T, self.k_mats, self.beta_mat)
         if any(level[i][j] <= 0 for level in self.ladder for i, j in host.reduced.edges()):
             raise BadParams("density ladder hits zero: instance oversubscribed for this gamma")
@@ -443,7 +440,7 @@ def _patch(run: _Run, idx: int, res: UniformEmbedResult, U_by_class: list[list[i
                 Z_classes.append(f + run.rng.sample(pool, window - len(f)))
             else:
                 cand = _patch_rows(run.A_rows[idx], res, Z_classes, P_next, excluded)
-                if min((len(v) for v in cand.values()), default=2) >= 2:
+                if min(map(popcount, cand.values()), default=2) >= 2:
                     rows = cand
                     break
         if rows is not None or window >= cap_window:
@@ -512,25 +509,22 @@ def _collision_thinned_candidacy(run: _Run, idx: int):
 
 
 def _patch_rows(A_rows: dict[int, int], res: UniformEmbedResult, Z_classes: list[list[int]],
-                P_next: LabeledGraph, excluded: dict[int, set[int]]) -> dict[int, list[int]]:
-    """Candidacy rows for the patch: initial candidacy cut to the class
-    window, intersected with the patch-graph neighbourhoods of all
-    embedded out-of-window pattern neighbours, minus collision images."""
+               P_next: LabeledGraph, excluded: dict[int, set[int]]) -> dict[int, int]:
+    """Candidacy rows for the patch, as bitsets over host ids: initial
+    candidacy cut to the class window, intersected with the patch-graph
+    neighbourhoods of all embedded out-of-window pattern neighbours, minus
+    collision images."""
     phi = res.phi
     zall = {z for cls in Z_classes for z in cls}
-    rows: dict[int, list[int]] = {}
+    rows: dict[int, int] = {}
     for cls in Z_classes:
-        wset = [phi[z] for z in cls]
+        wmask = mask_of(phi[z] for z in cls)
         for z in cls:
-            row = A_rows.get(z)
-            allowed = set(wset) if row is None else {w for w in wset if (row >> w) & 1}
+            row = wmask & A_rows.get(z, -1) & ~mask_of(excluded.get(z, ()))
             for ynb in res.N[z]:
-                if ynb in zall:
-                    continue
-                prow = P_next.adj[phi[ynb]]
-                allowed = {w for w in allowed if (prow >> w) & 1}
-            allowed -= excluded.get(z, set())
-            rows[z] = sorted(allowed)
+                if ynb not in zall:
+                    row &= P_next.adj[phi[ynb]]
+            rows[z] = row
     return rows
 
 
@@ -830,9 +824,7 @@ def pack_bipartite(G_pair: BipartiteGraph, H_pairs: list[BipartiteGraph], alpha:
     R = ReducedGraph(3, [(0, 1), (0, 2)])
 
     G = LabeledGraph(nA + nB)
-    for u in range(nA):
-        for v in iter_bits(G_pair.adj[u]):
-            G.add_edge(u, nA + v)
+    G.add_pair(G_pair.adj, range(nA), range(nA, nA + nB))
     dfrac = Fraction(d).limit_denominator(10 ** 6)
     # host split of B, resampled until both pairs certify
     host_pg = None
@@ -860,19 +852,16 @@ def pack_bipartite(G_pair: BipartiteGraph, H_pairs: list[BipartiteGraph], alpha:
         for _ in range(20):
             ids = list(range(nB))
             rng.shuffle(ids)
-            M1 = set(ids[:h2])
-            e1 = sum(1 for u in range(H.nl) for v in iter_bits(H.adj[u]) if v in M1)
-            imbalance = abs(H.num_edges() - 2 * e1)
+            m1 = mask_of(ids[:h2])
+            imbalance = abs(H.num_edges() - 2 * sum(popcount(row & m1) for row in H.adj))
             if best is None or imbalance < best[0]:
-                best = (imbalance, sorted(M1))
-        M1 = set(best[1])
+                best = (imbalance, m1)
+        m1 = best[1]
         L = LabeledGraph(nA + nB)
-        for u in range(H.nl):
-            for v in iter_bits(H.adj[u]):
-                L.add_edge(u, nA + v)
+        L.add_pair(H.adj, range(H.nl), range(nA, nA + H.nr))
         classes = [list(range(nA)),
-                   [nA + v for v in sorted(M1)],
-                   [nA + v for v in range(nB) if v not in M1]]
+                   [nA + v for v in range(nB) if m1 >> v & 1],
+                   [nA + v for v in range(nB) if not m1 >> v & 1]]
         members.append(PartitionedGraph(L, VertexPartition.from_lists(classes, nA + nB), R))
 
     embeddings, result, info = pack_partite(host_pg, members, params, rng,

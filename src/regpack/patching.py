@@ -20,19 +20,20 @@ import dataclasses
 from fractions import Fraction
 
 from .errors import EmbedFailure, HypothesisViolation, PatchFailure
-from .graphs import BipartiteGraph, LabeledGraph, ReducedGraph, matching_completion, pair_view
+from .graphs import LabeledGraph, ReducedGraph, blow_up, matching_completion, pair_view
 from .params import ParamSet
 from .regularity import pipeline_certificate
 from .slender import SlenderInput, run_slender
 
 
 def repatch(H: LabeledGraph, P_host: LabeledGraph, R: ReducedGraph, beta_mat,
-            phi: dict[int, int], F_rows: dict[int, list[int]],
+            phi: dict[int, int], F_rows: dict[int, int],
             Z_classes: list[list[int]], beta_prime: float, delta: float,
             params: ParamSet, rng, A0_rows: dict[int, int] | None = None) -> dict[int, int]:
     """Return phi' re-embedding Z inside W = phi(Z); conclusions asserted.
 
-    ``F_rows`` maps each z in Z to the list of its permitted host images.
+    ``F_rows`` maps each z in Z to the bitset over host ids of its
+    permitted images: bit w is set when z may take host vertex w.
     ``beta_prime`` is the claimed candidacy density for the hypothesis
     certificate and ``delta`` its tolerance.  ``A0_rows`` maps a pattern
     vertex to the bitset of host ids its initial candidacy allows
@@ -48,15 +49,16 @@ def repatch(H: LabeledGraph, P_host: LabeledGraph, R: ReducedGraph, beta_mat,
         raise HypothesisViolation(f"patch classes must share one size, got {sorted(sizes)}")
     m = sizes.pop()
 
-    F_pairs = _as_pairs(F_rows, Z_classes, W_classes)
+    F_pairs = [pair_view(F_rows, cls, wcls) for cls, wcls in zip(Z_classes, W_classes)]
 
     # hypothesis (a): every F[Z_i, W_i] certified at (delta, beta')
     for i in range(r):
         if not pipeline_certificate(F_pairs[i], delta, beta_prime):
             raise HypothesisViolation(f"patch candidacy class {i} failed its ({delta},{beta_prime}) certificate")
     # hypothesis (b): P restricted to W certified at (delta, beta) per pair
+    W_pairs = {}
     for i, j in R.edges():
-        pair = pair_view(P_host.adj, W_classes[i], W_classes[j])
+        pair = W_pairs[i, j] = pair_view(P_host.adj, W_classes[i], W_classes[j])
         if not pipeline_certificate(pair, delta, float(beta_mat[i][j])):
             raise HypothesisViolation(f"patching pair ({i},{j}) on W failed its certificate")
     zset = set(Z)
@@ -87,17 +89,10 @@ def repatch(H: LabeledGraph, P_host: LabeledGraph, R: ReducedGraph, beta_mat,
 
     # auxiliary complete-partite graph plays the patching role: no
     # constraints beyond F bind inside the patch
-    Q = LabeledGraph(local_n)
-    for i, j in R.edges():
-        for a in range(m):
-            for b in range(m):
-                Q.add_edge(i * m + a, j * m + b)
+    Q = blow_up(R, m)
     PW = LabeledGraph(local_n)
-    for i, j in R.edges():
-        for a, wa in enumerate(W_classes[i]):
-            for b, wb in enumerate(W_classes[j]):
-                if P_host.has_edge(wa, wb):
-                    PW.add_edge(i * m + a, j * m + b)
+    for (i, j), pair in W_pairs.items():
+        PW.add_pair(pair.adj, range(i * m, i * m + m), range(j * m, j * m + m))
 
     tau = [[Fraction(1) if i != j else Fraction(0) for j in range(r)] for i in range(r)]
     bmat = [[Fraction(beta_mat[i][j]) for j in range(r)] for i in range(r)]
@@ -137,22 +132,6 @@ def repatch(H: LabeledGraph, P_host: LabeledGraph, R: ReducedGraph, beta_mat,
 
     _assert_conclusions(H, phi, phi2, zset, P_host, F_pairs, Z_classes, W_classes, A0_rows or {})
     return phi2
-
-
-def _as_pairs(F_rows, Z_classes, W_classes) -> list[BipartiteGraph]:
-    out = []
-    for cls, wcls in zip(Z_classes, W_classes):
-        wpos = {w: b for b, w in enumerate(wcls)}
-        B = BipartiteGraph(len(cls), len(wcls), left_ids=list(cls), right_ids=list(wcls))
-        for a, z in enumerate(cls):
-            allowed = F_rows[z]
-            acc = 0
-            for w in allowed:
-                if w in wpos:
-                    acc |= 1 << wpos[w]
-            B.adj[a] = acc
-        out.append(B)
-    return out
 
 
 def _assert_conclusions(H, phi, phi2, zset, P_host, F_pairs, Z_classes, W_classes, A0_rows):

@@ -339,6 +339,19 @@ class TestStackFamily:
             "0cc8d4f92ab36cae8431905c29425e28299f1481e725798c40ca0f18b409c34f"
         assert rng.random() == 0.9416216986530109
 
+    def test_ragged_stack_reattaches_within_one_of_k(self):
+        """Classes of 20, 22 and 21 make the regularization remove vertices
+        from the larger side of every pair; their reattached neighbourhoods
+        must not meet, or a vertex reaches degree k + 2."""
+        rng = random.Random(11)
+        fams = bipartite_union_templates(3, 0, 1, 8, rng, sizes=[20, 22, 21])
+        R = fams[0].reduced
+        H, taus, J, kmat = stack_family(fams, R, [[0] * 3] * 3, C=2, rng=rng)
+        from regpack.regularity import check_near_equiregular
+        ok, v = check_near_equiregular(H, kmat, 2)
+        assert ok, v
+        assert [kmat[i][j] for i, j in R.edges()] == [8, 8, 8]
+
 
 def _block_plan_reference(families, R, b, B, n_prime, rng):
     """``_block_plan`` as it was before the degree table: every sort key and

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import regpack
 from regpack.cli import build_parser, main
 
 
@@ -322,7 +325,10 @@ class TestUsageErrors:
 
 
 def test_console_entry_point():
+    # the subprocess does not inherit pytest's pythonpath setting
+    src = str(Path(regpack.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "regpack.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "regpack" in proc.stdout

@@ -285,30 +285,70 @@ def test_transpose_and_column_counts_match_bit_loop(case):
     assert bit_matrix(rows, m).sum(axis=0).tolist() == _ref_column_counts(rows, m)
 
 
+def _pair_ids(data, nl, nr, n):
+    """Disjoint id lists for a pair: unsorted and scattered, or the
+    contiguous ranges of a block on either side."""
+    if data.draw(st.booleans(), label="contiguous"):
+        left, right = (0, n - nr) if data.draw(st.booleans()) else (n - nl, 0)
+        return list(range(left, left + nl)), list(range(right, right + nr))
+    ids = data.draw(st.permutations(range(n)))
+    return ids[:nl], ids[nl:nl + nr]
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
-def test_add_block_matches_add_edge_loop(data):
+def test_add_pair_matches_add_edge_loop(data):
     nl = data.draw(st.integers(0, 9))
-    nr = data.draw(st.sampled_from(WIDTHS[:5]))
+    nr = data.draw(st.sampled_from(WIDTHS))
     n = nl + nr + data.draw(st.integers(0, 4))
-    left, right = (0, n - nr) if data.draw(st.booleans()) else (n - nl, 0)
+    left, right = _pair_ids(data, nl, nr, n)
     # a graph already holding some edges, so overlaps must count once
-    G = LabeledGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                         if data.draw(st.booleans(), label=f"edge {u},{v}")])
+    vertex = st.integers(0, max(n - 1, 0))
+    edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    G = LabeledGraph(n, [(u, v) for u, v in edges if u != v])
     rows = data.draw(st.lists(st.integers(0, (1 << nr) - 1), min_size=nl, max_size=nl))
     expected = G.copy()
     for a, row in enumerate(rows):
         for b in iter_bits(row):
-            expected.add_edge(left + a, right + b)
-    G.add_block(rows, nr, left, right)
+            expected.add_edge(left[a], right[b])
+    G.add_pair(rows, left, right)
     assert G.adj == expected.adj
     assert G.num_edges() == expected.num_edges()
+    # add_pair inverts pair_view
+    F = LabeledGraph(n)
+    F.add_pair(rows, left, right)
+    assert pair_view(F.adj, left, right).adj == rows
 
 
 @pytest.mark.parametrize("left,right", [(0, 2), (2, 0), (-1, 4), (0, 5)])
-def test_add_block_refuses_overlapping_or_outside_ranges(left, right):
+def test_add_pair_refuses_overlapping_or_outside_ranges(left, right):
     with pytest.raises(BadParams):
-        LabeledGraph(7).add_block([1, 2, 3], 3, left, right)
+        LabeledGraph(7).add_pair([1, 2, 3], range(left, left + 3), range(right, right + 3))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_add_pair_refusals_leave_the_graph_unchanged(data):
+    n = data.draw(st.integers(2, 12))
+    ids = data.draw(st.permutations(range(n)))
+    nl = data.draw(st.integers(1, n - 1))
+    left, right = ids[:nl], ids[nl:]
+    rows = [(1 << len(right)) - 1] * nl
+    fault = data.draw(st.sampled_from(["overlap", "duplicate", "outside", "row count"]))
+    if fault == "overlap":
+        right = right + [data.draw(st.sampled_from(left))]
+    elif fault == "duplicate":
+        side = data.draw(st.sampled_from([left, right]))
+        side.append(data.draw(st.sampled_from(side)))
+        rows = [(1 << len(right)) - 1] * len(left)
+    elif fault == "outside":
+        right = right + [data.draw(st.sampled_from([-1, n, n + 5]))]
+    else:
+        rows = rows + [0] if data.draw(st.booleans()) else rows[1:]
+    G = LabeledGraph(n, [(0, 1)])
+    with pytest.raises(BadParams):
+        G.add_pair(rows, left, right)
+    assert G.adj == LabeledGraph(n, [(0, 1)]).adj and G.num_edges() == 1
 
 
 # ---------------------------------------------------------------------------

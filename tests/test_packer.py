@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regpack.errors import BadParams, FailureExhausted
 from regpack.generators import (
@@ -21,11 +23,13 @@ from regpack.graphs import (
     PartitionedGraph,
     ReducedGraph,
     VertexPartition,
+    iter_bits,
 )
 from regpack.params import ParamSet
 from regpack.packer import (
     PackInstance,
     _pair_mass,
+    _patch_rows,
     color_members,
     merge_small_members,
     pack_bipartite,
@@ -353,3 +357,51 @@ class TestDrivers:
         params = ParamSet(eps=0.05, k=2, Delta_R=2, C=2)
         with pytest.raises(BadParams):
             pack_bipartite(Gp, [big], alpha=0.3, params=params, rng=rng, d=1.0)
+
+
+# ---------------------------------------------------------------------------
+# patch candidacy rows against the set-based function they replaced
+
+
+def _patch_rows_reference(A_rows, res, Z_classes, P_next, excluded):
+    phi = res.phi
+    zall = {z for cls in Z_classes for z in cls}
+    rows = {}
+    for cls in Z_classes:
+        wset = [phi[z] for z in cls]
+        for z in cls:
+            row = A_rows.get(z)
+            allowed = set(wset) if row is None else {w for w in wset if (row >> w) & 1}
+            for ynb in res.N[z]:
+                if ynb in zall:
+                    continue
+                prow = P_next.adj[phi[ynb]]
+                allowed = {w for w in allowed if (prow >> w) & 1}
+            allowed -= excluded.get(z, set())
+            rows[z] = sorted(allowed)
+    return rows
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_patch_rows_match_set_reference(data):
+    from types import SimpleNamespace
+
+    n = data.draw(st.integers(1, 80), label="host order")
+    npat = data.draw(st.integers(1, n), label="pattern order")
+    hosts = data.draw(st.permutations(range(n)))
+    phi = dict(enumerate(hosts[:npat]))
+    vertex = st.integers(0, npat - 1)
+    N = {x: data.draw(st.lists(vertex, max_size=4), label=f"N({x})") for x in phi}
+    order = data.draw(st.permutations(range(npat)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, npat), min_size=1, max_size=4)))
+    Z_classes = [order[a:b] for a, b in zip([0] + cuts, cuts)]
+    host_row = st.integers(0, (1 << n) - 1)
+    P_next = LabeledGraph(n)
+    P_next.adj = data.draw(st.lists(host_row, min_size=n, max_size=n), label="P rows")
+    A_rows = data.draw(st.dictionaries(vertex, host_row), label="A rows")
+    excluded = data.draw(st.dictionaries(vertex, st.sets(st.integers(0, n - 1))), label="excluded")
+    res = SimpleNamespace(phi=phi, N=N)
+    rows = _patch_rows(A_rows, res, Z_classes, P_next, excluded)
+    expected = _patch_rows_reference(A_rows, res, Z_classes, P_next, excluded)
+    assert {z: list(iter_bits(row)) for z, row in rows.items()} == expected

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import two_class_instance
 from regpack.errors import HypothesisViolation
-from regpack.graphs import blow_up
+from regpack.graphs import blow_up, mask_of
 from regpack.params import ParamSet
 from regpack.patching import repatch
 from regpack.uniform import run_uniform_embed
@@ -20,7 +20,8 @@ def embedded_instance(seed=5, n=60, beta="9/20"):
 
 
 def refreshed_rows(res, P, Z_classes):
-    """Patch candidacy from out-of-window neighbours only."""
+    """Patch candidacy from out-of-window neighbours only, as bitsets over
+    host ids."""
     zall = {z for cls in Z_classes for z in cls}
     rows = {}
     for j, cls in enumerate(Z_classes):
@@ -31,7 +32,7 @@ def refreshed_rows(res, P, Z_classes):
                 if ynb in zall:
                     continue
                 allowed = {w for w in allowed if P.graph.has_edge(w, res.phi[ynb])}
-            rows[z] = sorted(allowed)
+            rows[z] = mask_of(allowed)
     return rows
 
 
@@ -71,7 +72,7 @@ class TestRepatch:
                 assert P.graph.has_edge(phi2[x], phi2[y])
         # (iii) images stay inside the supplied candidacy rows
         for z in zall:
-            assert phi2[z] in set(rows[z])
+            assert rows[z] >> phi2[z] & 1
         # all edges realized in host + patching union
         for x, y in tpl.graph.edges():
             assert host.graph.has_edge(phi2[x], phi2[y]) or P.graph.has_edge(phi2[x], phi2[y])
@@ -100,10 +101,7 @@ class TestRepatch:
         from regpack.errors import PatchFailure
         host, P, bmat, tpl, params, res, rng = embedded_instance(seed=11)
         Z_classes, RK, bKr = patch_setup(res, host, rng, size=10)
-        rows = {z: [] for cls in Z_classes for z in cls}
-        for cls in Z_classes:
-            for z in cls:
-                rows[z] = [res.phi[z]]  # a bare diagonal
+        rows = {z: 1 << res.phi[z] for cls in Z_classes for z in cls}  # a bare diagonal
         # rejected either by the hypothesis certificate or by the embedding
         # itself (the diagonal pairs are not patching-graph adjacent)
         with pytest.raises((HypothesisViolation, PatchFailure)):
