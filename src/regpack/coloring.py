@@ -163,25 +163,14 @@ def _exhaustive_balance(G: LabeledGraph, classes: list[list[int]]) -> bool:
     return False
 
 
-def hs_equitable_coloring(G: LabeledGraph, k: int, rng=None, restarts: int = 64) -> EquitableColoring:
+def hs_equitable_coloring(G: LabeledGraph, k: int, rng) -> EquitableColoring:
     """Equitable (k+1)-coloring of a graph with max degree <= k."""
     if G.max_degree() > k:
         raise DegreeTooHigh(f"max degree {G.max_degree()} exceeds {k}")
-    order = list(range(G.n))
-    for attempt in range(restarts):
-        classes = _greedy_classes(G, k, order)
-        if _balance(G, classes, iteration_cap=4 * G.n + 8):
-            col = EquitableColoring([sorted(c) for c in classes])
-            col.check(G)
-            return col
-        if max(len(c) for c in classes) < 64 and _exhaustive_balance(G, classes):
-            col = EquitableColoring([sorted(c) for c in classes])
-            col.check(G)
-            return col
-        if rng is None:
-            raise RetriesExhausted("balancing failed and no rng supplied for restarts")
-        rng.shuffle(order)
-    raise RetriesExhausted(f"equitable coloring failed after {restarts} restarts")
+    col = try_equitable_coloring(G, k + 1, rng, restarts=64)
+    if col is None:
+        raise RetriesExhausted("equitable coloring failed after 64 restarts")
+    return col
 
 
 def try_equitable_coloring(G: LabeledGraph, classes: int, rng, restarts: int = 32) -> EquitableColoring | None:

@@ -65,7 +65,7 @@ def bit_rows(mat: np.ndarray) -> list[int]:
 
 def transpose(rows: Sequence[int], ncols: int) -> list[int]:
     """Column bitsets of the ``len(rows) x ncols`` bit matrix ``rows``."""
-    return bit_rows(bit_matrix(rows, ncols).T)
+    return bit_rows(np.ascontiguousarray(bit_matrix(rows, ncols).T))
 
 
 def scatter(rows: Sequence[int], ids: Sequence[int], n: int) -> list[int]:

@@ -113,8 +113,6 @@ class MatchingStats:
     edge_frequencies: dict[tuple[int, int], float]
     set_hit_rates: dict[str, float] = field(default_factory=dict)
     overlap_tail_fraction: float | None = None
-    tv_distance_to_uniform: float | None = None
-    irreducibility_caveat: bool = True
 
     def to_json(self) -> str:
         return json.dumps({
@@ -122,8 +120,7 @@ class MatchingStats:
             "edge_frequencies": {f"{u},{v}": f for (u, v), f in self.edge_frequencies.items()},
             "set_hit_rates": self.set_hit_rates,
             "overlap_tail_fraction": self.overlap_tail_fraction,
-            "tv_distance_to_uniform": self.tv_distance_to_uniform,
-            "irreducibility_caveat": self.irreducibility_caveat,
+            "irreducibility_caveat": True,
         })
 
 

@@ -559,8 +559,7 @@ def _assert_packing(run: _Run, embeddings) -> set[frozenset[int]]:
 
 
 def pack_partite(host: PartitionedGraph, families: list[PartitionedGraph], params: ParamSet,
-                 rng, batch_size: int | None = None, gamma_n: int = 1,
-                 round_retry_cap: int = 6):
+                 rng, batch_size: int | None = None, gamma_n: int = 1):
     """Batch the family, stack each batch into a near-equiregular template,
     pack the templates, then compose back to per-member embeddings.
 
@@ -602,7 +601,7 @@ def pack_partite(host: PartitionedGraph, families: list[PartitionedGraph], param
 
     inst = PackInstance(host=host, templates=templates, k_mats=k_mats,
                         A_list=[None] * len(templates), params=params, gamma_n=gamma_n)
-    result = run_main_packing(inst, rng, round_retry_cap=round_retry_cap)
+    result = run_main_packing(inst, rng)
 
     member_embeddings: list[dict[int, int]] = []
     for b_idx, batch in enumerate(batches):
@@ -732,7 +731,7 @@ def color_members(H_list: list[LabeledGraph], R: ReducedGraph, rng) -> list[Part
 
 def pack_quasirandom(G: LabeledGraph, H_list: list[LabeledGraph], alpha: float, p: float,
                      Delta: int, params: ParamSet, rng, r: int | None = None,
-                     gamma_n: int = 1, round_retry_cap: int = 6):
+                     gamma_n: int = 1):
     """Partition the quasirandom host, drop within-class edges, stack and pack.
 
     Raises BadParams up front when the family, after merging small
@@ -794,8 +793,7 @@ def pack_quasirandom(G: LabeledGraph, H_list: list[LabeledGraph], alpha: float, 
         raise QuasirandomnessFailed("no certified host partition found")
 
     members = color_members(H_list, R, rng)
-    embeddings, result, info = pack_partite(host_pg, members, params, rng,
-                                            gamma_n=gamma_n, round_retry_cap=round_retry_cap)
+    embeddings, result, info = pack_partite(host_pg, members, params, rng, gamma_n=gamma_n)
     stats = leftover_stats(host_pg, members, embeddings)
     stats["delta_J_vs_4apn"] = (stats["delta_J"], 4 * alpha * p * n)
     return embeddings, result, stats
@@ -803,7 +801,7 @@ def pack_quasirandom(G: LabeledGraph, H_list: list[LabeledGraph], alpha: float, 
 
 def pack_bipartite(G_pair: BipartiteGraph, H_pairs: list[BipartiteGraph], alpha: float,
                    params: ParamSet, rng, d: float | None = None,
-                   gamma_n: int = 1, round_retry_cap: int = 6):
+                   gamma_n: int = 1):
     """Bipartite driver: split the large side, reduce to a 3-class path host.
 
     The host has sides (A, B); each member is padded to (|A|, |B|), its
@@ -864,6 +862,5 @@ def pack_bipartite(G_pair: BipartiteGraph, H_pairs: list[BipartiteGraph], alpha:
                    [nA + v for v in range(nB) if not m1 >> v & 1]]
         members.append(PartitionedGraph(L, VertexPartition.from_lists(classes, nA + nB), R))
 
-    embeddings, result, info = pack_partite(host_pg, members, params, rng,
-                                            gamma_n=gamma_n, round_retry_cap=round_retry_cap)
+    embeddings, result, info = pack_partite(host_pg, members, params, rng, gamma_n=gamma_n)
     return embeddings, result, info

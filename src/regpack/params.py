@@ -70,8 +70,6 @@ class ParamSet:
     gamma: ClassVar[float] = 0.05
     xi_max: ClassVar[float] = 0.25
     retry_cap: ClassVar[int] = 32
-    mix_factor: ClassVar[int] = 50
-    exact_sampler_cap: ClassVar[int] = 24
 
     eps: float = 0.05
     alpha: float = 0.25

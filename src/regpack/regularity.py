@@ -5,8 +5,12 @@ canonical acceptance test is the codegree criterion: writing d for the
 empirical density of G[A,B], count the pairs {x,x'} of A whose degrees
 exceed (d-eps)|B| and whose codegree is below (d+eps)^2|B|; if more
 than (1-5*eps)/2 * |A|^2 pairs qualify, the pair is certified regular
-at eps^(1/6).  Degree windows are checked exactly on both sides, and
-randomized large-subset probes are thrown in as falsification attempts.
+at eps^(1/6).  Every certificate reads one 0/1 bit matrix of the pair:
+its row and column sums are the degrees, checked exactly against their
+windows on both sides, and the codegrees of all left pairs are counted
+exactly, at every size, from its product with its own transpose
+(`codegree`).  Randomized large-subset probes are thrown in as
+falsification attempts.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from .errors import (
 )
 from .graphs import BipartiteGraph, PartitionedGraph, bit_matrix, iter_bits, mask_of, popcount
 
-EXACT_PAIR_CAP = 2000
-PAIR_SAMPLE = 200_000
 # Degree windows are floored at this many binomial standard deviations plus
 # one: below ~(4/eps)^2 vertices the fluctuation scale sqrt(n) exceeds eps*n,
 # and a fixed-fraction window would reject honest instances.
@@ -74,50 +76,28 @@ def pair_density(B: BipartiteGraph, left_subset, right_subset) -> float:
     return e / (len(left) * len(right))
 
 
-def _codegree_fraction(B: BipartiteGraph, eps: float, d_emp: float, rng=None) -> float:
-    """Fraction of left pairs failing the codegree criterion.
+def codegree(M: np.ndarray, eps: float) -> tuple[float, bool]:
+    """Bad-pair fraction and verdict of the codegree criterion on the 0/1
+    bit matrix ``M`` of a pair, at its empirical density.
 
-    Exact enumeration up to EXACT_PAIR_CAP left vertices, uniform pair
-    sampling above.
+    The criterion carries its own applicability condition |A| > 2/eps;
+    below it, it certifies nothing either way and reads (0.0, True).
     """
-    nl, nr = B.nl, B.nr
+    nl, nr = M.shape
+    if not nl > 2 / eps:
+        return 0.0, True
+    degs = M.sum(axis=1)
+    d_emp = int(degs.sum()) / (nl * nr)
     deg_lo = (d_emp - eps) * nr - _SLACK
     codeg_hi = (d_emp + eps) ** 2 * nr + _SLACK
-    degs = [popcount(r) for r in B.adj]
-    if nl <= EXACT_PAIR_CAP:
-        if nl >= 128:
-            M = bit_matrix(B.adj, nr)
-            co = M.astype(np.int32) @ M.T.astype(np.int32)
-            dv = np.array(degs)
-            good_deg = dv > deg_lo
-            pair_ok = good_deg[:, None] & good_deg[None, :] & (co < codeg_hi)
-            iu = np.triu_indices(nl, k=1)
-            good = int(pair_ok[iu].sum())
-            total = nl * (nl - 1) // 2
-        else:
-            good = 0
-            total = 0
-            for x in range(nl):
-                for y in range(x + 1, nl):
-                    total += 1
-                    if degs[x] > deg_lo and degs[y] > deg_lo and \
-                            popcount(B.adj[x] & B.adj[y]) < codeg_hi:
-                        good += 1
-        if total == 0:
-            return 0.0
-        return 1.0 - good / total
-    if rng is None:
-        raise BadParams("pair sampling needs an rng for |A| > cap")
-    good = 0
-    for _ in range(PAIR_SAMPLE):
-        x = rng.randrange(nl)
-        y = rng.randrange(nl)
-        while y == x:
-            y = rng.randrange(nl)
-        if degs[x] > deg_lo and degs[y] > deg_lo and \
-                popcount(B.adj[x] & B.adj[y]) < codeg_hi:
-            good += 1
-    return 1.0 - good / PAIR_SAMPLE
+    rows = M[degs > deg_lo].astype(np.float32)
+    # float32 sums of 0/1 products are exact below 2**24; the counts are
+    # compared as integers, since a float32 array would round codeg_hi
+    co = (rows @ rows.T).astype(np.int64)
+    good = int(np.count_nonzero(np.triu(co < codeg_hi, 1)))
+    total = nl * (nl - 1) // 2
+    bad = 1.0 - good / total
+    return bad, (1.0 - bad) * total > 0.5 * (1 - 5 * eps) * nl * nl
 
 
 def super_regularity_certificate(B: BipartiteGraph, eps: float, d: float,
@@ -132,40 +112,20 @@ def super_regularity_certificate(B: BipartiteGraph, eps: float, d: float,
     nl, nr = B.nl, B.nr
     if nl < 2 or nr < 2:
         raise BadParams("certificate needs both sides of size >= 2")
-    d_emp = B.density()
-    codegree_applicable = nl > 2 / eps
-
+    M = bit_matrix(B.adj, nr)
     degree_ok = True
     worst = None
     worst_gap = -1.0
-    for u, row in enumerate(B.adj):
-        deg = popcount(row)
-        gap = abs(deg - d * nr)
-        if gap > eps * nr + _SLACK:
+    for side, degs, n in (("left", M.sum(axis=1), nr), ("right", M.sum(axis=0), nl)):
+        gaps = np.abs(degs - d * n)
+        over = gaps > eps * n + _SLACK
+        if over.any():
             degree_ok = False
-            if gap > worst_gap:
-                worst_gap, worst = gap, ("left", u, deg)
-    cols = B.right_adj()
-    for v, col in enumerate(cols):
-        deg = popcount(col)
-        gap = abs(deg - d * nl)
-        if gap > eps * nl + _SLACK:
-            degree_ok = False
-            if gap > worst_gap:
-                worst_gap, worst = gap, ("right", v, deg)
-
-    # the codegree criterion carries its own applicability condition
-    # |A| > 2/eps; below that it certifies nothing either way
-    if codegree_applicable:
-        bad_fraction = _codegree_fraction(B, eps, d_emp, rng)
-        if nl <= EXACT_PAIR_CAP:
-            good_pairs = (1.0 - bad_fraction) * (nl * (nl - 1) // 2)
-            codegree_ok = good_pairs > 0.5 * (1 - 5 * eps) * nl * nl
-        else:
-            codegree_ok = (1.0 - bad_fraction) > (1 - 5 * eps) * (nl * nl) / (2 * math.comb(nl, 2))
-    else:
-        bad_fraction = 0.0
-        codegree_ok = True
+            # the first vertex of largest gap; left wins ties
+            v = int(np.argmax(np.where(over, gaps, -1.0)))
+            if gaps[v] > worst_gap:
+                worst_gap, worst = gaps[v], (side, v, int(degs[v]))
+    bad_fraction, codegree_ok = codegree(M, eps)
 
     probe_list: list[tuple[int, int, float]] = []
     probes_ok = True
@@ -186,7 +146,8 @@ def super_regularity_certificate(B: BipartiteGraph, eps: float, d: float,
 
     return RegularityReport(eps=eps, d=d, degree_ok=degree_ok, worst_offender=worst,
                             codegree_ok=codegree_ok, codegree_bad_fraction=bad_fraction,
-                            empirical_density=d_emp, probes=probe_list, probes_ok=probes_ok)
+                            empirical_density=int(M.sum()) / (nl * nr), probes=probe_list,
+                            probes_ok=probes_ok)
 
 
 def window(eps: float, d: float, n: int) -> float:
@@ -206,21 +167,11 @@ def pipeline_certificate(B: BipartiteGraph, eps: float, d: float) -> bool:
     nl, nr = B.nl, B.nr
     if nl < 2 or nr < 2:
         return True
-    wl = window(eps, d, nr)
-    wr = window(eps, d, nl)
-    for row in B.adj:
-        if abs(popcount(row) - d * nr) > wl + _SLACK:
-            return False
-    for col in B.right_adj():
-        if abs(popcount(col) - d * nl) > wr + _SLACK:
-            return False
-    if 1 - 5 * eps > 0 and nl > 2 / eps:
-        d_emp = B.density()
-        bad = _codegree_fraction(B, eps, d_emp)
-        good = (1.0 - bad) * (nl * (nl - 1) // 2)
-        if not good > 0.5 * (1 - 5 * eps) * nl * nl:
-            return False
-    return True
+    M = bit_matrix(B.adj, nr)
+    if (np.abs(M.sum(axis=1) - d * nr) > window(eps, d, nr) + _SLACK).any() or \
+            (np.abs(M.sum(axis=0) - d * nl) > window(eps, d, nl) + _SLACK).any():
+        return False
+    return not 1 - 5 * eps > 0 or codegree(M, eps)[1]
 
 
 def random_split(B: BipartiteGraph, d: float, beta: float, rng,
@@ -271,11 +222,10 @@ def check_near_equiregular(G: PartitionedGraph, kmat, C: int) -> tuple[bool, lis
     for i, j in G.reduced.edges():
         k = kmat[i][j]
         pair = G.pair_view(i, j)
+        M = bit_matrix(pair.adj, pair.nr)
         over = 0
-        for side, count, ids in (("left", pair.nl, pair.left_ids), ("right", pair.nr, pair.right_ids)):
-            degs = [popcount(r) for r in (pair.adj if side == "left" else pair.right_adj())]
-            for idx in range(count):
-                deg = degs[idx]
+        for degs, ids in ((M.sum(axis=1), pair.left_ids), (M.sum(axis=0), pair.right_ids)):
+            for idx, deg in enumerate(degs.tolist()):
                 if deg == k:
                     continue
                 if deg == k + 1:

@@ -51,13 +51,14 @@ from .graphs import (
     popcount,
 )
 from .matching import (
+    EXACT_CAP,
     ExactUniformSampler,
     default_steps,
     find_perfect_matching,
     sample_switch_chain,
 )
 from .params import ParamSet
-from .regularity import _SLACK, pipeline_certificate, super_regularity_certificate, window
+from .regularity import _SLACK, codegree, pipeline_certificate, window
 
 
 @dataclass
@@ -100,8 +101,7 @@ def trace_to_jsonl(trace: list[dict], path) -> None:
             fh.write(json.dumps(event) + "\n")
 
 
-def validate_input(s: SlenderInput, expected_w: int | None = None,
-                   check_certificates: bool = True) -> list[str]:
+def validate_input(s: SlenderInput, check_certificates: bool = True) -> list[str]:
     """Mechanical checks of the validity conditions; returns violations."""
     v: list[str] = []
     q = len(s.Y_classes)
@@ -112,8 +112,6 @@ def validate_input(s: SlenderInput, expected_w: int | None = None,
     # independent in the class graph and meets each neighbourhood at most once
     for e in schedule_violations(s.R_star.adj, s.schedule, q):
         v.append(("(V1) " if "partition" in e else "(V2) ") + e)
-    if expected_w is not None and len(s.schedule) != expected_w:
-        v.append(f"(V1) schedule length {len(s.schedule)} != expected {expected_w}")
     bound = s.class_degree_bound()
     if s.R_star.max_degree() > bound:
         v.append(f"(V2) class-graph degree {s.R_star.max_degree()} exceeds {bound}")
@@ -373,10 +371,9 @@ class _State:
         start = find_perfect_matching(Bi)
         if start is None:
             raise FailureType2(f"no perfect matching in candidacy class {i}", stage=(t, i))
-        if s.params.exact_sampler and Bi.nl <= s.params.exact_sampler_cap:
+        if s.params.exact_sampler and Bi.nl <= EXACT_CAP:
             return ExactUniformSampler(Bi).sample(self.rng).sigma
-        steps = default_steps(Bi.nl, s.params.mix_factor)
-        return sample_switch_chain(Bi, steps, self.rng, start=start).sigma
+        return sample_switch_chain(Bi, default_steps(Bi.nl), self.rng, start=start).sigma
 
     def _apply_constraints(self, i: int, j: int, strict: bool) -> None:
         """Constrain class j's rows by the images of class i on both tracks,
@@ -414,23 +411,18 @@ class _State:
                         raise FailureType2(
                             f"{tr.name} candidacy {kind} {a} of class {j} has degree {deg}, "
                             f"expected {p * m:.2f} +- {width:.2f}", stage=(t, j))
-        if 1 - 5 * xi > 0 and self.ny[j] >= 2:
-            rows = self.tracks[0].rows[j]
-            Bj = BipartiteGraph(self.ny[j], self.ny[j])
-            Bj.adj = [rows[a] & self.real_mask[j] for a in range(self.ny[j])]
-            rep = super_regularity_certificate(Bj, xi, Bj.density())
-            if not rep.codegree_ok:
-                raise FailureType2(f"codegree criterion failed for class {j}", stage=(t, j))
+        ny = self.ny[j]
+        if 1 - 5 * xi > 0 and not codegree(bit_matrix(self.tracks[0].rows[j][:ny], ny), xi)[1]:
+            raise FailureType2(f"codegree criterion failed for class {j}", stage=(t, j))
 
 
-def run_slender(s: SlenderInput, rng, expected_w: int | None = None,
-                trace: list[dict] | None = None) -> SlenderOutput:
+def run_slender(s: SlenderInput, rng, trace: list[dict] | None = None) -> SlenderOutput:
     """One attempt of the slender embedding; raises FailureType1/2 on abort.
 
     The input is checked without its (V4)/(V5)/(V7) certificates: callers
     build it from certified pairs, and the preparation re-certifies the
     padded pairs."""
-    violations = validate_input(s, expected_w=expected_w, check_certificates=False)
+    violations = validate_input(s, check_certificates=False)
     if violations:
         raise BadParams("invalid slender input: " + "; ".join(violations[:4]))
     state = _State(s, rng)

@@ -254,7 +254,7 @@ def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
                 params=sl_params,
                 C=params.C,
             )
-            out = run_slender(s, rng, expected_w=eff.w, trace=trace)
+            out = run_slender(s, rng, trace=trace)
             N = _candidacy_hypergraph(H, H_star, eff)
             res = UniformEmbedResult(phi=out.phi, Y_classes=Y_classes, U_classes=U_classes,
                                      F=out.F, N=N, K=K, attempts=attempt, trace=out.trace)

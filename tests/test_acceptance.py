@@ -495,8 +495,7 @@ def test_criterion_9_tree_family_demo():
         budget = (1 - params.alpha) * cross
         try:
             embs, res, stats = pack_quasirandom(host, padded, alpha=0.14, p=p, Delta=3,
-                                                params=params, rng=rng, r=r,
-                                                round_retry_cap=1)
+                                                params=params, rng=rng, r=r)
         except BadParams as exc:
             m = re.fullmatch(r"at r=(\d+) the host keeps (\d+) cross-class edges; "
                              r"family carries (\d+) edges, budget (\d+)", str(exc))

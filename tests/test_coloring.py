@@ -46,8 +46,12 @@ class TestEquitableColoring:
         assert col.sizes() == [25, 25, 25, 25]
 
     def test_degree_too_high(self):
+        rng = random.Random(0)
+        state = rng.getstate()
         with pytest.raises(DegreeTooHigh):
-            hs_equitable_coloring(cycle(4), 1)
+            hs_equitable_coloring(cycle(4), 1, rng)
+        # the degree check comes before any draw
+        assert rng.getstate() == state
 
     @given(st.integers(2, 60), st.integers(1, 5), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)

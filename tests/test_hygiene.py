@@ -1,6 +1,6 @@
 """Static hygiene of the package source: no module imports a name it never
-uses, every function or method is referenced somewhere, and every
-parameter is read."""
+uses, every function or method is referenced somewhere, every parameter is
+read, and every plain dataclass default is overridden somewhere."""
 
 import ast
 from pathlib import Path
@@ -142,3 +142,68 @@ def test_parameter_checker_flags_an_ignored_argument():
         "    return args, kw\n"
     )
     assert unread_parameters(source) == ["f(a)", "f(flag)", "m(ignored)"]
+
+
+def defaulted_fields(source: str) -> list[str]:
+    """``Class.field`` for each dataclass field with a plain default: a value,
+    or ``field(default=...)``, but not a ``default_factory`` or a ClassVar."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ClassDef) and any(
+                isinstance(n, ast.Name) and n.id == "dataclass" for d in node.decorator_list for n in ast.walk(d))):
+            continue
+        for stmt in node.body:
+            if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                    and stmt.value is not None and "ClassVar" not in _annotation_names(stmt.annotation)):
+                continue
+            value = stmt.value
+            if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field" \
+                    and "default" not in {kw.arg for kw in value.keywords}:
+                continue
+            out.append(f"{node.name}.{stmt.target.id}")
+    return out
+
+
+def written_names(sources: list[str]) -> set[str]:
+    """Every attribute assigned to and every keyword passed to a call."""
+    names: set[str] = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg is not None:
+                names.add(node.arg)
+    return names
+
+
+def test_every_defaulted_field_is_written():
+    """A field whose default nothing overrides is a constant or dead."""
+    sources = [p.read_text() for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    written = written_names(sources)
+    fields = [f for p in MODULES for f in defaulted_fields(p.read_text())]
+    assert fields
+    assert [f for f in fields if f.split(".")[1] not in written] == []
+
+
+def test_field_checker_flags_an_unwritten_default():
+    source = (
+        "from dataclasses import dataclass, field\n"
+        "from typing import ClassVar\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    need: int\n"
+        "    kept: int = 1\n"
+        "    set_later: float = 0.0\n"
+        "    never: bool = True\n"
+        "    boxed: int = field(default=2, repr=False)\n"
+        "    made: list = field(default_factory=list)\n"
+        "    derived: int = field(init=False)\n"
+        "    const: ClassVar[int] = 3\n"
+        "class B:\n"
+        "    plain: int = 4\n"
+        "a = A(need=1, kept=2)\n"
+        "a.set_later += 1.0\n"
+    )
+    written = written_names([source])
+    assert defaulted_fields(source) == ["A.kept", "A.set_later", "A.never", "A.boxed"]
+    assert [f for f in defaulted_fields(source) if f.split(".")[1] not in written] == ["A.never", "A.boxed"]

@@ -2,8 +2,9 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regpack.errors import BadParams, EmptySide, InfeasibleTargetSets
@@ -19,6 +20,7 @@ from regpack.graphs import (
 from regpack.regularity import (
     check_near_equiregular,
     pair_density,
+    pipeline_certificate,
     random_split,
     restrict_super_regular,
     super_regularity_certificate,
@@ -266,3 +268,145 @@ def test_window_equals_the_formulas_it_replaced(x, p, m):
     assert window(x, p, m) == _old_slender_width(x, p, 1, m)
     assert window(2 * x, p, m) == _old_slender_width(x, p, 2, m)
     assert window(2 * x, p, m) == _old_refine_width(x, p, m)
+
+
+# The certificates as they were before they read one bit matrix, kept as
+# references: a numpy int32 codegree product from 128 left vertices, a pair
+# loop below (the pair-sampling branch above 2000 left vertices is left out).
+
+_SLACK = 1e-9
+
+
+def _ref_codegree_fraction(B, eps, d_emp):
+    nl, nr = B.nl, B.nr
+    deg_lo = (d_emp - eps) * nr - _SLACK
+    codeg_hi = (d_emp + eps) ** 2 * nr + _SLACK
+    degs = [popcount(r) for r in B.adj]
+    if nl >= 128:
+        M = np.array([[r >> v & 1 for v in range(nr)] for r in B.adj], dtype=np.uint8)
+        co = M.astype(np.int32) @ M.T.astype(np.int32)
+        good_deg = np.array(degs) > deg_lo
+        pair_ok = good_deg[:, None] & good_deg[None, :] & (co < codeg_hi)
+        good = int(pair_ok[np.triu_indices(nl, k=1)].sum())
+        total = nl * (nl - 1) // 2
+    else:
+        good = 0
+        total = 0
+        for x in range(nl):
+            for y in range(x + 1, nl):
+                total += 1
+                if degs[x] > deg_lo and degs[y] > deg_lo and \
+                        popcount(B.adj[x] & B.adj[y]) < codeg_hi:
+                    good += 1
+    if total == 0:
+        return 0.0
+    return 1.0 - good / total
+
+
+def _ref_super_certificate(B, eps, d):
+    nl, nr = B.nl, B.nr
+    if nl < 2 or nr < 2:
+        raise BadParams("certificate needs both sides of size >= 2")
+    d_emp = B.density()
+    degree_ok = True
+    worst = None
+    worst_gap = -1.0
+    for u, row in enumerate(B.adj):
+        deg = popcount(row)
+        gap = abs(deg - d * nr)
+        if gap > eps * nr + _SLACK:
+            degree_ok = False
+            if gap > worst_gap:
+                worst_gap, worst = gap, ("left", u, deg)
+    for v, col in enumerate(B.right_adj()):
+        deg = popcount(col)
+        gap = abs(deg - d * nl)
+        if gap > eps * nl + _SLACK:
+            degree_ok = False
+            if gap > worst_gap:
+                worst_gap, worst = gap, ("right", v, deg)
+    if nl > 2 / eps:
+        bad_fraction = _ref_codegree_fraction(B, eps, d_emp)
+        good_pairs = (1.0 - bad_fraction) * (nl * (nl - 1) // 2)
+        codegree_ok = good_pairs > 0.5 * (1 - 5 * eps) * nl * nl
+    else:
+        bad_fraction = 0.0
+        codegree_ok = True
+    return dict(eps=eps, d=d, degree_ok=degree_ok, worst_offender=worst, codegree_ok=codegree_ok,
+                codegree_bad_fraction=bad_fraction, empirical_density=d_emp, probes_ok=True)
+
+
+def _ref_pipeline_certificate(B, eps, d):
+    nl, nr = B.nl, B.nr
+    if nl < 2 or nr < 2:
+        return True
+    wl = window(eps, d, nr)
+    wr = window(eps, d, nl)
+    for row in B.adj:
+        if abs(popcount(row) - d * nr) > wl + _SLACK:
+            return False
+    for col in B.right_adj():
+        if abs(popcount(col) - d * nl) > wr + _SLACK:
+            return False
+    if 1 - 5 * eps > 0 and nl > 2 / eps:
+        d_emp = B.density()
+        bad = _ref_codegree_fraction(B, eps, d_emp)
+        good = (1.0 - bad) * (nl * (nl - 1) // 2)
+        if not good > 0.5 * (1 - 5 * eps) * nl * nl:
+            return False
+    return True
+
+
+def _cyclic_pair(nl, nr, width):
+    """Row u holds the ``width`` consecutive right vertices from u mod nr."""
+    return BipartiteGraph(nl, nr, [(u, (u + t) % nr) for u in range(nl) for t in range(width)])
+
+
+@st.composite
+def pairs(draw):
+    """Random pairs, some with a planted two-block structure (within-block
+    density p, across q) that the codegree criterion rejects."""
+    nl, nr = draw(st.integers(0, 140)), draw(st.integers(0, 140))
+    p = draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]))
+    q = draw(st.one_of(st.just(p), st.sampled_from([0.0, 0.2, 0.5, 0.8])))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return BipartiteGraph(nl, nr, [(u, v) for u in range(nl) for v in range(nr)
+                                   if rng.random() < (p if u % 2 == v % 2 else q)])
+
+
+@given(pairs(), st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.125, 0.15, 0.2, 0.25, 0.3]),
+       st.sampled_from([-0.1, -0.02, 0.0, 0.03, 0.1]))
+@example(_cyclic_pair(24, 16, 6), 0.125, 0.0)
+@settings(max_examples=250, deadline=None)
+def test_certificates_match_the_implementations_they_replaced(B, eps, shift):
+    d = min(max(B.density() + shift, 0.0), 1.0)
+    assert pipeline_certificate(B, eps, d) == _ref_pipeline_certificate(B, eps, d)
+    if B.nl < 2 or B.nr < 2:
+        with pytest.raises(BadParams):
+            super_regularity_certificate(B, eps, d)
+        return
+    rep = super_regularity_certificate(B, eps, d)
+    got = {k: (type(v), v) for k, v in vars(rep).items() if k != "probes"}
+    assert got == {k: (type(v), v) for k, v in _ref_super_certificate(B, eps, d).items()}
+
+
+def test_codegree_on_its_threshold_counts_as_good():
+    # density 6/16 and eps 1/8 make (d + eps)^2 |B| exactly 4, the codegree
+    # of rows two apart; in float32 the slack would round away and flip them
+    B = _cyclic_pair(24, 16, 6)
+    eps = 0.125
+    assert (B.density() + eps) ** 2 * B.nr == 4.0
+    assert popcount(B.adj[0] & B.adj[2]) == 4
+    rep = super_regularity_certificate(B, eps, B.density())
+    assert rep.codegree_bad_fraction == _ref_codegree_fraction(B, eps, B.density())
+    # every degree is 6, so the bad pairs are those of codegree 5 or 6
+    bad = sum(1 for x in range(24) for y in range(x + 1, 24) if popcount(B.adj[x] & B.adj[y]) > 4)
+    assert 0 < bad < 276
+    assert rep.codegree_bad_fraction == 1.0 - (276 - bad) / 276
+
+
+def test_complete_pair_beyond_2000_left_vertices_certifies():
+    B = complete_bipartite(2001, 8)
+    assert pipeline_certificate(B, 0.1, 1.0)
+    rep = super_regularity_certificate(B, 0.1, 1.0)
+    assert rep.ok and rep.codegree_bad_fraction == 0.0

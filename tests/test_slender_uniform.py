@@ -58,7 +58,7 @@ class TestSlenderDegenerate:
 
     def test_empty_pattern_complete_host(self):
         s = self._complete_input(m=6)
-        out = run_slender(s, random.Random(0), expected_w=2)
+        out = run_slender(s, random.Random(0))
         # class-respecting bijection consistent with the full candidacy
         assert sorted(out.phi.keys()) == list(range(12))
         assert {out.phi[p] for p in s.Y_classes[0]} == set(s.U_classes[0])
@@ -69,13 +69,13 @@ class TestSlenderDegenerate:
     def test_strict_mode_on_complete_instance(self):
         s = self._complete_input(m=6)
         s.params = dataclasses.replace(s.params, strict_candidacy=True)
-        out = run_slender(s, random.Random(1), expected_w=2)
+        out = run_slender(s, random.Random(1))
         assert len(set(out.phi.values())) == 12
 
     def test_exact_sampler_path(self):
         s = self._complete_input(m=6)
         s.params = dataclasses.replace(s.params, exact_sampler=True)
-        out = run_slender(s, random.Random(2), expected_w=2)
+        out = run_slender(s, random.Random(2))
         assert len(set(out.phi.values())) == 12
 
     def test_density_ladder_exact_identity(self):
@@ -96,7 +96,7 @@ class TestSlenderDegenerate:
             H=templates[0].graph, H_star=H_star, A0=A0s, schedule=sched,
             d_mat=dK, beta_mat=bK, d0=1.0,
             params=dataclasses.replace(params, eps=params.eps ** (1 / 3)), C=params.C)
-        out = run_slender(s, rng, expected_w=params.w)
+        out = run_slender(s, rng)
         for j in range(2 * K):
             want_d = Fraction(1)
             want_b = Fraction(1)
@@ -123,18 +123,18 @@ class TestValidation:
             d_mat=expand_matrix(host.densities, 2, K),
             beta_mat=expand_matrix(bmat, 2, K), d0=1.0,
             params=dataclasses.replace(params, eps=params.eps ** (1 / 3)), C=params.C)
-        assert validate_input(s, expected_w=params.w) == []
+        assert validate_input(s) == []
 
     def test_nonmatching_pair_flagged(self):
         s_obj = TestSlenderDegenerate()._complete_input(m=4)
         s_obj.H_star.add_edge(s_obj.Y_classes[0][0], s_obj.Y_classes[1][1])
-        violations = validate_input(s_obj, expected_w=2, check_certificates=False)
+        violations = validate_input(s_obj, check_certificates=False)
         assert any("(V6)" in v for v in violations)
 
     def test_dependent_schedule_class_flagged(self):
         s_obj = TestSlenderDegenerate()._complete_input(m=4)
         s_obj.schedule = [[0, 1], []]
-        violations = validate_input(s_obj, expected_w=2, check_certificates=False)
+        violations = validate_input(s_obj, check_certificates=False)
         assert any("(V2)" in v for v in violations)
 
 
@@ -161,17 +161,17 @@ class TestScheduleValidation:
         # class 2 has both of its class-graph neighbours in the round {0, 1},
         # whichever of the two rounds comes first
         s = _three_class_input(ReducedGraph(3, [(0, 2), (1, 2)]), schedule)
-        violations = validate_input(s, expected_w=2, check_certificates=False)
+        violations = validate_input(s, check_certificates=False)
         assert violations == [f"(V2) a vertex of round {schedule.index([2])} has two "
                               f"neighbours in round {schedule.index([0, 1])}"]
 
     def test_valid_three_round_schedule_passes(self):
         s = _three_class_input(ReducedGraph(3, [(0, 2), (1, 2)]), [[0], [2], [1]])
-        assert validate_input(s, expected_w=3, check_certificates=False) == []
+        assert validate_input(s, check_certificates=False) == []
 
     def test_broken_partition_is_v1(self):
         s = _three_class_input(ReducedGraph(3, [(0, 2), (1, 2)]), [[0], [2], []])
-        violations = validate_input(s, expected_w=3, check_certificates=False)
+        violations = validate_input(s, check_certificates=False)
         assert violations == ["(V1) schedule is not a partition of the vertex set"]
 
 
