@@ -184,8 +184,7 @@ def cmd_balance(args) -> int:
         col = try_equitable_coloring(G, r, rng)
         if col is None:
             raise BadParams(f"{path} admits no equitable {r}-coloring; raise --r")
-        cls = sorted(([sorted(c) for c in col.classes]), key=lambda c: (-len(c), c))
-        graphs.append(PartitionedGraph(G, VertexPartition.from_lists(cls, G.n), R))
+        graphs.append(PartitionedGraph(G, VertexPartition.from_lists(col.classes, G.n), R))
     kmat = [[0] * r for _ in range(r)]
     H, taus, J, kmat_eff = stack_family(graphs, R, kmat, C=2, rng=rng)
     payload = {

@@ -6,8 +6,8 @@ into k+1 classes, then balancing moves.  A balancing move walks a path
 in the "class-move digraph" (an arc X -> Y when some vertex of X has no
 neighbour in Y) from an oversized class to an undersized class,
 shifting one vertex along each arc.  If no such path exists the search
-restarts from a shuffled greedy coloring; small instances fall back to
-an exhaustive swap search.
+restarts from a shuffled greedy coloring.  Classes come back in one
+canonical order: by descending size, then lexicographically.
 """
 
 from __future__ import annotations
@@ -65,11 +65,21 @@ def _greedy_classes(G: LabeledGraph, k: int, order: list[int]) -> list[list[int]
     return classes
 
 
-def _balance(G: LabeledGraph, classes: list[list[int]], iteration_cap: int) -> bool:
-    """Equalize class sizes via class-move paths; True on success."""
+def _balance(G: LabeledGraph, classes: list[list[int]]) -> bool:
+    """Equalize class sizes via class-move paths; True on success, False
+    when no path leads from a largest class to a smallest one.
+
+    The loop ends: each move takes one vertex from a largest class (size
+    h) to a smallest one (size l) with h - l >= 2, leaving the classes in
+    between at their sizes.  With U = ceil(n/q) and L = floor(n/q) for q
+    classes, the potential sum(max(0, s - U)) + sum(max(0, L - s)) over
+    the class sizes s then drops by at least 1 (h > U, or else l < L)
+    and no term of it rises; it starts at no more than 2n, so there are
+    at most 2n moves.
+    """
     k1 = len(classes)
     masks = [mask_of(c) for c in classes]
-    for _ in range(iteration_cap):
+    while True:
         sizes = [len(c) for c in classes]
         hi = max(sizes)
         lo = min(sizes)
@@ -112,55 +122,6 @@ def _balance(G: LabeledGraph, classes: list[list[int]], iteration_cap: int) -> b
             masks[c] &= ~(1 << mover)
             masks[c2] |= 1 << mover
             c2 = c
-    sizes = [len(c) for c in classes]
-    return max(sizes) - min(sizes) <= 1
-
-
-def _exhaustive_balance(G: LabeledGraph, classes: list[list[int]]) -> bool:
-    """Depth-2 swap search; viable only for small classes."""
-    k1 = len(classes)
-    for _ in range(G.n * G.n):
-        masks = [mask_of(c) for c in classes]
-        sizes = [len(c) for c in classes]
-        hi = max(sizes)
-        lo = min(sizes)
-        if hi - lo <= 1:
-            return True
-        done = False
-        for c in range(k1):
-            if sizes[c] != hi or done:
-                continue
-            for c2 in range(k1):
-                if sizes[c2] != lo or done:
-                    continue
-                for v in classes[c]:
-                    if not (G.adj[v] & masks[c2]):
-                        classes[c].remove(v)
-                        classes[c2].append(v)
-                        done = True
-                        break
-                if done:
-                    break
-                # depth 2: v -> c3, w in c3 -> c2
-                for c3 in range(k1):
-                    if c3 in (c, c2) or done:
-                        continue
-                    for v in classes[c]:
-                        if G.adj[v] & masks[c3]:
-                            continue
-                        for w in classes[c3]:
-                            if w != v and not (G.adj[w] & (masks[c2] | (1 << v))):
-                                classes[c].remove(v)
-                                classes[c3].append(v)
-                                classes[c3].remove(w)
-                                classes[c2].append(w)
-                                done = True
-                                break
-                        if done:
-                            break
-        if not done:
-            return False
-    return False
 
 
 def hs_equitable_coloring(G: LabeledGraph, k: int, rng) -> EquitableColoring:
@@ -179,7 +140,8 @@ def try_equitable_coloring(G: LabeledGraph, classes: int, rng, restarts: int = 3
 
     Unlike the (k+1)-class theorem route, a proper coloring into
     ``classes`` classes need not exist at all (bipartite 2-regular
-    graphs do have balanced 2-colorings, odd cycles have none)."""
+    graphs do have balanced 2-colorings, odd cycles have none).  The
+    classes are sorted, largest first, then lexicographically."""
     order = list(range(G.n))
     for _ in range(restarts):
         try:
@@ -187,13 +149,28 @@ def try_equitable_coloring(G: LabeledGraph, classes: int, rng, restarts: int = 3
         except DegreeTooHigh:
             rng.shuffle(order)
             continue
-        if _balance(G, cls, iteration_cap=4 * G.n + 8) or \
-                (max(len(c) for c in cls) < 64 and _exhaustive_balance(G, cls)):
-            col = EquitableColoring([sorted(c) for c in cls])
+        if _balance(G, cls):
+            col = EquitableColoring(sorted((sorted(c) for c in cls), key=lambda c: (-len(c), c)))
             col.check(G)
             return col
         rng.shuffle(order)
     return None
+
+
+def _first_fit(adj: list[int], vertices, colors: int) -> list[list[int]] | None:
+    """Each vertex in turn joins the first of ``colors`` classes that holds
+    none of its neighbours; None when some vertex fits in no class."""
+    classes: list[list[int]] = [[] for _ in range(colors)]
+    masks = [0] * colors
+    for v in vertices:
+        for c in range(colors):
+            if not (adj[v] & masks[c]):
+                classes[c].append(v)
+                masks[c] |= 1 << v
+                break
+        else:
+            return None
+    return classes
 
 
 def round_schedule(R: ReducedGraph, K: int, Delta_R: int) -> list[list[int]]:
@@ -207,38 +184,19 @@ def round_schedule(R: ReducedGraph, K: int, Delta_R: int) -> list[list[int]]:
     """
     if R.max_degree() > Delta_R:
         raise DegreeTooHigh(f"Delta(R)={R.max_degree()} exceeds Delta_R={Delta_R}")
-    r = R.r
-    # independent sets W*_1..W*_{Delta_R+1} of R, greedily
-    w_star: list[list[int]] = [[] for _ in range(Delta_R + 1)]
-    star_masks = [0] * (Delta_R + 1)
-    for v in range(r):
-        for c in range(Delta_R + 1):
-            if not (R.adj[v] & star_masks[c]):
-                w_star[c].append(v)
-                star_masks[c] |= 1 << v
-                break
-    RK = blow_up(R, K)
-    RK2 = square(RK)
+    # independent sets W*_1..W*_{Delta_R+1} of R; the degree check above
+    # leaves every vertex a free color
+    w_star = _first_fit(R.adj, range(R.r), Delta_R + 1)
+    RK2 = square(blow_up(R, K))
     per_block = (K * Delta_R) ** 2
     schedule: list[list[int]] = []
     for c in range(Delta_R + 1):
-        members: list[int] = []
-        for i in w_star[c]:
-            members.extend(range(i * K, (i + 1) * K))
+        members = [v for i in w_star[c] for v in range(i * K, (i + 1) * K)]
         # lexicographically-first greedy partition of (R_K)^2[W**] into
         # per_block independent sets
-        sub: list[list[int]] = [[] for _ in range(per_block)]
-        sub_masks = [0] * per_block
-        for v in members:
-            placed = False
-            for c2 in range(per_block):
-                if not (RK2.adj[v] & sub_masks[c2]):
-                    sub[c2].append(v)
-                    sub_masks[c2] |= 1 << v
-                    placed = True
-                    break
-            if not placed:
-                raise BadParams("blow-up square needs more colors than reserved")
+        sub = _first_fit(RK2.adj, members, per_block)
+        if sub is None:
+            raise BadParams("blow-up square needs more colors than reserved")
         schedule.extend(sub)
     return schedule
 

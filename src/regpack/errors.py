@@ -92,10 +92,6 @@ class BadParameters(BadParams):
     pass
 
 
-class BalanceRetriesExhausted(RetriesExhausted):
-    pass
-
-
 class StackEmbedFailure(RegpackError):
     pass
 

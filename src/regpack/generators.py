@@ -99,7 +99,7 @@ def near_regular_bipartite(n: int, d: float, rng) -> BipartiteGraph:
     return B
 
 
-def certified_bipartite_host(n: int, d: float, eps: float, rng, tries: int = 64) -> BipartiteGraph:
+def certified_bipartite_host(n: int, d: float, eps: float, rng) -> BipartiteGraph:
     """Bipartite host that passes the (eps, d)-super-regularity certificate.
 
     Degrees are drawn from {floor(dn), floor(dn)+1} clipped to the
@@ -111,7 +111,7 @@ def certified_bipartite_host(n: int, d: float, eps: float, rng, tries: int = 64)
     def fits(k):
         return abs(k - d * n) <= eps * n + 1e-9
 
-    for _ in range(tries):
+    for _ in range(64):
         if fits(lo) and fits(lo + 1):
             B = near_regular_bipartite(n, d, rng)
         elif fits(round(d * n)):
@@ -120,7 +120,7 @@ def certified_bipartite_host(n: int, d: float, eps: float, rng, tries: int = 64)
             raise BadParams(f"no integer degree lies in the ({eps},{d}) window at n={n}")
         if super_regularity_certificate(B, eps, d).ok:
             return B
-    raise RetriesExhausted(f"no certified ({eps},{d}) host of size {n} after {tries} tries")
+    raise RetriesExhausted(f"no certified ({eps},{d}) host of size {n} after 64 tries")
 
 
 def host_complete(n: int) -> LabeledGraph:
@@ -204,11 +204,10 @@ def cycle_factor(n: int, lengths: list[int]) -> LabeledGraph:
     return G
 
 
-def random_bounded_degree_graph(n: int, max_degree: int, e_target: int, rng,
-                                tries_factor: int = 50) -> LabeledGraph:
+def random_bounded_degree_graph(n: int, max_degree: int, e_target: int, rng) -> LabeledGraph:
     G = LabeledGraph(n)
     deg = [0] * n
-    tries = tries_factor * max(e_target, 1)
+    tries = 50 * max(e_target, 1)
     while G.num_edges() < e_target and tries > 0:
         tries -= 1
         u = rng.randrange(n)
@@ -221,14 +220,14 @@ def random_bounded_degree_graph(n: int, max_degree: int, e_target: int, rng,
     return G
 
 
-def tree_family_gl(n: int, max_degree: int, rng, start: int = 1) -> list[LabeledGraph]:
-    """Trees T_start..T_n with |T_i| = i, each padded to n vertices.
+def tree_family_gl(n: int, max_degree: int, rng) -> list[LabeledGraph]:
+    """Trees T_1..T_n with |T_i| = i, each padded to n vertices.
 
     Vertices i..n-1 of the i-th tree are isolated, so every member lives
     on a common n-vertex set.
     """
     fam = []
-    for i in range(start, n + 1):
+    for i in range(1, n + 1):
         T = random_tree(i, max_degree, rng) if i > 1 else LabeledGraph(1)
         G = LabeledGraph(n)
         for u, v in T.edges():

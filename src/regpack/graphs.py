@@ -13,7 +13,6 @@ pair between two vertex lists out of a graph's rows, and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -404,28 +403,6 @@ def square(G: LabeledGraph) -> LabeledGraph:
     return out
 
 
-def equitable_split(vertices: Sequence[int], parts: int, rng=None) -> list[list[int]]:
-    """Split into ``parts`` lists with sizes differing by at most one.
-
-    Deterministic for a fixed input order; pass ``rng`` for a shuffled
-    split.  Larger parts come first.
-    """
-    if parts < 1:
-        raise BadParams("parts must be >= 1")
-    vs = list(vertices)
-    if rng is not None:
-        rng.shuffle(vs)
-    n = len(vs)
-    base, extra = divmod(n, parts)
-    out = []
-    pos = 0
-    for p in range(parts):
-        size = base + (1 if p < extra else 0)
-        out.append(vs[pos:pos + size])
-        pos += size
-    return out
-
-
 def induced_bipartite(G: PartitionedGraph, i: int, j: int) -> BipartiteGraph:
     """The pair G[V_i, V_j] with local re-indexing and global id maps."""
     if i == j:
@@ -434,7 +411,7 @@ def induced_bipartite(G: PartitionedGraph, i: int, j: int) -> BipartiteGraph:
 
 
 # ---------------------------------------------------------------------------
-# external interfaces: edge-list text + partition sidecar
+# external interface: edge-list text
 
 
 def write_edge_list(G: LabeledGraph, path) -> None:
@@ -462,14 +439,3 @@ def read_edge_list(path) -> LabeledGraph:
         if count != m:
             raise BadParams(f"edge list declares {m} edges, found {count}")
     return G
-
-
-def write_partition(partition: VertexPartition, path) -> None:
-    with open(path, "w") as fh:
-        json.dump([list(c) for c in partition.classes], fh)
-
-
-def read_partition(path, n: int | None = None) -> VertexPartition:
-    with open(path) as fh:
-        classes = json.load(fh)
-    return VertexPartition.from_lists(classes, n)

@@ -260,10 +260,6 @@ class ExactUniformSampler:
         return Matching(sigma)
 
 
-def sample_uniform_exact(B: BipartiteGraph, rng) -> Matching:
-    return ExactUniformSampler(B).sample(rng)
-
-
 def apply_switch(B: BipartiteGraph, m: Matching, u1: int, u2: int, u3: int) -> Matching:
     """The (u1,u2,u3)-switch: rotate the images of three left vertices."""
     if len({u1, u2, u3}) != 3:
@@ -280,8 +276,9 @@ def _adj_bool(B: BipartiteGraph) -> np.ndarray:
     return bit_matrix(B.adj, B.nr).astype(np.bool_)
 
 
-def default_steps(n: int, mix_factor: int = 50) -> int:
-    return max(1, int(mix_factor * n * math.log(max(n, 2))))
+def default_steps(n: int) -> int:
+    """Switch-chain proposals for n left vertices: 50 n log n."""
+    return max(1, int(50 * n * math.log(max(n, 2))))
 
 
 def _run_chain(kernel, adj, sigma, steps: int, gen: np.random.Generator) -> None:

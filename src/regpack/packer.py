@@ -681,12 +681,13 @@ def color_members(H_list: list[LabeledGraph], R: ReducedGraph, rng) -> list[Part
     classes to host classes so that the family's per-pair edge mass stays
     even across the class pairs (R is the complete reduced graph).
 
-    Members are placed in order.  Each starts from its colour classes
-    sorted by descending size, then lexicographically, and takes pairwise swaps of host
-    classes while they strictly lower the sum over pairs of mass already
-    placed times the member's own mass, which is the sum of squared pair
-    loads up to a constant.  No randomness is drawn beyond the colouring,
-    and at r = 2 no swap can improve, so the sorted order stands.
+    Members are placed in order.  Each starts from its colour classes in
+    the colouring's own order (by descending size, then lexicographically)
+    and takes pairwise swaps of host classes while they strictly lower the
+    sum over pairs of mass already placed times the member's own mass,
+    which is the sum of squared pair loads up to a constant.  No randomness
+    is drawn beyond the colouring, and at r = 2 no swap can improve, so
+    that order stands.
     """
     from .coloring import try_equitable_coloring
 
@@ -698,7 +699,7 @@ def color_members(H_list: list[LabeledGraph], R: ReducedGraph, rng) -> list[Part
         if col is None:
             raise BadParams("a member admits no equitable coloring at this class count; "
                             "raise r above its maximum degree")
-        classes = sorted(col.classes, key=lambda c: (-len(c), c))
+        classes = col.classes
         masks = [mask_of(c) for c in classes]
         mass = [[sum(popcount(H.adj[u] & masks[b]) for u in classes[a]) for b in range(r)]
                 for a in range(r)]
@@ -722,7 +723,7 @@ def color_members(H_list: list[LabeledGraph], R: ReducedGraph, rng) -> list[Part
                         slot[a], slot[b] = slot[b], slot[a]
         placed = [None] * r
         for a in range(r):
-            placed[slot[a]] = sorted(classes[a])
+            placed[slot[a]] = classes[a]
             for b in range(r):
                 load[slot[a]][slot[b]] += mass[a][b]
         members.append(PartitionedGraph(H, VertexPartition.from_lists(placed, n=H.n), R))
@@ -730,8 +731,7 @@ def color_members(H_list: list[LabeledGraph], R: ReducedGraph, rng) -> list[Part
 
 
 def pack_quasirandom(G: LabeledGraph, H_list: list[LabeledGraph], alpha: float, p: float,
-                     Delta: int, params: ParamSet, rng, r: int | None = None,
-                     gamma_n: int = 1):
+                     Delta: int, params: ParamSet, rng, r: int | None = None):
     """Partition the quasirandom host, drop within-class edges, stack and pack.
 
     Raises BadParams up front when the family, after merging small
@@ -793,15 +793,14 @@ def pack_quasirandom(G: LabeledGraph, H_list: list[LabeledGraph], alpha: float, 
         raise QuasirandomnessFailed("no certified host partition found")
 
     members = color_members(H_list, R, rng)
-    embeddings, result, info = pack_partite(host_pg, members, params, rng, gamma_n=gamma_n)
+    embeddings, result, info = pack_partite(host_pg, members, params, rng)
     stats = leftover_stats(host_pg, members, embeddings)
     stats["delta_J_vs_4apn"] = (stats["delta_J"], 4 * alpha * p * n)
     return embeddings, result, stats
 
 
 def pack_bipartite(G_pair: BipartiteGraph, H_pairs: list[BipartiteGraph], alpha: float,
-                   params: ParamSet, rng, d: float | None = None,
-                   gamma_n: int = 1):
+                   params: ParamSet, rng, d: float | None = None):
     """Bipartite driver: split the large side, reduce to a 3-class path host.
 
     The host has sides (A, B); each member is padded to (|A|, |B|), its
@@ -862,5 +861,5 @@ def pack_bipartite(G_pair: BipartiteGraph, H_pairs: list[BipartiteGraph], alpha:
                    [nA + v for v in range(nB) if not m1 >> v & 1]]
         members.append(PartitionedGraph(L, VertexPartition.from_lists(classes, nA + nB), R))
 
-    embeddings, result, info = pack_partite(host_pg, members, params, rng, gamma_n=gamma_n)
+    embeddings, result, info = pack_partite(host_pg, members, params, rng)
     return embeddings, result, info

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 
-from .errors import EmbedFailure, HypothesisViolation, PatchFailure
+from .errors import BadParams, EmbedFailure, HypothesisViolation, PatchFailure
 from .graphs import LabeledGraph, ReducedGraph, blow_up, matching_completion, pair_view
 from .params import ParamSet
 from .regularity import pipeline_certificate
@@ -96,6 +96,8 @@ def repatch(H: LabeledGraph, P_host: LabeledGraph, R: ReducedGraph, beta_mat,
 
     tau = [[Fraction(1) if i != j else Fraction(0) for j in range(r)] for i in range(r)]
     bmat = [[Fraction(beta_mat[i][j]) for j in range(r)] for i in range(r)]
+    if not 0 < delta < 1:
+        raise BadParams(f"patching embeds at eps = delta, which must lie in (0,1); got delta = {delta}")
     sl_params = dataclasses.replace(params, eps=delta, C=0)
     s = SlenderInput(
         R_star=R,

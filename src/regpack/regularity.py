@@ -81,10 +81,11 @@ def codegree(M: np.ndarray, eps: float) -> tuple[float, bool]:
     bit matrix ``M`` of a pair, at its empirical density.
 
     The criterion carries its own applicability condition |A| > 2/eps;
-    below it, it certifies nothing either way and reads (0.0, True).
+    below it, and at eps <= 0, it certifies nothing either way and reads
+    (0.0, True).
     """
     nl, nr = M.shape
-    if not nl > 2 / eps:
+    if eps <= 0 or not nl > 2 / eps:
         return 0.0, True
     degs = M.sum(axis=1)
     d_emp = int(degs.sum()) / (nl * nr)

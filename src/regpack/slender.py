@@ -270,13 +270,13 @@ class _State:
         errs.extend(self._check_p3())
         return errs
 
-    def _check_p3(self, tuple_cap: int = 10_000) -> list[str]:
+    def _check_p3(self) -> list[str]:
         s, m, rng = self.s, self.m, self.rng
         arty = [(j, a) for j in range(self.q) for a in range(self.ny[j], m)]
         if not arty:
             return []
         errs = []
-        budget = min(tuple_cap, 50 * len(arty))
+        budget = min(10_000, 50 * len(arty))
         tol = 2 * s.params.eps * m
         host = self.tracks[0].pairs
         for _ in range(budget):

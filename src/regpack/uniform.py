@@ -71,8 +71,7 @@ def refine_pattern(H: PartitionedGraph, kmat, C: int, params: ParamSet, rng):
     for i, cls in enumerate(H.partition.classes):
         sub = LabeledGraph(len(cls), pair_view(H2.adj, cls, cls).edges())
         col = hs_equitable_coloring(sub, K - 1, rng)
-        blocks = sorted(col.classes, key=lambda c: (-len(c), c))
-        Y_classes.extend([sorted(cls[a] for a in blk) for blk in blocks])
+        Y_classes.extend([sorted(cls[a] for a in blk) for blk in col.classes])
 
     H_star = H.graph.copy()
     for a, b in blow_up(H.reduced, K).edges():

@@ -177,6 +177,18 @@ def _malformed_instance(tmp_path, edit):
     return path
 
 
+def test_pack_with_patching_at_delta_zero_exits_2(tmp_path, capsys):
+    assert main(["gen", "host-superregular", "--n", "60", "--r", "2", "--k", "1", "--count", "8",
+                 "--d", "0.9", "--seed", "1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    # --delta defaults to 0; batches of two need patching, which runs at eps = delta
+    assert main(["pack", "--instance", str(tmp_path / "instance.json"), "--seed", "1",
+                 "--beta", "0.45", "--gamma-n", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "delta" in err
+    assert "Traceback" not in err
+
+
 class TestMalformedInput:
     """Unreadable or malformed files exit 2 with a message naming the path."""
 

@@ -13,18 +13,15 @@ from regpack.graphs import (
     VertexPartition,
     bit_matrix,
     blow_up,
-    equitable_split,
     induced_bipartite,
     iter_bits,
     mask_of,
     matching_completion,
     pair_view,
     read_edge_list,
-    read_partition,
     square,
     transpose,
     write_edge_list,
-    write_partition,
 )
 
 
@@ -124,26 +121,6 @@ class TestSquare:
             assert S.max_degree() <= G.max_degree() * (G.max_degree() + 1)
 
 
-class TestEquitableSplit:
-    @pytest.mark.parametrize("n,parts,sizes", [(10, 3, [4, 3, 3]), (6, 6, [1] * 6), (7, 2, [4, 3])])
-    def test_sizes(self, n, parts, sizes):
-        out = equitable_split(range(n), parts)
-        assert [len(c) for c in out] == sizes
-
-    @given(st.integers(0, 40), st.integers(1, 12))
-    @settings(max_examples=60, deadline=None)
-    def test_partition_properties(self, n, parts):
-        out = equitable_split(range(n), parts)
-        flat = [v for c in out for v in c]
-        assert sorted(flat) == list(range(n))
-        lens = [len(c) for c in out]
-        assert max(lens) - min(lens) <= 1
-
-    def test_rejects_zero_parts(self):
-        with pytest.raises(BadParams):
-            equitable_split(range(4), 0)
-
-
 class TestInducedBipartite:
     def _pg(self, G, classes, redges):
         part = VertexPartition.from_lists(classes, G.n)
@@ -200,13 +177,6 @@ def test_edge_list_roundtrip(tmp_path):
     p = tmp_path / "g.txt"
     write_edge_list(G, p)
     assert read_edge_list(p) == G
-
-
-def test_partition_roundtrip(tmp_path):
-    part = VertexPartition.from_lists([[0, 2], [1, 3]])
-    p = tmp_path / "p.json"
-    write_partition(part, p)
-    assert read_partition(p, 4).classes == part.classes
 
 
 def test_bipartite_subgraph_index_maps():

@@ -26,7 +26,6 @@ from regpack.matching import (
     matching_diagnostics,
     sample_switch_chain,
     sample_switch_chain_many,
-    sample_uniform_exact,
 )
 
 
@@ -103,7 +102,7 @@ class TestExactSampler:
     def test_k22_balanced(self):
         B = complete_bipartite(2)
         rng = random.Random(1)
-        hits = sum(1 for _ in range(10_000) if sample_uniform_exact(B, rng).sigma == [0, 1])
+        hits = sum(1 for _ in range(10_000) if ExactUniformSampler(B).sample(rng).sigma == [0, 1])
         # 3-sigma band around 1/2
         sigma = math.sqrt(0.25 / 10_000)
         assert abs(hits / 10_000 - 0.5) < 3 * sigma + 1e-12
@@ -112,7 +111,7 @@ class TestExactSampler:
         B = BipartiteGraph(3, 3, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)])
         assert count_matchings_exact(B) == 1
         for s in range(5):
-            assert sample_uniform_exact(B, random.Random(s)).sigma == [0, 1, 2]
+            assert ExactUniformSampler(B).sample(random.Random(s)).sigma == [0, 1, 2]
 
     def test_cycle_balanced(self):
         B = cycle6()
@@ -124,7 +123,7 @@ class TestExactSampler:
     def test_no_matching(self):
         B = BipartiteGraph(2, 2, [(0, 0), (1, 0)])
         with pytest.raises(NoMatching):
-            sample_uniform_exact(B, random.Random(0))
+            ExactUniformSampler(B).sample(random.Random(0))
 
     def test_chi_square_uniformity(self):
         # |M| = 24 on K_{4,4}; 1e5 exact samples must fit uniform at p > 0.01

@@ -98,6 +98,12 @@ class TestMainPacking:
         rep = verify_packing(inst.host, inst.templates, res.embeddings)
         assert rep.ok, rep.violations
 
+    def test_patching_at_delta_zero_is_refused(self):
+        # the patch embedding runs at eps = delta, which must be positive
+        inst, rng = simple_instance(s=4, gamma_n=2, delta=0.0)
+        with pytest.raises(BadParams, match="delta"):
+            run_main_packing(inst, rng)
+
     def test_conflict_free_nibble_high_coverage(self):
         inst, rng = simple_instance(s=16, gamma_n=1, beta=0.1, delta=0.0)
         res = run_main_packing(inst, rng)

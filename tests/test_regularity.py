@@ -410,3 +410,15 @@ def test_complete_pair_beyond_2000_left_vertices_certifies():
     assert pipeline_certificate(B, 0.1, 1.0)
     rep = super_regularity_certificate(B, 0.1, 1.0)
     assert rep.ok and rep.codegree_bad_fraction == 0.0
+
+
+def test_certificates_give_a_verdict_at_eps_zero():
+    # |A| > 2/eps cannot hold at eps = 0, so the codegree count reads
+    # nothing and the degree windows decide
+    B = complete_bipartite(10, 10)
+    assert pipeline_certificate(B, 0.0, 1.0)
+    rep = super_regularity_certificate(B, 0.0, 1.0)
+    assert rep.ok and rep.codegree_bad_fraction == 0.0
+    M = BipartiteGraph(10, 10, [(i, i) for i in range(10)])
+    assert not pipeline_certificate(M, 0.0, 1.0)
+    assert not super_regularity_certificate(M, 0.0, 1.0).ok
