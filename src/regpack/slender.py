@@ -91,7 +91,6 @@ class SlenderOutput:
     F: list[BipartiteGraph]                  # per class, on (Y_j, U_j) with global ids
     p_host: list[Fraction] = field(default_factory=list)   # density ladder vs the host
     p_patch: list[Fraction] = field(default_factory=list)  # density ladder vs the reserve
-    trace: list[dict] = field(default_factory=list)
 
 
 def trace_to_jsonl(trace: list[dict], path) -> None:
@@ -458,8 +457,7 @@ def run_slender(s: SlenderInput, rng, trace: list[dict] | None = None) -> Slende
                 want *= Fraction(tr.dens[j][ell])
             if tr.p[j] != want:
                 raise AssertionError(f"{tr.name} density ladder of class {j} broke its exact identity")
-    return SlenderOutput(phi=phi, F=F, p_host=list(host.p), p_patch=list(patch.p),
-                         trace=trace or [])
+    return SlenderOutput(phi=phi, F=F, p_host=list(host.p), p_patch=list(patch.p))
 
 
 def _assert_output(s: SlenderInput, phi: dict[int, int], F: list[BipartiteGraph]) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .coloring import hs_equitable_coloring, round_schedule
@@ -53,7 +53,6 @@ class UniformEmbedResult:
     N: dict[int, tuple[int, ...]]
     K: int
     attempts: int = 1
-    trace: list[dict] = field(default_factory=list)
 
 
 def refine_pattern(H: PartitionedGraph, kmat, C: int, params: ParamSet, rng):
@@ -256,7 +255,7 @@ def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
             out = run_slender(s, rng, trace=trace)
             N = _candidacy_hypergraph(H, H_star, eff)
             res = UniformEmbedResult(phi=out.phi, Y_classes=Y_classes, U_classes=U_classes,
-                                     F=out.F, N=N, K=K, attempts=attempt, trace=out.trace)
+                                     F=out.F, N=N, K=K, attempts=attempt)
             _assert_result(G, H, A0, res, eff)
             return res
         except EmbedFailure as exc:

@@ -319,6 +319,9 @@ class TestUsageErrors:
     def test_missing_required(self):
         assert main(["pack"]) == 2
 
+    def test_unknown_generator_kind(self, tmp_path):
+        assert main(["gen", "no-such-kind", "--n", "4", "--out", str(tmp_path)]) == 2
+
     def test_threads_flag_is_gone(self, tmp_path):
         assert main(["gen", "host-complete", "--n", "4", "--out", str(tmp_path),
                      "--threads", "2"]) == 2

@@ -1,8 +1,10 @@
 """Static hygiene of the package source: no module imports a name it never
-uses, every function or method is referenced somewhere, every parameter is
-read, and every plain dataclass default is overridden somewhere."""
+uses or a package other than the standard library and numpy, every function
+or method is referenced somewhere, every parameter is read, and every plain
+dataclass default is overridden somewhere."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,6 +62,36 @@ def test_checker_flags_unused_and_keeps_used_names():
         "y: E = 1\n"
     )
     assert unused_imports(source) == ["D (line 3)", "os (line 2)"]
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Absolute imports of anything but the standard library and numpy."""
+    tree = ast.parse(source)
+    roots = [(alias.name, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    roots += [(node.module, node.lineno) for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0]
+    return sorted(f"{name} (line {line})" for name, line in roots
+                  if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_stdlib_and_numpy_imports(path):
+    assert foreign_imports(path.read_text()) == []
+
+
+def test_import_checker_flags_an_optional_backend():
+    source = (
+        "from __future__ import annotations\n"
+        "import math, numpy as np\n"
+        "from numpy.linalg import norm\n"
+        "from .graphs import A\n"
+        "try:\n"
+        "    from numexpr import evaluate\n"
+        "except ImportError:\n"
+        "    import scipy.sparse\n"
+    )
+    assert foreign_imports(source) == ["numexpr (line 6)", "scipy.sparse (line 8)"]
 
 
 def referenced_names(sources: list[str]) -> set[str]:

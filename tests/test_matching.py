@@ -239,18 +239,36 @@ def test_chain_rows_matches_bool_matrix_kernel(case):
     Matching(sigma).check(B)
 
 
+def _bool_matrix_steps(adj, sigma, steps, gen):
+    """``steps`` proposals of ``_chain_python`` in ``_CHUNK`` chunks."""
+    done = 0
+    while done < steps:
+        chunk = min(_CHUNK, steps - done)
+        _chain_python(adj, sigma, gen.integers(0, len(adj), size=(chunk, 3), dtype=np.int64))
+        done += chunk
+
+
 def _bool_matrix_chain(B, steps, rng):
     """``sample_switch_chain`` as it ran on the bool matrix, kept as reference."""
     start = find_perfect_matching(B)
     gen = np.random.Generator(np.random.PCG64(rng.getrandbits(63)))
-    adj = _adj_bool(B)
     sigma = np.array(start.sigma, dtype=np.int64)
-    done = 0
-    while done < steps:
-        chunk = min(_CHUNK, steps - done)
-        _chain_python(adj, sigma, gen.integers(0, B.nl, size=(chunk, 3), dtype=np.int64))
-        done += chunk
+    _bool_matrix_steps(_adj_bool(B), sigma, steps, gen)
     return Matching([int(x) for x in sigma])
+
+
+def _bool_matrix_many(B, samples, steps, rng):
+    """``sample_switch_chain_many`` written out: one generator, and a fresh
+    copy of the Hopcroft-Karp start for each sample."""
+    start = find_perfect_matching(B)
+    gen = np.random.Generator(np.random.PCG64(rng.getrandbits(63)))
+    adj = _adj_bool(B)
+    out = []
+    for _ in range(samples):
+        sigma = np.array(start.sigma, dtype=np.int64)
+        _bool_matrix_steps(adj, sigma, steps, gen)
+        out.append(tuple(int(x) for x in sigma))
+    return out
 
 
 @pytest.mark.parametrize("n,p,steps,seed", [(3, 1.0, 50, 0), (12, 0.6, 2000, 1),
@@ -262,18 +280,13 @@ def test_switch_chain_matches_bool_matrix_path(n, p, steps, seed):
     assert got != find_perfect_matching(B)
 
 
-def test_numba_kernel_matches_python_kernels():
-    pytest.importorskip("numba")
-    from regpack.matching import _chain_kernel
-
-    for n, seed in [(3, 0), (20, 1), (70, 2)]:
-        B, perm = _planted_host(n, 0.6, seed)
-        trips = np.random.default_rng(seed).integers(0, n, size=(5000, 3), dtype=np.int64)
-        fast = np.array(perm, dtype=np.int64)
-        _chain_kernel(_adj_bool(B), fast, trips)
-        sigma = list(perm)
-        _chain_rows(B.adj, sigma, trips)
-        assert fast.tolist() == sigma
+@pytest.mark.parametrize("n,samples,steps,seed", [(3, 5, 50, 0), (12, 20, 2000, 1),
+                                                  (30, 3, _CHUNK + 777, 2)])
+def test_switch_chain_many_matches_reference_loop(n, samples, steps, seed):
+    B, _ = _planted_host(n, 1.0 if n == 3 else 0.6, seed)
+    got = sample_switch_chain_many(B, samples, steps, random.Random(seed))
+    assert got == _bool_matrix_many(B, samples, steps, random.Random(seed))
+    assert len(set(got)) > 1
 
 
 class TestDiagnostics:
