@@ -79,7 +79,10 @@ def cmd_gen(args) -> int:
         write_edge_list(G, out / "graph.txt")
         summary["edges"] = G.num_edges()
     elif kind == "cycle-factor":
-        lengths = [int(x) for x in args.lengths.split(",")]
+        try:
+            lengths = [int(x) for x in args.lengths.split(",")]
+        except ValueError:
+            raise BadParams(f"--lengths must be comma-separated integers, got {args.lengths!r}") from None
         G = cycle_factor(args.n, lengths)
         write_edge_list(G, out / "graph.txt")
         summary["edges"] = G.num_edges()

@@ -205,6 +205,8 @@ def cycle_factor(n: int, lengths: list[int]) -> LabeledGraph:
 
 
 def random_bounded_degree_graph(n: int, max_degree: int, e_target: int, rng) -> LabeledGraph:
+    if e_target > 0 and n < 1:
+        raise BadParams(f"cannot place {e_target} edges on {n} vertices")
     G = LabeledGraph(n)
     deg = [0] * n
     tries = 50 * max(e_target, 1)

@@ -372,24 +372,6 @@ def blow_up(R: ReducedGraph, K: int) -> ReducedGraph:
     return out
 
 
-def matching_completion(adj: Sequence[int], left: Sequence[int],
-                        right: Sequence[int]) -> list[tuple[int, int]]:
-    """Pairs joining the vertices of ``left`` and ``right`` that no row of
-    ``adj`` matches across, in list order: together with a matching
-    between the lists they form one of size min(|left|, |right|)."""
-    rmask = mask_of(right)
-    hit = 0
-    free_left = []
-    for p in left:
-        row = adj[p] & rmask
-        if row:
-            hit |= row
-        else:
-            free_left.append(p)
-    free_right = [q for q in right if not hit >> q & 1]
-    return list(zip(free_left, free_right))
-
-
 def square(G: LabeledGraph) -> LabeledGraph:
     """Graph with edges between vertices at distance 1 or 2 in ``G``."""
     out = LabeledGraph(G.n)
@@ -422,20 +404,30 @@ def write_edge_list(G: LabeledGraph, path) -> None:
 
 
 def read_edge_list(path) -> LabeledGraph:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise BadParams("edge list header must be 'n m'")
-        n, m = int(header[0]), int(header[1])
-        G = LabeledGraph(n)
-        count = 0
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            u, v = map(int, line.split())
-            G.add_edge(u, v)
-            count += 1
-        if count != m:
-            raise BadParams(f"edge list declares {m} edges, found {count}")
+    """The graph in the edge-list file at ``path``: an ``n m`` header, then
+    one ``u v`` line per edge.
+
+    An unreadable path or a malformed file raises `BadParams` naming the path.
+    """
+    try:
+        with open(path) as fh:
+            header = fh.readline().split()
+            if len(header) != 2:
+                raise ValueError("header must be 'n m'")
+            n, m = int(header[0]), int(header[1])
+            G = LabeledGraph(n)
+            count = 0
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                u, v = map(int, line.split())
+                G.add_edge(u, v)
+                count += 1
+    except OSError as exc:
+        raise BadParams(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except (ValueError, BadParams) as exc:  # a bad field, field count, vertex or byte
+        raise BadParams(f"{path}: malformed edge list: {exc}") from None
+    if count != m:
+        raise BadParams(f"{path}: edge list declares {m} edges, found {count}")
     return G

@@ -319,12 +319,16 @@ def matching_diagnostics(B: BipartiteGraph, sampler: str, trials: int, rng,
     """
     if sampler not in ("exact", "switch-chain"):
         raise BadParams("sampler must be 'exact' or 'switch-chain'")
+    if trials < 1:
+        raise BadParams(f"trials must be at least 1, got {trials}")
+    if steps is not None and steps < 0:
+        raise BadParams(f"steps must not be negative, got {steps}")
     n = B.nl
     if sampler == "exact":
         ex = ExactUniformSampler(B)
         draws = [ex.sample(rng).as_tuple() for _ in range(trials)]
     else:
-        draws = sample_switch_chain_many(B, trials, steps or default_steps(n), rng)
+        draws = sample_switch_chain_many(B, trials, default_steps(n) if steps is None else steps, rng)
 
     counts: dict[tuple[int, int], int] = {}
     for sig in draws:

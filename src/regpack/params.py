@@ -79,12 +79,6 @@ class ParamSet:
     Delta_R: int = 1
     C: int = 2
     embed_retry_cap: int = 8
-    exact_sampler: bool = False
-    # When True, candidacy graphs accrue a constraint for every edge of the
-    # matching-completed pattern, as in the asymptotic analysis.  The default
-    # restricts constraints to real pattern edges, which is what makes the
-    # pipeline run at the instance sizes the test-suite uses; see README.
-    strict_candidacy: bool = False
     K: int = field(init=False)
     w: int = field(init=False)
 

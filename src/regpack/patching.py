@@ -7,11 +7,10 @@ every pattern edge at Z inside the patching graph, and respects F.
 
 The re-embedding itself is the slender primitive run directly on the
 patch instance: pattern pairs H[Z_i, Z_j] have maximum degree one, so
-after completion to perfect matchings they are already slender, and the
-schedule embeds one class per round (each singleton class set is
-trivially independent).  The blow-up refinement used for full-size
-patterns would re-split these already-matching classes for no benefit,
-so it is skipped here.
+they are already matchings, and the schedule embeds one class per round
+(each singleton class set is trivially independent).  The blow-up
+refinement used for full-size patterns would re-split these
+already-matching classes for no benefit, so it is skipped here.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import dataclasses
 from fractions import Fraction
 
 from .errors import BadParams, EmbedFailure, HypothesisViolation, PatchFailure
-from .graphs import LabeledGraph, ReducedGraph, blow_up, matching_completion, pair_view
+from .graphs import LabeledGraph, ReducedGraph, blow_up, pair_view
 from .params import ParamSet
 from .regularity import pipeline_certificate
 from .slender import SlenderInput, run_slender
@@ -73,7 +72,7 @@ def repatch(H: LabeledGraph, P_host: LabeledGraph, R: ReducedGraph, beta_mat,
             if zclass[x] != zclass[y] and not R.has_edge(zclass[x], zclass[y]):
                 raise HypothesisViolation("pattern edge inside Z crosses a non-edge of R")
 
-    # pattern restricted to Z, completed pairwise to perfect matchings
+    # pattern restricted to Z, on local ids class by class
     local_n = r * m
     def lid(z):
         return zclass[z] * m + zpos[z]
@@ -81,11 +80,6 @@ def repatch(H: LabeledGraph, P_host: LabeledGraph, R: ReducedGraph, beta_mat,
     for x, y in H.edges():
         if x in zset and y in zset:
             HZ.add_edge(lid(x), lid(y))
-    HZ_star = HZ.copy()
-    for i, j in R.edges():
-        for a, b in matching_completion(HZ.adj, range(i * m, (i + 1) * m),
-                                        range(j * m, (j + 1) * m)):
-            HZ_star.add_edge(a, b)
 
     # auxiliary complete-partite graph plays the patching role: no
     # constraints beyond F bind inside the patch
@@ -106,7 +100,6 @@ def repatch(H: LabeledGraph, P_host: LabeledGraph, R: ReducedGraph, beta_mat,
         G_host=PW,
         P_host=Q,
         H=HZ,
-        H_star=HZ_star,
         A0=F_pairs,
         schedule=[[i] for i in range(r)],
         d_mat=bmat,

@@ -16,12 +16,11 @@ degree-window certificate; the host track also supplies the matchings
 and the codegree check, and the patching track is returned as the
 candidacy bigraph F.
 
-Candidacy policy.  With ``strict_candidacy`` the completion edges that
-turn each pair into a perfect matching also constrain candidacy (the
-form the asymptotic analysis uses); by default only real pattern edges
-do.  The strict form multiplies candidacy densities by roughly
-d^(K*Delta_R), which is vacuous at the class sizes this package runs,
-while the default form keeps every exact guarantee (the embedding is
+Candidacy policy.  Only real pattern edges constrain candidacy.  The
+asymptotic analysis also charges the edges that complete each pair to a
+perfect matching, which multiplies candidacy densities by roughly
+d^(K*Delta_R) and empties them at the class sizes this package runs.
+Charging real edges alone keeps every exact guarantee (the embedding is
 real-edge sound and the F-containments hold verbatim) and only weakens
 the distributional uniformity device, which is measured downstream as
 diagnostics rather than asserted.
@@ -50,13 +49,7 @@ from .graphs import (
     pair_view,
     popcount,
 )
-from .matching import (
-    EXACT_CAP,
-    ExactUniformSampler,
-    default_steps,
-    find_perfect_matching,
-    sample_switch_chain,
-)
+from .matching import default_steps, find_perfect_matching, sample_switch_chain
 from .params import ParamSet
 from .regularity import _SLACK, codegree, pipeline_certificate, window
 
@@ -69,7 +62,6 @@ class SlenderInput:
     G_host: LabeledGraph
     P_host: LabeledGraph
     H: LabeledGraph
-    H_star: LabeledGraph
     A0: list[BipartiteGraph]
     schedule: list[list[int]]
     d_mat: list[list[Fraction]]
@@ -121,27 +113,20 @@ def validate_input(s: SlenderInput, check_certificates: bool = True) -> list[str
             v.append(f"(V4) |U_{i}|={len(s.U_classes[i])} outside [m-C, m]")
         if len(s.Y_classes[i]) != len(s.U_classes[i]):
             v.append(f"(V6) |Y_{i}|={len(s.Y_classes[i])} != |U_{i}|={len(s.U_classes[i])}")
-    # (V6) pair structure of the completed pattern, edges bucketed by class pair
+    # (V6) every pattern pair is a matching on an edge of the class graph,
+    # edges bucketed by class pair
     yclass = {p: i for i, cls in enumerate(s.Y_classes) for p in cls}
-    pairs = {(i, j): [] for i, j in s.R_star.edges()}
+    pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for i, cls in enumerate(s.Y_classes):
         for x in cls:
-            for y in s.H_star.neighbors(x):
+            for y in s.H.neighbors(x):
                 if yclass.get(y, -1) > i:
                     pairs.setdefault((i, yclass[y]), []).append((x, y))
     for (i, j), edges in sorted(pairs.items()):
         if not s.R_star.has_edge(i, j):
             v.append(f"(V6) pattern edges between non-adjacent classes {i},{j}")
-            continue
-        want = min(len(s.Y_classes[i]), len(s.Y_classes[j]))
-        lefts = [x for x, _ in edges]
-        rights = [y for _, y in edges]
-        if len(edges) != want or len(set(lefts)) != len(edges) or len(set(rights)) != len(edges):
-            v.append(f"(V6) completed pair ({i},{j}) is not a matching of size {want}")
-    for x, y in s.H.edges():
-        if not s.H_star.has_edge(x, y):
-            v.append("pattern is not contained in its completion")
-            break
+        elif len({x for x, _ in edges}) != len(edges) or len({y for _, y in edges}) != len(edges):
+            v.append(f"(V6) pattern pair ({i},{j}) is not a matching")
     # (V4)/(V5)/(V7) certificates
     if check_certificates:
         eps = s.params.eps
@@ -185,7 +170,6 @@ class _State:
         self.tracks = (_Track("host", s.d_mat, p=[d0] * self.q),
                        _Track("patching", s.beta_mat, p=[d0] * self.q))
         # pattern pairings per ordered class pair: partner local index or -1
-        self.psi: dict[tuple[int, int], list[int]] = {}
         self.real_nbr: dict[tuple[int, int], list[int]] = {}
         self.A0_rows: list[list[int]] = []
         self.f: list[list[int]] = [[-1] * self.m for _ in range(self.q)]
@@ -232,25 +216,15 @@ class _State:
         for tr in self.tracks:
             tr.rows = [list(rows) for rows in self.A0_rows]
             tr.px = [[float(s.d0)] * m for _ in range(q)]
-        # pattern pairings: real edges first, completion pairs the leftovers;
-        # a vertex with several neighbours in Y_j keeps the highest id
+        # pattern pairings from real edges; a vertex with several neighbours
+        # in Y_j keeps the highest id
         for i in range(q):
             for j in self.nbrs[i]:
-                psi = [-1] * m
                 real = [-1] * m
                 for a, x in enumerate(s.Y_classes[i]):
-                    hit = s.H_star.adj[x] & ymask[j]
-                    if hit:
-                        psi[a] = ypos[j][hit.bit_length() - 1]
                     hit = s.H.adj[x] & ymask[j]
                     if hit:
                         real[a] = ypos[j][hit.bit_length() - 1]
-                used = set(p for p in psi if p >= 0)
-                free_j = [b for b in range(m) if b not in used]
-                free_i = [a for a in range(m) if psi[a] < 0]
-                for a, b in zip(free_i, free_j):
-                    psi[a] = b
-                self.psi[(i, j)] = psi
                 self.real_nbr[(i, j)] = real
 
     def check_preparation(self) -> list[str]:
@@ -307,7 +281,6 @@ class _State:
 
     def run_rounds(self, trace: list[dict] | None = None) -> None:
         s = self.s
-        strict = s.params.strict_candidacy
         for t, cls in enumerate(s.schedule, start=1):
             xi_prev = s.params.xi(t - 1)
             xi_now = s.params.xi(t)
@@ -320,14 +293,13 @@ class _State:
             touched = set()
             for i in cls:
                 for j in self.nbrs[i]:
-                    self._apply_constraints(i, j, strict)
+                    self._apply_constraints(i, j)
                     touched.add(j)
             for j in sorted(touched):
                 self._certify_class(j, t, xi_now)
 
     def _build_and_embed(self, i: int, t: int, xi_prev: float) -> int:
-        s, m = self.s, self.m
-        strict = s.params.strict_candidacy
+        m = self.m
         host, patch = self.tracks
         rows = list(host.rows[i])
         dropped_deg = [0] * m
@@ -335,7 +307,7 @@ class _State:
         # drop candidates whose joint neighbourhood counts leave the
         # per-neighbour windows, on both tracks in one pass
         for j in self.nbrs[i]:
-            partner = self.psi[(i, j)] if strict else self.real_nbr[(i, j)]
+            partner = self.real_nbr[(i, j)]
             gp, pp = host.pairs[(i, j)], patch.pairs[(i, j)]
             arows, brows = host.rows[j], patch.rows[j]
             gpx, ppx = host.px[j], patch.px[j]
@@ -366,18 +338,15 @@ class _State:
         return max(dropped_deg, default=0)
 
     def _sample_matching(self, Bi: BipartiteGraph, i: int, t: int) -> list[int]:
-        s = self.s
         start = find_perfect_matching(Bi)
         if start is None:
             raise FailureType2(f"no perfect matching in candidacy class {i}", stage=(t, i))
-        if s.params.exact_sampler and Bi.nl <= EXACT_CAP:
-            return ExactUniformSampler(Bi).sample(self.rng).sigma
         return sample_switch_chain(Bi, default_steps(Bi.nl), self.rng, start=start).sigma
 
-    def _apply_constraints(self, i: int, j: int, strict: bool) -> None:
+    def _apply_constraints(self, i: int, j: int) -> None:
         """Constrain class j's rows by the images of class i on both tracks,
         and step both density ladders (one neighbour per round by (V2))."""
-        partner = self.psi[(i, j)] if strict else self.real_nbr[(i, j)]
+        partner = self.real_nbr[(i, j)]
         fi = self.f[i]
         for tr in self.tracks:
             pair, rows, px = tr.pairs[(i, j)], tr.rows[j], tr.px[j]
@@ -476,21 +445,12 @@ def _assert_output(s: SlenderInput, phi: dict[int, int], F: list[BipartiteGraph]
             if not s.A0[i].has_edge(a, upos[phi[pid]]):
                 raise AssertionError(f"embedding of {pid} violates its initial candidacy")
     # candidacy-bigraph soundness: F rows sit inside every P-constraint
-    strict = s.params.strict_candidacy
     for j, Fj in enumerate(F):
-        upos = {u: k for k, u in enumerate(s.U_classes[j])}
-        for a, pid in enumerate(s.Y_classes[j]):
-            row = Fj.adj[a]
+        for a, row in enumerate(Fj.adj):
             if row & ~s.A0[j].adj[a]:
                 raise AssertionError("F row escapes the initial candidacy")
-            nbrs = s.H_star.neighbors(pid) if strict else s.H.neighbors(pid)
-            for ynb in nbrs:
-                if ynb not in phi:
-                    continue
-                pmask = 0
-                prow = s.P_host.adj[phi[ynb]]
-                for u in s.U_classes[j]:
-                    if (prow >> u) & 1:
-                        pmask |= 1 << upos[u]
-                if row & ~pmask:
-                    raise AssertionError("F row escapes a patching-graph constraint")
+        nbrs = [(a, ynb) for a, pid in enumerate(s.Y_classes[j]) for ynb in s.H.neighbors(pid) if ynb in phi]
+        pmasks = pair_view(s.P_host.adj, [phi[ynb] for _, ynb in nbrs], s.U_classes[j]).adj
+        for (a, _), pmask in zip(nbrs, pmasks):
+            if Fj.adj[a] & ~pmask:
+                raise AssertionError("F row escapes a patching-graph constraint")

@@ -3,12 +3,11 @@ valid slender instance and runs it.
 
 Step 1 splits every pattern class into K = (k+1)^2 * Delta_R classes
 independent in the pattern square, so each refined pair is a matching.
-Step 2 completes those matchings to full size.  Step 3 refines the host
-classes at matching sizes, routing the few vertices whose initial
-candidacy degrees stray outside the (d0 +- 2 eps) window into classes
-where they keep enough candidates, and trims the candidacy graph to the
-window.  Step 4 runs the slender algorithm at the sharpened tolerance
-eps^(1/3).
+Step 2 refines the host classes at the refined pattern-class sizes,
+routing the few vertices whose initial candidacy degrees stray outside
+the (d0 +- 2 eps) window into classes where they keep enough candidates,
+and trims the candidacy graph to the window.  Step 3 runs the slender
+algorithm at the sharpened tolerance eps^(1/3).
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .graphs import (
     blow_up,
     candidacy_rows,
     iter_bits,
-    matching_completion,
     pair_view,
     popcount,
     square,
@@ -56,10 +54,10 @@ class UniformEmbedResult:
 
 
 def refine_pattern(H: PartitionedGraph, kmat, C: int, params: ParamSet, rng):
-    """Steps 1-2: split classes via the pattern square, complete the matchings.
+    """Step 1: split classes via the pattern square.
 
-    Returns (Y_classes, H_star, K); Y_classes come in per-block order,
-    larger classes first inside each block.
+    Returns (Y_classes, K); Y_classes come in per-block order, larger
+    classes first inside each block.
     """
     ok, violations = check_near_equiregular(H, kmat, C)
     if not ok:
@@ -71,18 +69,13 @@ def refine_pattern(H: PartitionedGraph, kmat, C: int, params: ParamSet, rng):
         sub = LabeledGraph(len(cls), pair_view(H2.adj, cls, cls).edges())
         col = hs_equitable_coloring(sub, K - 1, rng)
         Y_classes.extend([sorted(cls[a] for a in blk) for blk in col.classes])
-
-    H_star = H.graph.copy()
-    for a, b in blow_up(H.reduced, K).edges():
-        for p, qn in matching_completion(H.graph.adj, Y_classes[a], Y_classes[b]):
-            H_star.add_edge(p, qn)
-    return Y_classes, H_star, K
+    return Y_classes, K
 
 
 def refine_host(G: PartitionedGraph, P_host: LabeledGraph, A0: list[BipartiteGraph | None],
                 Y_classes: list[list[int]], beta_mat, d0: float, params: ParamSet, rng,
                 cap: int | None = None):
-    """Step 3: refine host classes to the pattern-class sizes and trim A0.
+    """Step 2: refine host classes to the pattern-class sizes and trim A0.
 
     Returns (U_classes, A0_star) where A0_star[j] is the candidacy pair
     on (Y_j, U_j).  Raises FailureType1 when the refined certificates
@@ -219,7 +212,7 @@ def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
                       d0: float, params: ParamSet, rng,
                       check_hypotheses: bool = True,
                       trace: list[dict] | None = None) -> UniformEmbedResult:
-    """Steps 1-4 with whole-run retries; returns the embedding bundle."""
+    """Steps 1-3 with whole-run retries; returns the embedding bundle."""
     if check_hypotheses:
         _check_hypotheses(G, P_host, beta_mat, H, kmat, A0, d0, params)
     r = G.reduced.r
@@ -232,7 +225,7 @@ def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
     last: Exception | None = None
     for attempt in range(1, eff.embed_retry_cap + 1):
         try:
-            Y_classes, H_star, K = refine_pattern(H, kmat, C=eff.C, params=eff, rng=rng)
+            Y_classes, K = refine_pattern(H, kmat, C=eff.C, params=eff, rng=rng)
             schedule = round_schedule(H.reduced, K, eff.Delta_R)
             U_classes, A0_star = refine_host(G, P_host, A0, Y_classes, beta_mat, d0, eff, rng)
             sl_params = dataclasses.replace(eff, eps=min(eff.eps ** (1 / 3), 0.5))
@@ -243,7 +236,6 @@ def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
                 G_host=G.graph,
                 P_host=P_host,
                 H=H.graph,
-                H_star=H_star,
                 A0=A0_star,
                 schedule=schedule,
                 d_mat=expand_matrix(G.densities, r, K),
@@ -253,7 +245,7 @@ def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
                 C=params.C,
             )
             out = run_slender(s, rng, trace=trace)
-            N = _candidacy_hypergraph(H, H_star, eff)
+            N = {x: tuple(sorted(H.graph.neighbors(x))) for x in range(H.graph.n)}
             res = UniformEmbedResult(phi=out.phi, Y_classes=Y_classes, U_classes=U_classes,
                                      F=out.F, N=N, K=K, attempts=attempt)
             _assert_result(G, H, A0, res, eff)
@@ -262,11 +254,6 @@ def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
             last = exc
     raise RetriesExhausted(
         f"uniform embedding failed {eff.embed_retry_cap} times; last: {last}") from last
-
-
-def _candidacy_hypergraph(H: PartitionedGraph, H_star: LabeledGraph, params: ParamSet) -> dict[int, tuple[int, ...]]:
-    src = H_star if params.strict_candidacy else H.graph
-    return {x: tuple(sorted(src.neighbors(x))) for x in range(H.graph.n)}
 
 
 def _check_hypotheses(G, P_host, beta_mat, H, kmat, A0, d0, params) -> None:

@@ -286,6 +286,33 @@ class TestMalformedInput:
         self._usage_error(capsys, ["verify", "--instance", str(instance_dir / "instance.json"),
                                    "--result", str(res)], f"{res}: not valid JSON")
 
+    def test_balance_missing_edge_list(self, tmp_path, capsys):
+        path = tmp_path / "absent.txt"
+        self._usage_error(capsys, ["balance", str(path)], f"{path}: cannot read")
+
+    def test_balance_malformed_edge_list(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("2 1\n0 x\n")
+        self._usage_error(capsys, ["balance", str(path)], f"{path}: malformed edge list")
+
+    def test_gen_cycle_factor_bad_lengths(self, tmp_path, capsys):
+        self._usage_error(capsys, ["gen", "cycle-factor", "--n", "6", "--lengths", "3,x",
+                                   "--out", str(tmp_path / "g")],
+                          "--lengths must be comma-separated integers, got '3,x'")
+
+    def test_gen_random_delta_graph_without_vertices(self, tmp_path, capsys):
+        self._usage_error(capsys, ["gen", "random-delta-graph", "--n", "0", "--e-target", "3",
+                                   "--out", str(tmp_path / "g")],
+                          "cannot place 3 edges on 0 vertices")
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--trials", "-5", "trials must be at least 1, got -5"),
+        ("--trials", "0", "trials must be at least 1, got 0"),
+        ("--steps", "-1", "steps must not be negative, got -1"),
+    ])
+    def test_sample_matching_bad_counts(self, capsys, flag, value, message):
+        self._usage_error(capsys, ["sample-matching", "--n", "6", flag, value], message)
+
     @pytest.mark.parametrize("payload", [{}, [], {"embeddings": 3}, {"embeddings": [1, 2]}])
     def test_verify_result_without_image_lists(self, instance_dir, tmp_path, capsys, payload):
         res = tmp_path / "res.json"
@@ -310,6 +337,13 @@ class TestSampleMatching:
         out = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert out["sampler"] == "switch-chain"
+
+    def test_zero_steps_keeps_the_start_matching(self, capsys):
+        # --steps 0 runs no proposal, so every sample is the Hopcroft-Karp start
+        rc = main(["sample-matching", "--n", "10", "--trials", "7", "--steps", "0", "--seed", "2"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert sorted(out["edge_frequencies"].values()) == [1.0] * 10
 
 
 class TestUsageErrors:

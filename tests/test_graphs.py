@@ -16,7 +16,6 @@ from regpack.graphs import (
     induced_bipartite,
     iter_bits,
     mask_of,
-    matching_completion,
     pair_view,
     read_edge_list,
     square,
@@ -319,57 +318,3 @@ def test_add_pair_refusals_leave_the_graph_unchanged(data):
     with pytest.raises(BadParams):
         G.add_pair(rows, left, right)
     assert G.adj == LabeledGraph(n, [(0, 1)]).adj and G.num_edges() == 1
-
-
-# ---------------------------------------------------------------------------
-# matching completion against the loop that refine_pattern used to carry
-
-
-def _ref_completion(G, ya, yb):
-    yclass = {p: 0 for p in ya} | {q: 1 for q in yb}
-    matched_a = set()
-    matched_b = set()
-    for p in ya:
-        for qn in G.neighbors(p):
-            if yclass.get(qn) == 1:
-                matched_a.add(p)
-                matched_b.add(qn)
-    free_a = [p for p in ya if p not in matched_a]
-    free_b = [qn for qn in yb if qn not in matched_b]
-    want = min(len(ya), len(yb)) - min(len(matched_a), len(matched_b))
-    return list(zip(free_a, free_b))[:max(want, 0)]
-
-
-@given(st.data())
-@settings(max_examples=300, deadline=None)
-def test_matching_completion_matches_reference_loop(data):
-    nl = data.draw(st.integers(0, 12))
-    nr = data.draw(st.integers(0, 12))
-    n = 70
-    ids = data.draw(st.lists(st.integers(0, n - 1), unique=True,
-                             min_size=nl + nr, max_size=nl + nr))
-    left, right = ids[:nl], ids[nl:]
-    others = [v for v in range(n) if v not in set(ids)]
-    G = LabeledGraph(n)
-    # a partial matching between the sides ...
-    size = data.draw(st.integers(0, min(nl, nr)))
-    la = data.draw(st.permutations(left))[:size]
-    rb = data.draw(st.permutations(right))[:size]
-    for p, q in zip(la, rb):
-        G.add_edge(p, q)
-    # ... and edges that leave the pair, inside a side or to other vertices
-    for u, w in data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(others)),
-                                   max_size=20) if ids else st.just([])):
-        G.add_edge(u, w)
-    for side in (left, right):
-        if len(side) >= 2:
-            for u, w in data.draw(st.lists(st.tuples(st.sampled_from(side),
-                                                     st.sampled_from(side)), max_size=6)):
-                if u != w:
-                    G.add_edge(u, w)
-    pairs = matching_completion(G.adj, left, right)
-    assert pairs == _ref_completion(G, left, right)
-    done = list(zip(la, rb)) + pairs
-    assert len(done) == min(nl, nr)
-    assert len({p for p, _ in done}) == len(done) == len({q for _, q in done})
-    assert all(p in left and q in right for p, q in done)

@@ -1,7 +1,8 @@
 """Static hygiene of the package source: no module imports a name it never
 uses or a package other than the standard library and numpy, every function
-or method is referenced somewhere, every parameter is read, and every plain
-dataclass default is overridden somewhere."""
+or method is referenced somewhere, every parameter is read, every plain
+dataclass default is overridden somewhere, and every `ParamSet` default is
+overridden outside the tests."""
 
 import ast
 import sys
@@ -213,6 +214,15 @@ def test_every_defaulted_field_is_written():
     sources = [p.read_text() for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
     written = written_names(sources)
     fields = [f for p in MODULES for f in defaulted_fields(p.read_text())]
+    assert fields
+    assert [f for f in fields if f.split(".")[1] not in written] == []
+
+
+def test_every_paramset_knob_is_set_outside_tests():
+    """A `ParamSet` field that only tests set is a flag no run reads."""
+    sources = [p.read_text() for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    written = written_names(sources)
+    fields = [f for f in defaulted_fields((PACKAGE / "params.py").read_text()) if f.startswith("ParamSet.")]
     assert fields
     assert [f for f in fields if f.split(".")[1] not in written] == []
 

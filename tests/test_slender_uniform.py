@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import json
@@ -10,11 +11,12 @@ from hypothesis import strategies as st
 
 from helpers import path3_instance, two_class_instance
 from regpack.errors import FailureType2, NotSuperRegular
-from regpack.graphs import LabeledGraph, ReducedGraph, blow_up, popcount
+from regpack.coloring import round_schedule
+from regpack.graphs import LabeledGraph, ReducedGraph, blow_up, iter_bits, popcount
 from regpack.params import ParamSet
 from regpack.regularity import _SLACK, window
-from regpack.slender import SlenderInput, _State, run_slender, validate_input
-from regpack.uniform import refine_host, refine_pattern, run_uniform_embed, b_diagnostics
+from regpack.slender import SlenderInput, _assert_output, _State, run_slender, validate_input
+from regpack.uniform import expand_matrix, refine_host, refine_pattern, run_uniform_embed, b_diagnostics
 
 
 def make_params(**kw):
@@ -31,6 +33,22 @@ def embed_two_class(n=60, d="9/10", k=1, seed=0, **param_kw):
     return host, P, templates[0], res
 
 
+def refined_two_class_input(seed):
+    """The slender input ``run_uniform_embed`` builds on a two-class instance
+    (refined classes, expanded densities, eps^(1/3)), and the rng after it."""
+    host, P, bmat, templates, kmat, rng = two_class_instance(seed=seed)
+    params = make_params()
+    Y, K = refine_pattern(templates[0], kmat, 2, params, rng)
+    U, A0s = refine_host(host, P.graph, [None, None], Y, bmat, 1.0, params, rng)
+    s = SlenderInput(
+        R_star=blow_up(templates[0].reduced, K), Y_classes=Y, U_classes=U,
+        G_host=host.graph, P_host=P.graph, H=templates[0].graph, A0=A0s,
+        schedule=round_schedule(templates[0].reduced, K, params.Delta_R),
+        d_mat=expand_matrix(host.densities, 2, K), beta_mat=expand_matrix(bmat, 2, K), d0=1.0,
+        params=dataclasses.replace(params, eps=params.eps ** (1 / 3)), C=params.C)
+    return s, rng
+
+
 class TestSlenderDegenerate:
     def _complete_input(self, m=6):
         """Complete host, complete candidacy: every matching is valid."""
@@ -40,7 +58,6 @@ class TestSlenderDegenerate:
         U = [list(range(m)), list(range(m, 2 * m))]
         G = LabeledGraph(2 * m, [(u, v) for u in U[0] for v in U[1]])
         H = LabeledGraph(2 * m)
-        H_star = LabeledGraph(2 * m, [(Y[0][i], Y[1][i]) for i in range(m)])
         from regpack.graphs import BipartiteGraph
         A0 = []
         for i in range(2):
@@ -51,7 +68,7 @@ class TestSlenderDegenerate:
         zero = Fraction(0)
         params = make_params()
         return SlenderInput(
-            R_star=R, Y_classes=Y, U_classes=U, G_host=G, P_host=G, H=H, H_star=H_star,
+            R_star=R, Y_classes=Y, U_classes=U, G_host=G, P_host=G, H=H,
             A0=A0, schedule=[[0], [1]], d_mat=[[zero, one], [one, zero]],
             beta_mat=[[zero, one], [one, zero]], d0=1.0, params=params, C=0,
             max_class_degree=1)
@@ -66,38 +83,13 @@ class TestSlenderDegenerate:
         for Fj in out.F:
             assert all(row == (1 << Fj.nr) - 1 for row in Fj.adj)
 
-    def test_strict_mode_on_complete_instance(self):
-        s = self._complete_input(m=6)
-        s.params = dataclasses.replace(s.params, strict_candidacy=True)
-        out = run_slender(s, random.Random(1))
-        assert len(set(out.phi.values())) == 12
-
-    def test_exact_sampler_path(self):
-        s = self._complete_input(m=6)
-        s.params = dataclasses.replace(s.params, exact_sampler=True)
-        out = run_slender(s, random.Random(2))
-        assert len(set(out.phi.values())) == 12
-
     def test_density_ladder_exact_identity(self):
         # p(d, j, w) = d0 * product of the class-graph neighbour densities,
         # as exact rationals (checked internally; re-derived here)
-        from regpack.coloring import round_schedule
-        from regpack.uniform import expand_matrix
-        host, P, bmat, templates, kmat, rng = two_class_instance(seed=21)
-        params = make_params()
-        Y, H_star, K = refine_pattern(templates[0], kmat, 2, params, rng)
-        sched = round_schedule(templates[0].reduced, K, params.Delta_R)
-        U, A0s = refine_host(host, P.graph, [None, None], Y, bmat, 1.0, params, rng)
-        RK = blow_up(templates[0].reduced, K)
-        dK = expand_matrix(host.densities, 2, K)
-        bK = expand_matrix(bmat, 2, K)
-        s = SlenderInput(
-            R_star=RK, Y_classes=Y, U_classes=U, G_host=host.graph, P_host=P.graph,
-            H=templates[0].graph, H_star=H_star, A0=A0s, schedule=sched,
-            d_mat=dK, beta_mat=bK, d0=1.0,
-            params=dataclasses.replace(params, eps=params.eps ** (1 / 3)), C=params.C)
+        s, rng = refined_two_class_input(seed=21)
+        RK, dK, bK = s.R_star, s.d_mat, s.beta_mat
         out = run_slender(s, rng)
-        for j in range(2 * K):
+        for j in range(RK.r):
             want_d = Fraction(1)
             want_b = Fraction(1)
             for ell in RK.neighbors(j):
@@ -107,29 +99,86 @@ class TestSlenderDegenerate:
             assert out.p_patch[j] == want_b
 
 
+def _break_injectivity(s, phi, F):
+    x, y = s.Y_classes[0][:2]
+    phi[y] = phi[x]
+
+
+def _break_host_edge(s, phi, F):
+    x, y = s.H.edges()[0]
+    s.G_host.remove_edge(phi[x], phi[y])
+
+
+def _break_class(s, phi, F):
+    # two refined classes of one block trade a host vertex
+    s.U_classes[0][0], s.U_classes[1][0] = s.U_classes[1][0], s.U_classes[0][0]
+
+
+def _break_a0(s, phi, F):
+    s.A0[0].adj[0] &= ~(1 << s.U_classes[0].index(phi[s.Y_classes[0][0]]))
+
+
+def _break_f_in_a0(s, phi, F):
+    # drop from A0 a candidate that F keeps and the embedding does not take
+    j, a, b = next((j, a, b) for j, Fj in enumerate(F) for a, row in enumerate(Fj.adj)
+                   for b in iter_bits(row) if s.U_classes[j][b] != phi[s.Y_classes[j][a]])
+    s.A0[j].adj[a] &= ~(1 << b)
+
+
+def _break_f_in_p(s, phi, F):
+    # give F a candidate that the patching graph keeps off a neighbour's image
+    j, a, b = next((j, a, b) for j, cls in enumerate(s.Y_classes) for a, pid in enumerate(cls)
+                   for ynb in s.H.neighbors(pid) for b, u in enumerate(s.U_classes[j])
+                   if not s.P_host.has_edge(u, phi[ynb]))
+    F[j].adj[a] |= 1 << b
+
+
+class TestAssertOutput:
+    """``_assert_output`` passes a real slender output unchanged and raises
+    the matching ``AssertionError`` for each guarantee broken on a copy."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        s, rng = refined_two_class_input(seed=23)
+        out = run_slender(s, rng)
+        return s, out.phi, out.F
+
+    def test_real_output_passes(self, run):
+        _assert_output(*run)
+
+    @pytest.mark.parametrize("breaker,message", [
+        (_break_injectivity, "embedding is not injective"),
+        (_break_host_edge, r"pattern edge \(\d+,\d+\) not realized in the host"),
+        (_break_class, "left its class under the embedding"),
+        (_break_a0, "violates its initial candidacy"),
+        (_break_f_in_a0, "F row escapes the initial candidacy"),
+        (_break_f_in_p, "F row escapes a patching-graph constraint"),
+    ], ids=["injectivity", "host-edge", "class", "A0", "F-in-A0", "F-in-P"])
+    def test_each_break_is_caught(self, run, breaker, message):
+        s, phi, F = copy.deepcopy(run)
+        breaker(s, phi, F)
+        with pytest.raises(AssertionError, match=message):
+            _assert_output(s, phi, F)
+
+
 class TestValidation:
     def test_valid_instance_passes(self):
-        host, P, bmat, templates, kmat, rng = two_class_instance(seed=2)
-        params = make_params()
-        Y, H_star, K = refine_pattern(templates[0], kmat, 2, params, rng)
-        from regpack.coloring import round_schedule
-        sched = round_schedule(templates[0].reduced, K, params.Delta_R)
-        U, A0s = refine_host(host, P.graph, [None, None], Y, bmat, 1.0, params, rng)
-        from regpack.uniform import expand_matrix
-        s = SlenderInput(
-            R_star=blow_up(templates[0].reduced, K),
-            Y_classes=Y, U_classes=U, G_host=host.graph, P_host=P.graph,
-            H=templates[0].graph, H_star=H_star, A0=A0s, schedule=sched,
-            d_mat=expand_matrix(host.densities, 2, K),
-            beta_mat=expand_matrix(bmat, 2, K), d0=1.0,
-            params=dataclasses.replace(params, eps=params.eps ** (1 / 3)), C=params.C)
+        s, _ = refined_two_class_input(seed=2)
         assert validate_input(s) == []
 
     def test_nonmatching_pair_flagged(self):
         s_obj = TestSlenderDegenerate()._complete_input(m=4)
-        s_obj.H_star.add_edge(s_obj.Y_classes[0][0], s_obj.Y_classes[1][1])
-        violations = validate_input(s_obj, check_certificates=False)
-        assert any("(V6)" in v for v in violations)
+        Y = s_obj.Y_classes
+        s_obj.H = LabeledGraph(8, [(Y[0][0], Y[1][0]), (Y[0][0], Y[1][1])])
+        assert validate_input(s_obj, check_certificates=False) == [
+            "(V6) pattern pair (0,1) is not a matching"]
+
+    def test_pattern_edge_across_a_non_edge_flagged(self):
+        s_obj = TestSlenderDegenerate()._complete_input(m=4)
+        s_obj.R_star = ReducedGraph(2)
+        s_obj.H = LabeledGraph(8, [(s_obj.Y_classes[0][0], s_obj.Y_classes[1][0])])
+        assert validate_input(s_obj, check_certificates=False) == [
+            "(V6) pattern edges between non-adjacent classes 0,1"]
 
     def test_dependent_schedule_class_flagged(self):
         s_obj = TestSlenderDegenerate()._complete_input(m=4)
@@ -138,20 +187,19 @@ class TestValidation:
         assert any("(V2)" in v for v in violations)
 
 
-def _three_class_input(R, schedule, Y=None, H_star=None):
+def _three_class_input(R, schedule, Y=None, H=None):
     """Three classes of two on a class graph R; complete host and candidacy."""
     from regpack.graphs import BipartiteGraph
     Y = Y if Y is not None else [[0, 1], [2, 3], [4, 5]]
     U = [[0, 1], [2, 3], [4, 5]]
     G = LabeledGraph(6, [(u, v) for i, j in R.edges() for u in U[i] for v in U[j]])
-    if H_star is None:
-        H_star = LabeledGraph(6, [(Y[i][a], Y[j][a]) for i, j in R.edges() for a in range(2)])
+    if H is None:
+        H = LabeledGraph(6, [(Y[i][a], Y[j][a]) for i, j in R.edges() for a in range(2)])
     A0 = [BipartiteGraph(2, 2, [(a, b) for a in range(2) for b in range(2)],
                          left_ids=U[i], right_ids=U[i]) for i in range(3)]
     ones = [[Fraction(1)] * 3 for _ in range(3)]
     return SlenderInput(
-        R_star=R, Y_classes=Y, U_classes=U, G_host=G, P_host=G, H=LabeledGraph(H_star.n),
-        H_star=H_star, A0=A0, schedule=schedule, d_mat=ones, beta_mat=ones, d0=1.0,
+        R_star=R, Y_classes=Y, U_classes=U, G_host=G, P_host=G, H=H, A0=A0, schedule=schedule, d_mat=ones, beta_mat=ones, d0=1.0,
         params=make_params(), C=0, max_class_degree=2)
 
 
@@ -185,16 +233,15 @@ def _v6_reference(s):
             yclass[p] = i
     for i in range(q):
         for j in range(i + 1, q):
-            edges = [(x, y) for x in s.Y_classes[i] for y in s.H_star.neighbors(x) if yclass.get(y) == j]
+            edges = [(x, y) for x in s.Y_classes[i] for y in s.H.neighbors(x) if yclass.get(y) == j]
             if not s.R_star.has_edge(i, j):
                 if edges:
                     v.append(f"(V6) pattern edges between non-adjacent classes {i},{j}")
                 continue
-            want = min(len(s.Y_classes[i]), len(s.Y_classes[j]))
             lefts = [x for x, _ in edges]
             rights = [y for _, y in edges]
-            if len(edges) != want or len(set(lefts)) != len(edges) or len(set(rights)) != len(edges):
-                v.append(f"(V6) completed pair ({i},{j}) is not a matching of size {want}")
+            if len(set(lefts)) != len(edges) or len(set(rights)) != len(edges):
+                v.append(f"(V6) pattern pair ({i},{j}) is not a matching")
     return v
 
 
@@ -205,9 +252,9 @@ def test_v6_pair_check_matches_the_class_pair_loop(data):
     # class lists may repeat a vertex or leave one out
     Y = data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=4), min_size=3, max_size=3))
     pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
-    H_star = LabeledGraph(n, data.draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else ())
+    H = LabeledGraph(n, data.draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else ())
     R = ReducedGraph(3, data.draw(st.lists(st.sampled_from([(0, 1), (0, 2), (1, 2)]), max_size=3)))
-    s = _three_class_input(R, [[0], [1], [2]], Y=Y, H_star=H_star)
+    s = _three_class_input(R, [[0], [1], [2]], Y=Y, H=H)
     got = [e for e in validate_input(s, check_certificates=False)
            if e.startswith("(V6)") and "|Y_" not in e]
     assert got == _v6_reference(s)
@@ -218,26 +265,16 @@ def _pairings_reference(s, m, nbrs):
     (the last neighbour in Y_j wins), kept as the reference."""
     ypos = [{p: k for k, p in enumerate(cls)} for cls in s.Y_classes]
     yclass = {p: i for i, cls in enumerate(s.Y_classes) for p in cls}
-    psi_all, real_all = {}, {}
+    real_all = {}
     for i in range(len(s.Y_classes)):
         for j in nbrs[i]:
-            psi = [-1] * m
             real = [-1] * m
             for a, x in enumerate(s.Y_classes[i]):
-                for ynb in s.H_star.neighbors(x):
-                    if yclass.get(ynb) == j:
-                        psi[a] = ypos[j][ynb]
                 for ynb in s.H.neighbors(x):
                     if yclass.get(ynb) == j:
                         real[a] = ypos[j][ynb]
-            used = set(p for p in psi if p >= 0)
-            free_j = [b for b in range(m) if b not in used]
-            free_i = [a for a in range(m) if psi[a] < 0]
-            for a, b in zip(free_i, free_j):
-                psi[a] = b
-            psi_all[(i, j)] = psi
             real_all[(i, j)] = real
-    return psi_all, real_all
+    return real_all
 
 
 @given(st.data())
@@ -249,13 +286,12 @@ def test_prepare_pairings_match_the_neighbour_loop(data):
     ids = data.draw(st.permutations(range(n)))
     Y = [list(ids[0:2]), list(ids[2:4]), list(ids[4:6])]
     pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
-    star = data.draw(st.lists(st.sampled_from(pairs), max_size=20))
+    H = LabeledGraph(n, data.draw(st.lists(st.sampled_from(pairs), max_size=20)))
     R = ReducedGraph(3, data.draw(st.lists(st.sampled_from([(0, 1), (0, 2), (1, 2)]), max_size=3)))
-    s = _three_class_input(R, [[0], [1], [2]], Y=Y, H_star=LabeledGraph(n, star))
-    s.H = LabeledGraph(n, data.draw(st.lists(st.sampled_from(star), max_size=10)) if star else ())
+    s = _three_class_input(R, [[0], [1], [2]], Y=Y, H=H)
     state = _State(s, random.Random(0))
     state.prepare()
-    assert (state.psi, state.real_nbr) == _pairings_reference(s, state.m, state.nbrs)
+    assert state.real_nbr == _pairings_reference(s, state.m, state.nbrs)
 
 
 def _certify_windows_reference(state, j, xi):
@@ -311,20 +347,6 @@ class TestUniformEmbed:
         assert res.K == 9
         for x, y in tpl.graph.edges():
             assert host.graph.has_edge(res.phi[x], res.phi[y])
-
-    def test_strict_candidacy_on_dense_instance(self):
-        # the completion-charging rule is viable here: candidacy densities
-        # behave like d^K with K=4, and 0.9^4 * 30 keeps degrees near 20
-        host, P, bmat, templates, kmat, rng = two_class_instance(n=120, d="9/10", seed=31)
-        params = make_params(strict_candidacy=True)
-        res = run_uniform_embed(host, P.graph, bmat, templates[0], kmat,
-                                [None, None], 1.0, params, rng)
-        for x, y in templates[0].graph.edges():
-            assert host.graph.has_edge(res.phi[x], res.phi[y])
-        # strict hyperedges carry the completion partners: one per class-graph
-        # neighbour of the vertex's refined class
-        some_x = next(iter(res.phi))
-        assert len(res.N[some_x]) >= 1
 
     def test_path3_pattern(self):
         host, P, bmat, templates, kmat, rng = path3_instance(seed=5)
@@ -459,7 +481,7 @@ class TestRefineHost:
                 B.adj[a] = full_half
             A0.append(B)
         params = make_params()
-        Y, H_star, K = refine_pattern(templates[0], kmat, 2, params, rng)
+        Y, K = refine_pattern(templates[0], kmat, 2, params, rng)
         with pytest.raises(NotSuperRegular):
             refine_host(host, P.graph, A0, Y, bmat, 0.5, params, rng, cap=2)
 
