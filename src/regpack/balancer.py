@@ -6,9 +6,9 @@ supergraph of a bipartite graph H exists iff the complement network
 (source -> V_1 at capacity k - deg, unit non-edges, V_2 -> sink at
 capacity k - deg) carries a saturating integral flow, and the flow
 edges are precisely the edges to add.  ``stack_family`` composes the
-randomized balancing machinery: per-graph class relabelings, a
-degree-sorted block partition with random shifts, sequential embeddings
-into the complete partite host, then regularization of the union.
+randomized balancing machinery: a degree-sorted block partition with
+random shifts, sequential embeddings into the complete partite host,
+then regularization of the union.
 """
 
 from __future__ import annotations
@@ -268,75 +268,6 @@ def check_arithm_split(n_bar: int, r: int, Delta: int) -> bool:
         min(a1, a2, a3) >= 0,
     ]
     return all(conds)
-
-
-# ---------------------------------------------------------------------------
-# permutation balancing
-
-
-def permute_balance(families: list[PartitionedGraph], rng, resamples: int = 20,
-                    groups: list[list[int]] | None = None):
-    """Per-graph class permutations equalizing pairwise edge sums.
-
-    Permutations are uniform (restricted to ``groups`` blocks when
-    given); the draw is repeated and the relabeling with the smallest
-    maximum pair deviation is kept.
-    """
-    if not families:
-        raise BadParams("empty family")
-    r = families[0].reduced.r
-    s = len(families)
-    if groups is None:
-        groups = [list(range(r))]
-    n_ref = max(families[0].partition.sizes())
-
-    def pair_sums(perms):
-        sums = [[0.0] * r for _ in range(r)]
-        for ell, L in enumerate(families):
-            perm = perms[ell]
-            counts = _pair_edge_counts(L)
-            for i in range(r):
-                for j in range(i + 1, r):
-                    val = counts[perm[i]][perm[j]]
-                    sums[i][j] += val
-                    sums[j][i] += val
-        return [[x / n_ref for x in row] for row in sums]
-
-    best = None
-    best_dev = None
-    for _ in range(resamples):
-        perms = []
-        for _ell in range(s):
-            perm = list(range(r))
-            for grp in groups:
-                vals = [perm[i] for i in grp]
-                rng.shuffle(vals)
-                for i, v in zip(grp, vals):
-                    perm[i] = v
-            perms.append(perm)
-        sums = pair_sums(perms)
-        vals = [sums[i][j] for i in range(r) for j in range(i + 1, r)]
-        M = sum(vals) / len(vals) if vals else 0.0
-        dev = max((abs(v - M) for v in vals), default=0.0)
-        if best_dev is None or dev < best_dev:
-            best_dev = dev
-            best = perms
-    return best, best_dev
-
-
-def _pair_edge_counts(L: PartitionedGraph) -> list[list[int]]:
-    r = L.partition.r
-    masks = L.partition.masks()
-    counts = [[0] * r for _ in range(r)]
-    for i in range(r):
-        for u in L.partition.classes[i]:
-            row = L.graph.adj[u]
-            for j in range(i + 1, r):
-                counts[i][j] += popcount(row & masks[j])
-    for i in range(r):
-        for j in range(i + 1, r):
-            counts[j][i] = counts[i][j]
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -607,29 +538,3 @@ def _assert_decomposition(H_graph, taus, families, J):
     if all_images | J_edges != H_edges or all_images & J_edges:
         raise AssertionError("decomposition identity violated")
 
-
-def pack_to_regular(families: list[PartitionedGraph], R: ReducedGraph, k: int, C: int,
-                    rng, mode: str = "equal-classes", Delta: int | None = None,
-                    resamples: int = 50):
-    """Balance then stack; returns (H, taus, J, achieved kmat, Delta(J))."""
-    groups = None
-    if mode == "arithm":
-        if Delta is None:
-            raise BadParams("arithm mode needs Delta")
-        n_bar = families[0].graph.n
-        a1, a2, a3, n1, n2, n3 = arithm_split(n_bar, R.r, Delta)
-        groups = []
-        start = 0
-        for a in (a1, a2, a3):
-            if a:
-                groups.append(list(range(start, start + a)))
-            start += a
-    perms, dev = permute_balance(families, rng, resamples=min(resamples, 20), groups=groups)
-    relabeled = []
-    for L, perm in zip(families, perms):
-        classes = [list(L.partition.classes[perm[i]]) for i in range(R.r)]
-        relabeled.append(PartitionedGraph(L.graph, VertexPartition.from_lists(classes, L.graph.n), R))
-    kmat = [[k if R.has_edge(i, j) else 0 for j in range(R.r)] for i in range(R.r)]
-    H, taus, J, kmat_eff = stack_family(relabeled, R, kmat, C, rng, resamples=resamples)
-    dJ = J.max_degree()
-    return H, taus, J, kmat_eff, dJ

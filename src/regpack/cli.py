@@ -65,18 +65,27 @@ def _emit(payload: dict, args) -> None:
 
 
 def cmd_gen(args) -> int:
+    if args.n < 1:
+        raise BadParams(f"--n must be at least 1, got {args.n}")
+    if not 0 <= args.p <= 1:
+        raise BadParams(f"--p must lie in [0, 1], got {args.p}")
     if args.r < 1:
         raise BadParams(f"--r must be at least 1, got {args.r}")
     if args.count < 0:
         raise BadParams(f"--count must not be negative, got {args.count}")
     rng = random.Random(args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+
+    def target(name: str) -> Path:
+        # made at the first write, so a usage error leaves no directory behind
+        out.mkdir(parents=True, exist_ok=True)
+        return out / name
+
     kind = args.kind
     summary: dict = {"kind": kind, "seed": args.seed, "out": str(out)}
     if kind == "random-tree":
         G = random_tree(args.n, args.max_degree, rng)
-        write_edge_list(G, out / "graph.txt")
+        write_edge_list(G, target("graph.txt"))
         summary["edges"] = G.num_edges()
     elif kind == "cycle-factor":
         try:
@@ -84,19 +93,19 @@ def cmd_gen(args) -> int:
         except ValueError:
             raise BadParams(f"--lengths must be comma-separated integers, got {args.lengths!r}") from None
         G = cycle_factor(args.n, lengths)
-        write_edge_list(G, out / "graph.txt")
+        write_edge_list(G, target("graph.txt"))
         summary["edges"] = G.num_edges()
     elif kind == "random-delta-graph":
         G = random_bounded_degree_graph(args.n, args.max_degree, args.e_target, rng)
-        write_edge_list(G, out / "graph.txt")
+        write_edge_list(G, target("graph.txt"))
         summary["edges"] = G.num_edges()
     elif kind == "host-complete":
         G = host_complete(args.n)
-        write_edge_list(G, out / "host.txt")
+        write_edge_list(G, target("host.txt"))
         summary["edges"] = G.num_edges()
     elif kind == "host-gnp":
         G = host_gnp(args.n, args.p, rng)
-        write_edge_list(G, out / "host.txt")
+        write_edge_list(G, target("host.txt"))
         summary["edges"] = G.num_edges()
     elif kind == "host-superregular":
         r = args.r
@@ -107,13 +116,13 @@ def cmd_gen(args) -> int:
         k = args.k
         templates = bipartite_union_templates(r, args.n, k, args.count, rng, R=R)
         k_mats = [[[k if i != j else 0 for j in range(r)] for i in range(r)]] * len(templates)
-        write_instance(out / "instance.json", host, templates, k_mats,
+        write_instance(target("instance.json"), host, templates, k_mats,
                        params={"eps": args.eps, "d": float(d), "k": k})
         summary["instance"] = str(out / "instance.json")
     else:  # tree-family-gl, the last of the parser's choices
         fam = tree_family_gl(args.n, args.max_degree, rng)
         for i, T in enumerate(fam, start=1):
-            write_edge_list(T, out / f"tree_{i:03d}.txt")
+            write_edge_list(T, target(f"tree_{i:03d}.txt"))
         summary["members"] = len(fam)
         summary["total_edges"] = sum(T.num_edges() for T in fam)
     _emit(summary, args)

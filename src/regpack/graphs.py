@@ -180,14 +180,6 @@ class LabeledGraph:
         g._m = self._m
         return g
 
-    def union(self, other: "LabeledGraph") -> "LabeledGraph":
-        if other.n != self.n:
-            raise BadParams("union of graphs on different vertex sets")
-        g = LabeledGraph(self.n)
-        g.adj = [a | b for a, b in zip(self.adj, other.adj)]
-        g._m = sum(popcount(a) for a in g.adj) // 2
-        return g
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LabeledGraph) and self.n == other.n and self.adj == other.adj
 
@@ -415,6 +407,8 @@ def read_edge_list(path) -> LabeledGraph:
             if len(header) != 2:
                 raise ValueError("header must be 'n m'")
             n, m = int(header[0]), int(header[1])
+            if n < 0 or m < 0:
+                raise ValueError(f"header declares {n} vertices and {m} edges")
             G = LabeledGraph(n)
             count = 0
             for line in fh:

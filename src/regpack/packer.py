@@ -57,6 +57,7 @@ from .graphs import (
     VertexPartition,
     blow_up,
     candidacy_rows,
+    iter_bits,
     mask_of,
     pair_view,
     popcount,
@@ -439,7 +440,8 @@ def _patch(run: _Run, idx: int, res: UniformEmbedResult, U_by_class: list[list[i
                     break
                 Z_classes.append(f + run.rng.sample(pool, window - len(f)))
             else:
-                cand = _patch_rows(run.A_rows[idx], res, Z_classes, P_next, excluded)
+                cand = _patch_rows(run.A_rows[idx], phi, run.templates[idx].graph.adj, Z_classes,
+                                   P_next, excluded)
                 if min(map(popcount, cand.values()), default=2) >= 2:
                     rows = cand
                     break
@@ -508,22 +510,21 @@ def _collision_thinned_candidacy(run: _Run, idx: int):
     return out
 
 
-def _patch_rows(A_rows: dict[int, int], res: UniformEmbedResult, Z_classes: list[list[int]],
-               P_next: LabeledGraph, excluded: dict[int, set[int]]) -> dict[int, int]:
+def _patch_rows(A_rows: dict[int, int], phi: dict[int, int], H_adj: list[int],
+                Z_classes: list[list[int]], P_next: LabeledGraph,
+                excluded: dict[int, set[int]]) -> dict[int, int]:
     """Candidacy rows for the patch, as bitsets over host ids: initial
     candidacy cut to the class window, intersected with the patch-graph
-    neighbourhoods of all embedded out-of-window pattern neighbours, minus
-    collision images."""
-    phi = res.phi
-    zall = {z for cls in Z_classes for z in cls}
+    neighbourhoods of all embedded out-of-window pattern neighbours (rows
+    ``H_adj`` of the template), minus collision images."""
+    zmask = mask_of(z for cls in Z_classes for z in cls)
     rows: dict[int, int] = {}
     for cls in Z_classes:
         wmask = mask_of(phi[z] for z in cls)
         for z in cls:
             row = wmask & A_rows.get(z, -1) & ~mask_of(excluded.get(z, ()))
-            for ynb in res.N[z]:
-                if ynb not in zall:
-                    row &= P_next.adj[phi[ynb]]
+            for ynb in iter_bits(H_adj[z] & ~zmask):
+                row &= P_next.adj[phi[ynb]]
             rows[z] = row
     return rows
 

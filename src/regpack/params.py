@@ -1,17 +1,14 @@
-"""Constant hierarchy and the tolerance-function ladder.
+"""Constant hierarchy and the two tolerance functions a run reads.
 
-The ladder is a family of root functions ordered pointwise on (0,1):
+    g(a) = a^(1/300)                   q(a, w) = a^((1/300)^(w+3))
 
-    h'(a) = a^(1/10)   <  h(a) = a^(1/20)  <  g'(a) = a^(1/120)
-    <  g(a) = a^(1/300)  <  q*(a) = a^((1/300)^(w+1))
-    <  f(a) = a^((1/300)^(w+2))  <  q(a) = a^((1/300)^(w+3))
-
-where ``w`` counts embedding rounds.  Per-round tolerances are the
-iterates ``xi_t = g^t(2*eps)``; they approach 1 within a couple of
+where ``w`` counts embedding rounds.  ``g`` gives the per-round
+tolerances ``xi_t = g^t(2*eps)``; they approach 1 within a couple of
 iterations at any usable eps, so all consumers clamp them at the
 constant ``ParamSet.xi_max`` = 0.25.  The clamp preserves monotonicity
 and keeps the degree/codegree checks meaningful at the instance sizes
-this package targets.
+this package targets.  ``q`` gives the pipeline's certificate tolerance
+``eps_t`` in ``run_main_packing``.
 """
 
 from __future__ import annotations
@@ -22,38 +19,12 @@ from typing import ClassVar
 from .errors import BadParams
 
 
-def h_prime(a: float) -> float:
-    return a ** (1 / 10)
-
-
-def h(a: float) -> float:
-    return a ** (1 / 20)
-
-
-def g_prime(a: float) -> float:
-    return a ** (1 / 120)
-
-
 def g(a: float) -> float:
     return a ** (1 / 300)
 
 
-def q_star(a: float, w: int) -> float:
-    return a ** ((1 / 300) ** (w + 1))
-
-
-def f(a: float, w: int) -> float:
-    return a ** ((1 / 300) ** (w + 2))
-
-
 def q(a: float, w: int) -> float:
     return a ** ((1 / 300) ** (w + 3))
-
-
-def g_iter(a: float, t: int) -> float:
-    for _ in range(t):
-        a = g(a)
-    return a
 
 
 @dataclass
@@ -98,28 +69,3 @@ class ParamSet:
         while len(cache) <= t:
             cache.append(g(cache[-1]))
         return min(cache[t], self.xi_max)
-
-    def ladder(self, a: float) -> dict[str, float]:
-        return {
-            "h'": h_prime(a),
-            "h": h(a),
-            "g'": g_prime(a),
-            "g": g(a),
-            "q*": q_star(a, self.w),
-            "f": f(a, self.w),
-            "q": q(a, self.w),
-        }
-
-    def ladder_is_monotone(self, a: float) -> bool:
-        """Ladder ordering at machine precision.
-
-        The top three rungs differ by exponents around (1/300)^w, which
-        collapse to 1.0 in floats; the check is therefore non-strict on
-        values and strict on the (exactly representable) exponents.
-        """
-        vals = list(self.ladder(a).values())
-        if any(x > y for x, y in zip(vals, vals[1:])):
-            return False
-        exps = [1 / 10, 1 / 20, 1 / 120, 1 / 300,
-                (1 / 300) ** (self.w + 1), (1 / 300) ** (self.w + 2), (1 / 300) ** (self.w + 3)]
-        return all(x > y for x, y in zip(exps, exps[1:]))

@@ -33,7 +33,6 @@ is path-dependent, so single rounds are never backtracked.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -83,13 +82,6 @@ class SlenderOutput:
     F: list[BipartiteGraph]                  # per class, on (Y_j, U_j) with global ids
     p_host: list[Fraction] = field(default_factory=list)   # density ladder vs the host
     p_patch: list[Fraction] = field(default_factory=list)  # density ladder vs the reserve
-
-
-def trace_to_jsonl(trace: list[dict], path) -> None:
-    """Write the per-round event log, one JSON object per line."""
-    with open(path, "w") as fh:
-        for event in trace:
-            fh.write(json.dumps(event) + "\n")
 
 
 def validate_input(s: SlenderInput, check_certificates: bool = True) -> list[str]:

@@ -48,7 +48,6 @@ class UniformEmbedResult:
     Y_classes: list[list[int]]
     U_classes: list[list[int]]
     F: list[BipartiteGraph]
-    N: dict[int, tuple[int, ...]]
     K: int
     attempts: int = 1
 
@@ -245,10 +244,9 @@ def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
                 C=params.C,
             )
             out = run_slender(s, rng, trace=trace)
-            N = {x: tuple(sorted(H.graph.neighbors(x))) for x in range(H.graph.n)}
             res = UniformEmbedResult(phi=out.phi, Y_classes=Y_classes, U_classes=U_classes,
-                                     F=out.F, N=N, K=K, attempts=attempt)
-            _assert_result(G, H, A0, res, eff)
+                                     F=out.F, K=K, attempts=attempt)
+            _assert_result(G, H, A0, res)
             return res
         except EmbedFailure as exc:
             last = exc
@@ -271,8 +269,7 @@ def _check_hypotheses(G, P_host, beta_mat, H, kmat, A0, d0, params) -> None:
             raise NotSuperRegular(f"initial candidacy class {i} failed its certificate")
 
 
-def _assert_result(G: PartitionedGraph, H: PartitionedGraph, A0, res: UniformEmbedResult,
-                   params: ParamSet) -> None:
+def _assert_result(G: PartitionedGraph, H: PartitionedGraph, A0, res: UniformEmbedResult) -> None:
     K = res.K
     # partition bookkeeping
     for j, (yj, uj) in enumerate(zip(res.Y_classes, res.U_classes)):
@@ -283,22 +280,6 @@ def _assert_result(G: PartitionedGraph, H: PartitionedGraph, A0, res: UniformEmb
             raise AssertionError(f"host class {j} escapes its block")
         if len(yj) != len(uj):
             raise AssertionError(f"class {j} sizes disagree")
-    # candidacy hypergraph structure
-    yclass = {p: j for j, cls in enumerate(res.Y_classes) for p in cls}
-    bound = K * params.Delta_R
-    for x, nx in res.N.items():
-        if len(nx) > bound:
-            raise AssertionError("candidacy hyperedge exceeds its size bound")
-        per: dict[int, int] = {}
-        for y in nx:
-            per[yclass[y]] = per.get(yclass[y], 0) + 1
-            if x not in res.N[y]:
-                raise AssertionError("candidacy hypergraph is not symmetric")
-        if any(c > 1 for c in per.values()):
-            raise AssertionError("candidacy hyperedge hits a class twice")
-        for y in H.graph.neighbors(x):
-            if y not in nx:
-                raise AssertionError("pattern neighbourhood escapes its hyperedge")
     # initial-candidacy membership
     for p, row in candidacy_rows(A0).items():
         if not (row >> res.phi[p]) & 1:

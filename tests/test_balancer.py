@@ -14,8 +14,6 @@ from regpack.balancer import (
     arithm_split,
     check_arithm_split,
     max_flow,
-    pack_to_regular,
-    permute_balance,
     regularize_near,
     regularize_pair,
     stack_family,
@@ -224,64 +222,12 @@ class TestArithmSplit:
                     for c in range(r):
                         assert check_arithm_split(r * n + c, r, Delta), (r, Delta, n, c)
 
-
-class TestPermuteBalance:
-    def _family(self, s, r, n, seed, sym=False):
-        rng = random.Random(seed)
-        out = []
-        for _ in range(s):
-            total = r * n
-            G = LabeledGraph(total)
-            classes = [list(range(i * n, (i + 1) * n)) for i in range(r)]
-            for i in range(r):
-                for j in range(i + 1, r):
-                    cnt = n // 2 if sym else rng.randrange(n)
-                    for _e in range(cnt):
-                        u = classes[i][rng.randrange(n)]
-                        v = classes[j][rng.randrange(n)]
-                        if not G.has_edge(u, v):
-                            G.add_edge(u, v)
-            R = ReducedGraph(r, [(i, j) for i in range(r) for j in range(i + 1, r)])
-            out.append(PartitionedGraph(G, VertexPartition.from_lists(classes, total), R))
-        return out
-
-    def test_single_graph_returns_best(self):
-        fams = self._family(1, 3, 20, seed=1)
-        perms, dev = permute_balance(fams, random.Random(0))
-        assert len(perms) == 1
-
-    def test_symmetric_family_zero_deviation(self):
-        # all pair counts equal: any permutation achieves deviation 0
-        rng = random.Random(2)
-        fams = []
-        r, n = 3, 12
-        R = ReducedGraph(r, [(i, j) for i in range(r) for j in range(i + 1, r)])
-        G = LabeledGraph(r * n)
-        classes = [list(range(i * n, (i + 1) * n)) for i in range(r)]
-        for i in range(r):
-            for j in range(i + 1, r):
-                for t in range(n):
-                    G.add_edge(classes[i][t], classes[j][t])
-        fams = [PartitionedGraph(G, VertexPartition.from_lists(classes, r * n), R)] * 3
-        perms, dev = permute_balance(fams, random.Random(0))
-        assert dev == pytest.approx(0.0)
-
-    def test_deviation_improves_over_identity(self):
-        fams = self._family(40, 4, 15, seed=3)
-        perms, dev = permute_balance(fams, random.Random(1), resamples=20)
-        # identity labeling deviation for comparison
-        id_perms = [list(range(4))] * 40
-        from regpack.balancer import _pair_edge_counts
-        sums = [[0.0] * 4 for _ in range(4)]
-        for L in fams:
-            c = _pair_edge_counts(L)
-            for i in range(4):
-                for j in range(4):
-                    sums[i][j] += c[i][j] / 15
-        vals = [sums[i][j] for i in range(4) for j in range(i + 1, 4)]
-        M = sum(vals) / len(vals)
-        id_dev = max(abs(v - M) for v in vals)
-        assert dev <= id_dev + 1e-9
+    def test_class_sizes_sum_to_n_bar(self):
+        r, Delta = 8, 2
+        n_bar = 8 * 10 + 3
+        a1, a2, a3, n1, n2, n3 = arithm_split(n_bar, r, Delta)
+        sizes = [n1] * a1 + [n2] * a2 + [n3] * a3
+        assert sum(sizes) == n_bar
 
 
 class TestStackFamily:
@@ -442,20 +388,3 @@ def test_block_plan_matches_the_recounting_reference(data):
         assert got["blocks"] == want["blocks"]
         assert got["deviation"] == want["deviation"]
         assert got_rng.getstate() == want_rng.getstate()
-
-
-class TestPackToRegular:
-    def test_equal_mode(self):
-        fams, R = TestStackFamily()._matching_family(6, 2, 20, seed=7)
-        H, taus, J, kmat, dJ = pack_to_regular(fams, R, k=7, C=1, rng=random.Random(0),
-                                               resamples=8)
-        assert dJ == J.max_degree()
-
-    def test_arithm_mode_class_sizes(self):
-        # 3 classes sized by the arithmetic split
-        r, Delta = 8, 2
-        n_bar = 8 * 10 + 3
-        a1, a2, a3, n1, n2, n3 = arithm_split(n_bar, r, Delta)
-        sizes = [n1] * a1 + [n2] * a2 + [n3] * a3
-        assert sum(sizes) == n_bar
-

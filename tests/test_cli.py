@@ -299,11 +299,13 @@ class TestMalformedInput:
         self._usage_error(capsys, ["gen", "cycle-factor", "--n", "6", "--lengths", "3,x",
                                    "--out", str(tmp_path / "g")],
                           "--lengths must be comma-separated integers, got '3,x'")
+        assert not (tmp_path / "g").exists()
 
     def test_gen_random_delta_graph_without_vertices(self, tmp_path, capsys):
         self._usage_error(capsys, ["gen", "random-delta-graph", "--n", "0", "--e-target", "3",
                                    "--out", str(tmp_path / "g")],
-                          "cannot place 3 edges on 0 vertices")
+                          "--n must be at least 1, got 0")
+        assert not (tmp_path / "g").exists()
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--trials", "-5", "trials must be at least 1, got -5"),
@@ -371,6 +373,18 @@ class TestUsageErrors:
         assert main(argv + ["--retries", "3"]) == 2
         for cmd in ("pack", "diagnose"):
             assert build_parser().parse_args([cmd, "--instance", "x", "--retries", "3"]).retries == 3
+
+    @pytest.mark.parametrize("argv,message", [
+        (["host-complete", "--n", "-1"], "--n must be at least 1, got -1"),
+        (["random-delta-graph", "--n", "-3"], "--n must be at least 1, got -3"),
+        (["host-gnp", "--n", "5", "--p", "2"], "--p must lie in [0, 1], got 2.0"),
+        (["random-tree", "--n", "0"], "--n must be at least 1, got 0"),
+        (["cycle-factor", "--n", "7", "--lengths", "3,3"], "cycle lengths sum to 6, need 7"),
+    ])
+    def test_gen_usage_error_writes_nothing(self, argv, message, tmp_path, capsys):
+        assert main(["gen", *argv, "--out", str(tmp_path / "g")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
 
 
 def test_console_entry_point():

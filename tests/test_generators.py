@@ -14,6 +14,7 @@ from regpack.generators import (
     bipartite_union_templates,
     certified_bipartite_host,
     host_superregular,
+    random_bounded_degree_graph,
     random_regular_bipartite,
 )
 from regpack.graphs import BipartiteGraph, LabeledGraph, ReducedGraph, iter_bits
@@ -106,6 +107,11 @@ class TestZeroDegree:
     def test_degree_above_n_is_refused(self):
         with pytest.raises(BadParams):
             random_regular_bipartite(3, 4, random.Random(0))
+
+
+def test_bounded_degree_graph_refuses_edges_without_vertices():
+    with pytest.raises(BadParams, match="cannot place 3 edges on 0 vertices"):
+        random_bounded_degree_graph(0, 3, 3, random.Random(0))
 
 
 def bounds_of(sizes):

@@ -178,6 +178,14 @@ def test_edge_list_roundtrip(tmp_path):
     assert read_edge_list(p) == G
 
 
+@pytest.mark.parametrize("header", ["-1 0", "3 -1"])
+def test_edge_list_refuses_a_negative_header(tmp_path, header):
+    p = tmp_path / "g.txt"
+    p.write_text(header + "\n")
+    with pytest.raises(BadParams, match=f"{p}: malformed edge list"):
+        read_edge_list(p)
+
+
 def test_bipartite_subgraph_index_maps():
     B = BipartiteGraph(3, 3, [(0, 0), (1, 1), (2, 2), (0, 2)])
     S = B.subgraph([0, 2], [2, 0])

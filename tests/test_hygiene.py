@@ -126,6 +126,25 @@ def test_every_function_is_referenced():
     assert {k: v for k, v in dead.items() if v} == {}
 
 
+# Functions that only tests call, each kept as a reference or oracle for code
+# that does run.
+TEST_ONLY = {
+    "check_arithm_split": "acceptance criterion 5 checks the arithmetic split with it",
+    "check_schedule": "the checker for `round_schedule`",
+    "apply_switch": "the switch move that the chain kernels inline",
+    "oracle_pack_small": "the exhaustive oracle of acceptance criterion 7",
+    "pack_bipartite": "the bipartite driver the README documents",
+}
+
+
+def test_every_function_is_reached_outside_tests():
+    """A function that only tests call is dead code, bar the listed oracles."""
+    sources = [p.read_text() for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    names = referenced_names(sources)
+    unreached = {f.split(" ")[0] for p in MODULES for f in unreferenced_functions(p.read_text(), names)}
+    assert unreached == set(TEST_ONLY)
+
+
 def test_reference_checker_flags_a_dead_method():
     source = (
         "class A:\n"

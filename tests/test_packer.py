@@ -24,6 +24,7 @@ from regpack.graphs import (
     ReducedGraph,
     VertexPartition,
     iter_bits,
+    mask_of,
 )
 from regpack.params import ParamSet
 from regpack.packer import (
@@ -369,8 +370,7 @@ class TestDrivers:
 # patch candidacy rows against the set-based function they replaced
 
 
-def _patch_rows_reference(A_rows, res, Z_classes, P_next, excluded):
-    phi = res.phi
+def _patch_rows_reference(A_rows, phi, N, Z_classes, P_next, excluded):
     zall = {z for cls in Z_classes for z in cls}
     rows = {}
     for cls in Z_classes:
@@ -378,7 +378,7 @@ def _patch_rows_reference(A_rows, res, Z_classes, P_next, excluded):
         for z in cls:
             row = A_rows.get(z)
             allowed = set(wset) if row is None else {w for w in wset if (row >> w) & 1}
-            for ynb in res.N[z]:
+            for ynb in N[z]:
                 if ynb in zall:
                     continue
                 prow = P_next.adj[phi[ynb]]
@@ -391,8 +391,6 @@ def _patch_rows_reference(A_rows, res, Z_classes, P_next, excluded):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_patch_rows_match_set_reference(data):
-    from types import SimpleNamespace
-
     n = data.draw(st.integers(1, 80), label="host order")
     npat = data.draw(st.integers(1, n), label="pattern order")
     hosts = data.draw(st.permutations(range(n)))
@@ -407,7 +405,7 @@ def test_patch_rows_match_set_reference(data):
     P_next.adj = data.draw(st.lists(host_row, min_size=n, max_size=n), label="P rows")
     A_rows = data.draw(st.dictionaries(vertex, host_row), label="A rows")
     excluded = data.draw(st.dictionaries(vertex, st.sets(st.integers(0, n - 1))), label="excluded")
-    res = SimpleNamespace(phi=phi, N=N)
-    rows = _patch_rows(A_rows, res, Z_classes, P_next, excluded)
-    expected = _patch_rows_reference(A_rows, res, Z_classes, P_next, excluded)
+    H_adj = [mask_of(N[x]) for x in range(npat)]
+    rows = _patch_rows(A_rows, phi, H_adj, Z_classes, P_next, excluded)
+    expected = _patch_rows_reference(A_rows, phi, N, Z_classes, P_next, excluded)
     assert {z: list(iter_bits(row)) for z, row in rows.items()} == expected

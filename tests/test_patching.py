@@ -19,16 +19,16 @@ def embedded_instance(seed=5, n=60, beta="9/20"):
     return host, P, bmat, templates[0], params, res, rng
 
 
-def refreshed_rows(res, P, Z_classes):
-    """Patch candidacy from out-of-window neighbours only, as bitsets over
-    host ids."""
+def refreshed_rows(res, tpl, P, Z_classes):
+    """Patch candidacy from out-of-window template neighbours only, as
+    bitsets over host ids."""
     zall = {z for cls in Z_classes for z in cls}
     rows = {}
     for j, cls in enumerate(Z_classes):
         wset = [res.phi[z] for z in cls]
         for z in cls:
             allowed = set(wset)
-            for ynb in res.N[z]:
+            for ynb in tpl.graph.neighbors(z):
                 if ynb in zall:
                     continue
                 allowed = {w for w in allowed if P.graph.has_edge(w, res.phi[ynb])}
@@ -58,7 +58,7 @@ class TestRepatch:
     def test_patch_conclusions_hold(self):
         host, P, bmat, tpl, params, res, rng = embedded_instance(seed=5)
         Z_classes, RK, bKr = patch_setup(res, host, rng, size=10)
-        rows = refreshed_rows(res, P, Z_classes)
+        rows = refreshed_rows(res, tpl, P, Z_classes)
         phi2 = repatch(tpl.graph, P.graph, RK, bKr, res.phi,
                        rows, Z_classes, beta_prime=0.45, delta=0.1, params=params, rng=rng)
         zall = {z for cls in Z_classes for z in cls}
@@ -80,7 +80,7 @@ class TestRepatch:
     def test_within_class_window(self):
         host, P, bmat, tpl, params, res, rng = embedded_instance(seed=7)
         Z_classes, RK, bKr = patch_setup(res, host, rng, size=10)
-        rows = refreshed_rows(res, P, Z_classes)
+        rows = refreshed_rows(res, tpl, P, Z_classes)
         phi2 = repatch(tpl.graph, P.graph, RK, bKr, res.phi,
                        rows, Z_classes, beta_prime=0.45, delta=0.1, params=params, rng=rng)
         for j, cls in enumerate(Z_classes):
@@ -92,7 +92,7 @@ class TestRepatch:
         host, P, bmat, tpl, params, res, rng = embedded_instance(seed=9)
         Z_classes, RK, bKr = patch_setup(res, host, rng, size=8)
         Z_classes[0] = Z_classes[0][:5]
-        rows = refreshed_rows(res, P, Z_classes)
+        rows = refreshed_rows(res, tpl, P, Z_classes)
         with pytest.raises(HypothesisViolation):
             repatch(tpl.graph, P.graph, RK, bKr, res.phi,
                     rows, Z_classes, beta_prime=0.45, delta=0.1, params=params, rng=rng)
