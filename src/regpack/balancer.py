@@ -17,7 +17,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (
-    BadParameters,
     BadParams,
     GreedySelectionFailed,
     Infeasible,
@@ -243,7 +242,7 @@ def _disjoint_neighbourhood_set(pair: BipartiteGraph, a: int) -> list[int]:
 def arithm_split(n_bar: int, r: int, Delta: int) -> tuple[int, int, int, int, int, int]:
     """Class-count/size split (a1,a2,a3,n1,n2,n3) realizing n_bar = sum a_i n_i."""
     if r < 3 * Delta + 2:
-        raise BadParameters(f"need r >= 3*Delta+2, got r={r}, Delta={Delta}")
+        raise BadParams(f"need r >= 3*Delta+2, got r={r}, Delta={Delta}")
     n, c = divmod(n_bar, r)
     if c == 0:
         n1, a1, a3 = n, r, 0

@@ -235,8 +235,7 @@ def cmd_diagnose(args) -> int:
     runs = []
     for _ in range(args.runs):
         runs.append(run_uniform_embed(host, P.graph, beta, templates[0], k_mats[0],
-                                      [None] * host.reduced.r, 1.0, params, rng,
-                                      check_hypotheses=False))
+                                      [None] * host.reduced.r, 1.0, params, rng))
     n = max(host.partition.sizes())
     probes = []
     probe_rng = random.Random(args.seed + 1)

@@ -9,10 +9,6 @@ class BadParams(RegpackError):
     pass
 
 
-class EmptySide(RegpackError):
-    pass
-
-
 class SideMismatch(RegpackError):
     pass
 
@@ -85,10 +81,6 @@ class Infeasible(RegpackError):
 
 
 class GreedySelectionFailed(RegpackError):
-    pass
-
-
-class BadParameters(BadParams):
     pass
 
 

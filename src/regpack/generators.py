@@ -205,8 +205,16 @@ def cycle_factor(n: int, lengths: list[int]) -> LabeledGraph:
 
 
 def random_bounded_degree_graph(n: int, max_degree: int, e_target: int, rng) -> LabeledGraph:
-    if e_target > 0 and n < 1:
-        raise BadParams(f"cannot place {e_target} edges on {n} vertices")
+    """Up to ``e_target`` random edges on n vertices of degree at most
+    ``max_degree``; a target that no such simple graph meets is refused."""
+    if max_degree < 0:
+        raise BadParams(f"max_degree must not be negative, got {max_degree}")
+    if e_target < 0:
+        raise BadParams(f"e_target must not be negative, got {e_target}")
+    room = min(n * max_degree // 2, n * (n - 1) // 2)
+    if e_target > room:
+        raise BadParams(f"cannot place {e_target} edges on {n} vertices of degree at most "
+                        f"{max_degree}: at most {room} fit")
     G = LabeledGraph(n)
     deg = [0] * n
     tries = 50 * max(e_target, 1)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,15 +89,11 @@ class Matching:
 class MatchingStats:
     samples: int
     edge_frequencies: dict[tuple[int, int], float]
-    set_hit_rates: dict[str, float] = field(default_factory=dict)
-    overlap_tail_fraction: float | None = None
 
     def to_json(self) -> str:
         return json.dumps({
             "samples": self.samples,
             "edge_frequencies": {f"{u},{v}": f for (u, v), f in self.edge_frequencies.items()},
-            "set_hit_rates": self.set_hit_rates,
-            "overlap_tail_fraction": self.overlap_tail_fraction,
             "irreducibility_caveat": True,
         })
 
@@ -305,18 +301,10 @@ def sample_switch_chain_many(B: BipartiteGraph, samples: int, steps: int, rng) -
 
 
 def matching_diagnostics(B: BipartiteGraph, sampler: str, trials: int, rng,
-                         steps: int | None = None,
-                         test_sets: dict[int, list[int]] | None = None,
-                         subgraph: BipartiteGraph | None = None,
-                         d: float | None = None,
-                         d_prime: float | None = None) -> MatchingStats:
-    """Empirical per-edge inclusion frequencies plus set/overlap statistics.
-
-    ``test_sets`` maps a left vertex u to a subset S of its neighbourhood,
-    reporting the rate of sigma(u) in S.  ``subgraph`` triggers the
-    overlap-tail statistic: the fraction of samples whose matching uses
-    more than 8*d'/d * n edges of the subgraph.
-    """
+                         steps: int | None = None) -> MatchingStats:
+    """Empirical per-edge inclusion frequencies of ``trials`` perfect
+    matchings of B, drawn exactly or by the switch chain at ``steps``
+    proposals each (``default_steps`` when None)."""
     if sampler not in ("exact", "switch-chain"):
         raise BadParams("sampler must be 'exact' or 'switch-chain'")
     if trials < 1:
@@ -336,21 +324,4 @@ def matching_diagnostics(B: BipartiteGraph, sampler: str, trials: int, rng,
             counts[(u, v)] = counts.get((u, v), 0) + 1
     freqs = {e: c / trials for e, c in counts.items()}
 
-    hit_rates: dict[str, float] = {}
-    if test_sets:
-        for u, S in test_sets.items():
-            Sset = set(S)
-            hit_rates[str(u)] = sum(1 for sig in draws if sig[u] in Sset) / trials
-
-    tail = None
-    if subgraph is not None:
-        if d is None or d_prime is None:
-            raise BadParams("overlap statistic needs d and d_prime")
-        cut = 8 * d_prime / d * n
-        tail = sum(
-            1 for sig in draws
-            if sum(1 for u, v in enumerate(sig) if subgraph.has_edge(u, v)) > cut
-        ) / trials
-
-    return MatchingStats(samples=trials, edge_frequencies=freqs,
-                         set_hit_rates=hit_rates, overlap_tail_fraction=tail)
+    return MatchingStats(samples=trials, edge_frequencies=freqs)

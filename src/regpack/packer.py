@@ -264,7 +264,7 @@ class _Run:
         self.G1 = LabeledGraph(host.graph.n)
         for i, j in host.reduced.edges():
             parts = random_split(host.pair_view(i, j), float(host.densities[i][j]),
-                                 float(self.beta_mat[i][j]), rng, eps=params.eps, cap=params.retry_cap)
+                                 float(self.beta_mat[i][j]), rng, eps=params.eps)
             for graph, part in zip((self.P_host, self.G1), parts):
                 graph.add_pair(part.adj, host.partition.classes[i], host.partition.classes[j])
         self.ladder = _density_trace(inst, T, self.k_mats, self.beta_mat)
@@ -324,8 +324,7 @@ def _embed_batch(run: _Run, batch: list[int], G_cur: LabeledGraph, d_now,
             A_eff = _collision_thinned_candidacy(run, idx)
             d0 = 1.0 if all(a is None for a in A_eff) else run.inst.d0
             res = run_uniform_embed(G_round, run.P_host, run.beta_mat, run.templates[idx],
-                                    run.k_mats[idx], A_eff, d0, emb_params, run.rng,
-                                    check_hypotheses=False)
+                                    run.k_mats[idx], A_eff, d0, emb_params, run.rng)
         except (EmbedFailure, RetriesExhausted, InfeasibleTargetSets) as exc:
             raise _RoundRestart(1, f"template {idx}: {exc}")
         for Q, W in run.inst.probe_sets or ():
@@ -504,8 +503,7 @@ def _collision_thinned_candidacy(run: _Run, idx: int):
                        for a, x in enumerate(Xj) if x in excluded}
         if constrained:
             d0_target = min([run.inst.d0] + [popcount(mask) / len(Vj) for mask in constrained.values()])
-            Bj = restrict_super_regular(Bj, constrained, d0_target, run.rng,
-                                        eps=params.eps, cap=params.retry_cap)
+            Bj = restrict_super_regular(Bj, constrained, d0_target, run.rng, eps=params.eps)
         out.append(Bj)
     return out
 

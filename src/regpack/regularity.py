@@ -9,26 +9,24 @@ at eps^(1/6).  Every certificate reads one 0/1 bit matrix of the pair:
 its row and column sums are the degrees, checked exactly against their
 windows on both sides, and the codegrees of all left pairs are counted
 exactly, at every size, from its product with its own transpose
-(`codegree`).  Randomized large-subset probes are thrown in as
-falsification attempts.
+(`codegree`).
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     BadParams,
-    EmptySide,
     InfeasibleTargetSets,
     RetriesExhausted,
     SplitRetriesExhausted,
 )
-from .graphs import BipartiteGraph, PartitionedGraph, bit_matrix, iter_bits, mask_of, popcount
+from .graphs import BipartiteGraph, PartitionedGraph, bit_matrix, iter_bits, mask_of
+from .params import ParamSet
 
 # Degree windows are floored at this many binomial standard deviations plus
 # one: below ~(4/eps)^2 vertices the fluctuation scale sqrt(n) exceeds eps*n,
@@ -41,39 +39,14 @@ _SLACK = 1e-9
 
 @dataclass
 class RegularityReport:
-    eps: float
-    d: float
     degree_ok: bool
     worst_offender: tuple[str, int, int] | None
     codegree_ok: bool
     codegree_bad_fraction: float
-    empirical_density: float
-    probes: list[tuple[int, int, float]] = field(default_factory=list)
-    probes_ok: bool = True
 
     @property
     def ok(self) -> bool:
-        return self.degree_ok and self.codegree_ok and self.probes_ok
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "eps": self.eps,
-            "d": self.d,
-            "degree_ok": self.degree_ok,
-            "codegree_bad_fraction": self.codegree_bad_fraction,
-            "probes": [{"a": a, "b": b, "density": dens} for a, b, dens in self.probes],
-        })
-
-
-def pair_density(B: BipartiteGraph, left_subset, right_subset) -> float:
-    """Exact edge density of the induced pair (A', B')."""
-    left = list(left_subset)
-    right = list(right_subset)
-    if not left or not right:
-        raise EmptySide("pair density needs nonempty subsets")
-    rmask = mask_of(right)
-    e = sum(popcount(B.adj[u] & rmask) for u in left)
-    return e / (len(left) * len(right))
+        return self.degree_ok and self.codegree_ok
 
 
 def codegree(M: np.ndarray, eps: float) -> tuple[float, bool]:
@@ -101,14 +74,12 @@ def codegree(M: np.ndarray, eps: float) -> tuple[float, bool]:
     return bad, (1.0 - bad) * total > 0.5 * (1 - 5 * eps) * nl * nl
 
 
-def super_regularity_certificate(B: BipartiteGraph, eps: float, d: float,
-                                 probes: int = 0, rng=None) -> RegularityReport:
+def super_regularity_certificate(B: BipartiteGraph, eps: float, d: float) -> RegularityReport:
     """Certificate for (eps, d)-super-regularity of a bipartite pair.
 
     degree_ok: every vertex degree lies in (d +- eps) * opposite size.
     codegree_ok: the |D| > (1-5 eps)/2 * |A|^2 pair count holds, with D
-    evaluated at the empirical density.  probes > 0 adds that many
-    random large-subset density checks, which can only falsify.
+    evaluated at the empirical density.
     """
     nl, nr = B.nl, B.nr
     if nl < 2 or nr < 2:
@@ -128,27 +99,8 @@ def super_regularity_certificate(B: BipartiteGraph, eps: float, d: float,
                 worst_gap, worst = gaps[v], (side, v, int(degs[v]))
     bad_fraction, codegree_ok = codegree(M, eps)
 
-    probe_list: list[tuple[int, int, float]] = []
-    probes_ok = True
-    if probes > 0:
-        if rng is None:
-            raise BadParams("probes need an rng")
-        lo_l = int(eps * nl) + 1
-        lo_r = int(eps * nr) + 1
-        for _ in range(probes):
-            a = rng.randint(lo_l, nl)
-            b = rng.randint(lo_r, nr)
-            left = rng.sample(range(nl), a)
-            right = rng.sample(range(nr), b)
-            dens = pair_density(B, left, right)
-            probe_list.append((a, b, dens))
-            if abs(dens - d) > eps:
-                probes_ok = False
-
-    return RegularityReport(eps=eps, d=d, degree_ok=degree_ok, worst_offender=worst,
-                            codegree_ok=codegree_ok, codegree_bad_fraction=bad_fraction,
-                            empirical_density=int(M.sum()) / (nl * nr), probes=probe_list,
-                            probes_ok=probes_ok)
+    return RegularityReport(degree_ok=degree_ok, worst_offender=worst,
+                            codegree_ok=codegree_ok, codegree_bad_fraction=bad_fraction)
 
 
 def window(eps: float, d: float, n: int) -> float:
@@ -176,11 +128,11 @@ def pipeline_certificate(B: BipartiteGraph, eps: float, d: float) -> bool:
 
 
 def random_split(B: BipartiteGraph, d: float, beta: float, rng,
-                 eps: float = 0.05, cap: int = 32) -> tuple[BipartiteGraph, BipartiteGraph]:
+                 eps: float = 0.05) -> tuple[BipartiteGraph, BipartiteGraph]:
     """Split B into a beta-dense reserve P and the remainder B - P.
 
     Each edge joins P independently with probability beta/d; the draw is
-    repeated (fresh randomness, up to ``cap`` tries) until both parts
+    repeated (fresh randomness, up to ``retry_cap`` tries) until both parts
     certify at (2*eps, beta) and (2*eps, d - beta) respectively, with
     the usual small-side fluctuation floor on the degree windows.
     """
@@ -188,7 +140,7 @@ def random_split(B: BipartiteGraph, d: float, beta: float, rng,
         raise BadParams("need 0 < beta <= d")
     p = beta / d
     last = None
-    for _ in range(cap):
+    for _ in range(ParamSet.retry_cap):
         P = BipartiteGraph(B.nl, B.nr, left_ids=B.left_ids, right_ids=B.right_ids)
         for u, row in enumerate(B.adj):
             keep = 0
@@ -203,7 +155,7 @@ def random_split(B: BipartiteGraph, d: float, beta: float, rng,
         if ok_p and ok_r:
             return P, rest
         last = (ok_p, ok_r)
-    raise SplitRetriesExhausted(f"random_split failed {cap} times; last reports: "
+    raise SplitRetriesExhausted(f"random_split failed {ParamSet.retry_cap} times; last reports: "
                                 f"P.ok={last[0]} rest.ok={last[1]}")
 
 
@@ -239,12 +191,12 @@ def check_near_equiregular(G: PartitionedGraph, kmat, C: int) -> tuple[bool, lis
 
 
 def restrict_super_regular(B: BipartiteGraph, constrained: dict[int, int], d0: float,
-                           rng, eps: float = 0.05, cap: int = 32) -> BipartiteGraph:
+                           rng, eps: float = 0.05) -> BipartiteGraph:
     """Thin B so every left vertex keeps exactly ceil(d0 * |B|) neighbours.
 
     ``constrained`` maps a small set of left vertices to allowed-neighbour
     bitmasks; their surviving neighbours are drawn from there.  Redrawn
-    until the certificate passes at eps^(1/3).
+    (up to ``retry_cap`` times) until the certificate passes at eps^(1/3).
     """
     nl, nr = B.nl, B.nr
     target = math.ceil(d0 * nr)
@@ -258,11 +210,11 @@ def restrict_super_regular(B: BipartiteGraph, constrained: dict[int, int], d0: f
             raise InfeasibleTargetSets(
                 f"left vertex {u} has only {len(pool)} allowed neighbours, needs {target}")
         pools.append(pool)
-    for _ in range(cap):
+    for _ in range(ParamSet.retry_cap):
         out = BipartiteGraph(nl, nr, left_ids=B.left_ids, right_ids=B.right_ids)
         for u, pool in enumerate(pools):
             out.adj[u] = mask_of(rng.sample(pool, target))
         rep = super_regularity_certificate(out, eps ** (1 / 3), d0)
         if rep.ok:
             return out
-    raise RetriesExhausted(f"restrict_super_regular failed to certify after {cap} redraws")
+    raise RetriesExhausted(f"restrict_super_regular failed to certify after {ParamSet.retry_cap} redraws")

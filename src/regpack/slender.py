@@ -84,8 +84,11 @@ class SlenderOutput:
     p_patch: list[Fraction] = field(default_factory=list)  # density ladder vs the reserve
 
 
-def validate_input(s: SlenderInput, check_certificates: bool = True) -> list[str]:
-    """Mechanical checks of the validity conditions; returns violations."""
+def validate_input(s: SlenderInput) -> list[str]:
+    """Mechanical checks of the validity conditions; returns violations.
+
+    The (V4)/(V5)/(V7) certificates are left to the preparation step (P2),
+    which re-certifies the padded pairs."""
     v: list[str] = []
     q = len(s.Y_classes)
     if len(s.U_classes) != q or s.R_star.r != q:
@@ -119,18 +122,6 @@ def validate_input(s: SlenderInput, check_certificates: bool = True) -> list[str
             v.append(f"(V6) pattern edges between non-adjacent classes {i},{j}")
         elif len({x for x, _ in edges}) != len(edges) or len({y for _, y in edges}) != len(edges):
             v.append(f"(V6) pattern pair ({i},{j}) is not a matching")
-    # (V4)/(V5)/(V7) certificates
-    if check_certificates:
-        eps = s.params.eps
-        for i, j in s.R_star.edges():
-            for tag, name, graph, dens in (("(V4)", "host", s.G_host, s.d_mat),
-                                           ("(V5)", "patching", s.P_host, s.beta_mat)):
-                d = float(dens[i][j])
-                if not pipeline_certificate(pair_view(graph.adj, s.U_classes[i], s.U_classes[j]), eps, d):
-                    v.append(f"{tag} {name} pair ({i},{j}) failed the ({eps},{d}) certificate")
-        for i in range(q):
-            if not pipeline_certificate(s.A0[i], eps, s.d0):
-                v.append(f"(V7) initial candidacy class {i} failed the ({eps},{s.d0}) certificate")
     return v
 
 
@@ -377,12 +368,8 @@ class _State:
 
 
 def run_slender(s: SlenderInput, rng, trace: list[dict] | None = None) -> SlenderOutput:
-    """One attempt of the slender embedding; raises FailureType1/2 on abort.
-
-    The input is checked without its (V4)/(V5)/(V7) certificates: callers
-    build it from certified pairs, and the preparation re-certifies the
-    padded pairs."""
-    violations = validate_input(s, check_certificates=False)
+    """One attempt of the slender embedding; raises FailureType1/2 on abort."""
+    violations = validate_input(s)
     if violations:
         raise BadParams("invalid slender input: " + "; ".join(violations[:4]))
     state = _State(s, rng)

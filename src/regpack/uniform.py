@@ -22,6 +22,7 @@ from .errors import (
     EmbedFailure,
     FailureType1,
     NotNearEquiregular,
+    NotSuperRegular,
     RetriesExhausted,
     TooFewRuns,
 )
@@ -37,9 +38,8 @@ from .graphs import (
     square,
 )
 from .params import ParamSet
-from .regularity import check_near_equiregular, pipeline_certificate, super_regularity_certificate, window
+from .regularity import check_near_equiregular, pipeline_certificate, window
 from .slender import SlenderInput, run_slender
-from .errors import NotSuperRegular
 
 
 @dataclass
@@ -72,19 +72,17 @@ def refine_pattern(H: PartitionedGraph, kmat, C: int, params: ParamSet, rng):
 
 
 def refine_host(G: PartitionedGraph, P_host: LabeledGraph, A0: list[BipartiteGraph | None],
-                Y_classes: list[list[int]], beta_mat, d0: float, params: ParamSet, rng,
-                cap: int | None = None):
+                Y_classes: list[list[int]], beta_mat, d0: float, params: ParamSet, rng):
     """Step 2: refine host classes to the pattern-class sizes and trim A0.
 
     Returns (U_classes, A0_star) where A0_star[j] is the candidacy pair
     on (Y_j, U_j).  Raises FailureType1 when the refined certificates
-    keep failing.
+    fail ``retry_cap`` times.
     """
     r = G.reduced.r
     eps = params.eps
     eps_out = eps ** (1 / 3)
-    cap = cap if cap is not None else params.retry_cap
-    for _attempt in range(cap):
+    for _attempt in range(params.retry_cap):
         U_classes: list[list[int]] = [[] for _ in Y_classes]
         A0_star: list[BipartiteGraph] = [None] * len(Y_classes)  # type: ignore
         feasible = True
@@ -97,7 +95,7 @@ def refine_host(G: PartitionedGraph, P_host: LabeledGraph, A0: list[BipartiteGra
             continue
         if _refined_events_hold(G, P_host, beta_mat, U_classes, A0_star, d0, eps_out, params):
             return U_classes, A0_star
-    raise FailureType1(f"host refinement failed to certify after {cap} attempts")
+    raise FailureType1(f"host refinement failed to certify after {params.retry_cap} attempts")
 
 
 def _refine_one_block(G, Ai, Y_classes, U_classes, A0_star, i, d0, eps, params, rng) -> bool:
@@ -209,11 +207,8 @@ def expand_matrix(mat, r: int, K: int) -> list[list[Fraction]]:
 def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
                       H: PartitionedGraph, kmat, A0: list[BipartiteGraph | None],
                       d0: float, params: ParamSet, rng,
-                      check_hypotheses: bool = True,
                       trace: list[dict] | None = None) -> UniformEmbedResult:
     """Steps 1-3 with whole-run retries; returns the embedding bundle."""
-    if check_hypotheses:
-        _check_hypotheses(G, P_host, beta_mat, H, kmat, A0, d0, params)
     r = G.reduced.r
     # the refinement constants come from this template's degree matrix and
     # this reduced graph, not the instance-wide caps
@@ -254,21 +249,6 @@ def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
         f"uniform embedding failed {eff.embed_retry_cap} times; last: {last}") from last
 
 
-def _check_hypotheses(G, P_host, beta_mat, H, kmat, A0, d0, params) -> None:
-    eps = params.eps
-    for i, j in G.reduced.edges():
-        for name, graph, dens in (("host", G.graph, G.densities), ("patching", P_host, beta_mat)):
-            pair = pair_view(graph.adj, G.partition.classes[i], G.partition.classes[j])
-            if not super_regularity_certificate(pair, eps, float(dens[i][j])).ok:
-                raise NotSuperRegular(f"{name} pair ({i},{j}) failed its certificate")
-    ok, violations = check_near_equiregular(H, kmat, params.C)
-    if not ok:
-        raise NotNearEquiregular("; ".join(violations[:4]))
-    for i, Ai in enumerate(A0):
-        if Ai is not None and not super_regularity_certificate(Ai, eps, d0).ok:
-            raise NotSuperRegular(f"initial candidacy class {i} failed its certificate")
-
-
 def _assert_result(G: PartitionedGraph, H: PartitionedGraph, A0, res: UniformEmbedResult) -> None:
     K = res.K
     # partition bookkeeping
@@ -291,15 +271,14 @@ def _assert_result(G: PartitionedGraph, H: PartitionedGraph, A0, res: UniformEmb
 
 
 def b_diagnostics(runs: list[UniformEmbedResult], H: PartitionedGraph, G: PartitionedGraph,
-                  kmat, b1_probes: list[tuple[int, list[int]]] | None = None,
-                  overlap_graph: LabeledGraph | None = None,
-                  qw_probes: list[tuple[list[int], list[int]]] | None = None) -> dict:
+                  kmat, b1_probes: list[tuple[int, list[int]]] | None = None) -> dict:
     """Statistics of the embedding distribution; reported, never asserted.
 
     ``b1_probes`` are (host vertex, host subset) pairs; for each, the
     report compares the mean embedded-neighbour count inside the subset
-    with k|S|/(d n).  ``overlap_graph`` triggers the image-overlap
-    statistics, ``qw_probes`` the set-intersection concentration.
+    with k|S|/(d n).  ``b3_collision_rate`` is the share of pattern-vertex
+    pairs, among the first 40 of each of the first 50 runs, whose pattern
+    neighbourhoods meet.
     """
     if len(runs) < 30:
         raise TooFewRuns(f"diagnostics need at least 30 runs, got {len(runs)}")
@@ -339,25 +318,6 @@ def b_diagnostics(runs: list[UniformEmbedResult], H: PartitionedGraph, G: Partit
                 if set(H.graph.neighbors(xa)) & set(H.graph.neighbors(xb)):
                     collisions += 1
     report["b3_collision_rate"] = collisions / pairs if pairs else 0.0
-    if overlap_graph is not None:
-        rates = []
-        for res in runs:
-            img = set()
-            for x, y in H.graph.edges():
-                img.add(frozenset((res.phi[x], res.phi[y])))
-            hit = sum(1 for e in img if overlap_graph.has_edge(*tuple(e)))
-            rates.append(hit / max(len(img), 1))
-        report["b4_overlap_mean"] = sum(rates) / len(rates)
-    if qw_probes:
-        out = []
-        for Q, W in qw_probes:
-            Wset = set(W)
-            vals = [sum(1 for p in Q if res.phi[p] in Wset) for res in runs]
-            mean = sum(vals) / len(vals)
-            n = len(G.partition.classes[vclass[W[0]]])
-            out.append({"Q_size": len(Q), "W_size": len(W), "mean": mean,
-                        "expected": len(Q) * len(W) / n})
-        report["b6"] = out
     return report
 
 

@@ -18,7 +18,7 @@ from regpack.balancer import (
     regularize_pair,
     stack_family,
 )
-from regpack.errors import BadParameters, Infeasible
+from regpack.errors import BadParams, Infeasible
 from regpack.generators import bipartite_union_templates
 from regpack.graphs import (
     BipartiteGraph,
@@ -212,7 +212,7 @@ class TestArithmSplit:
         assert a1 * n1 + a2 * n2 + a3 * n3 == 85
 
     def test_rejects_small_r(self):
-        with pytest.raises(BadParameters):
+        with pytest.raises(BadParams):
             arithm_split(40, 7, 2)
 
     def test_exhaustive_grid(self):

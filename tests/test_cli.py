@@ -380,6 +380,11 @@ class TestUsageErrors:
         (["host-gnp", "--n", "5", "--p", "2"], "--p must lie in [0, 1], got 2.0"),
         (["random-tree", "--n", "0"], "--n must be at least 1, got 0"),
         (["cycle-factor", "--n", "7", "--lengths", "3,3"], "cycle lengths sum to 6, need 7"),
+        (["random-delta-graph", "--n", "5", "--max-degree", "-1", "--e-target", "3"],
+         "max_degree must not be negative, got -1"),
+        (["random-delta-graph", "--n", "4", "--max-degree", "1", "--e-target", "5"],
+         "cannot place 5 edges on 4 vertices of degree at most 1: at most 2 fit"),
+        (["random-delta-graph", "--n", "5", "--e-target", "-2"], "e_target must not be negative, got -2"),
     ])
     def test_gen_usage_error_writes_nothing(self, argv, message, tmp_path, capsys):
         assert main(["gen", *argv, "--out", str(tmp_path / "g")]) == 2

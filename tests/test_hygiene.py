@@ -1,8 +1,9 @@
 """Static hygiene of the package source: no module imports a name it never
 uses or a package other than the standard library and numpy, every function
 or method is referenced somewhere, every parameter is read, every plain
-dataclass default is overridden somewhere, and every `ParamSet` default is
-overridden outside the tests."""
+dataclass default is overridden somewhere, every `ParamSet` default is
+overridden outside the tests, and outside the tests every defaulted
+parameter is set to more than one value."""
 
 import ast
 import sys
@@ -268,3 +269,135 @@ def test_field_checker_flags_an_unwritten_default():
     written = written_names([source])
     assert defaulted_fields(source) == ["A.kept", "A.set_later", "A.never", "A.boxed"]
     assert [f for f in defaulted_fields(source) if f.split(".")[1] not in written] == ["A.never", "A.boxed"]
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
+    """``(function, parameter, position)`` for each defaulted parameter of a
+    module-level function or method, dunder methods such as constructors
+    excluded.  The position counts the arguments a call passes (a method's
+    ``self`` is not one); it is None for a keyword-only parameter."""
+    tree = ast.parse(source)
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs = [(node, 0) for node in tree.body if isinstance(node, funcs)]
+    defs += [(node, 0 if any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list) else 1)
+             for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for node in cls.body if isinstance(node, funcs)]
+    out = []
+    for node, bound in defs:
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        out += [(node.name, p.arg, i - bound) for i, p in enumerate(positional) if i >= first]
+        out += [(node.name, p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+_UNKNOWN = object()   # an argument that is not a literal
+_DEFAULT = object()   # a call that leaves the parameter at its default
+
+
+def _literal(node: ast.AST):
+    try:
+        return repr(ast.literal_eval(node))
+    except (ValueError, TypeError):
+        return _UNKNOWN
+
+
+def call_sites(sources: list[str]) -> tuple[dict[str, list], set[str]]:
+    """The calls of each name, as ``(keywords, positionals)`` with each value
+    a literal's repr or ``_UNKNOWN`` (None for a call through ``*`` or
+    ``**``), and the names used as values, which any call may then reach."""
+    calls: dict[str, list] = {}
+    values: set[str] = set()
+    for source in sources:
+        callees = set()
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                callees.add(id(node.func))
+                name = getattr(node.func, "id", None) or node.func.attr
+                if any(kw.arg is None for kw in node.keywords) or \
+                        any(isinstance(x, ast.Starred) for x in node.args):
+                    calls.setdefault(name, []).append(None)
+                else:
+                    calls.setdefault(name, []).append(
+                        ({kw.arg: _literal(kw.value) for kw in node.keywords}, [_literal(x) for x in node.args]))
+        values |= {getattr(node, "id", None) or node.attr for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                   and id(node) not in callees}
+    return calls, values
+
+
+def unvaried_parameters(source: str, calls: dict[str, list], values: set[str]) -> list[str]:
+    """``function(parameter)`` for each defaulted parameter that no call passes,
+    or that every call passes as the same literal."""
+    out = []
+    for fn, p, pos in defaulted_parameters(source):
+        if fn in values:
+            continue
+        seen = set()
+        for call in calls.get(fn, []):
+            if call is None:
+                seen.add(_UNKNOWN)
+                continue
+            kws, args = call
+            seen.add(kws[p] if p in kws else args[pos] if pos is not None and pos < len(args) else _DEFAULT)
+        if _UNKNOWN not in seen and len(seen) < 2:
+            out.append(f"{fn}({p})")
+    return sorted(out)
+
+
+# Defaulted parameters that no run varies, each kept for its reason.
+UNVARIED = {
+    "stack_family(resamples)": "at the default 50 resamples the family of the balancer's "
+                               "decomposition-identity test raises `StackEmbedFailure`",
+    "run_main_packing(round_retry_cap)": "acceptance criterion 1 pins 5 attempts; the default 6 would loosen it",
+    "run_uniform_embed(trace)": "the per-round trace, until a run-level trace replaces it",
+    "pack_quasirandom(r)": "perfbench packs at r = 2 and acceptance criterion 9 at r = 8",
+    "bipartite_union_templates(sizes)": "the only seeded source of ragged families",
+    "write_instance(lam)": "writes the `lambda` key that `read_instance` reads",
+}
+
+
+def test_every_defaulted_parameter_is_set_outside_tests():
+    """A default that no run overrides, or that every run overrides with one
+    literal, is a constant or a switch only tests flip."""
+    sources = [p.read_text() for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    calls, values = call_sites(sources)
+    unvaried = {f for p in MODULES for f in unvaried_parameters(p.read_text(), calls, values)
+                if f.split("(")[0] not in TEST_ONLY}
+    assert unvaried == set(UNVARIED)
+
+
+def test_default_checker_flags_a_constant_and_a_test_only_switch():
+    source = (
+        "def f(x, flag=False, *, cap=32, mode='a', scale=1.0):\n"
+        "    pass\n"
+        "class A:\n"
+        "    def __init__(self, size=3):\n"
+        "        pass\n"
+        "    def m(self, a, b=2, c=None):\n"
+        "        pass\n"
+        "def g(x, y=0):\n"
+        "    pass\n"
+        "def h(x, y=0):\n"
+        "    pass\n"
+        "def u(x, z=1):\n"
+        "    pass\n"
+    )
+    callers = (
+        "f(1, False, cap=32, mode=name)\n"
+        "f(2, flag=False, cap=32, mode='b', scale=2.0)\n"
+        "A().m(1, 5)\n"
+        "A().m(1, c=k)\n"
+        "g(1, **opts)\n"
+        "run(h)\n"
+        "u(3)\n"
+    )
+    calls, values = call_sites([callers])
+    assert unvaried_parameters(source, calls, values) == ["f(cap)", "f(flag)", "u(z)"]
+    assert [(fn, p) for fn, p, _ in defaulted_parameters(source)] == [
+        ("f", "flag"), ("f", "cap"), ("f", "mode"), ("f", "scale"), ("g", "y"), ("h", "y"),
+        ("u", "z"), ("m", "b"), ("m", "c")]

@@ -1,4 +1,3 @@
-import json
 import math
 import random
 
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from regpack.errors import BadParams, EmptySide, InfeasibleTargetSets
+from regpack.errors import BadParams, InfeasibleTargetSets
 from regpack.graphs import (
     BipartiteGraph,
     LabeledGraph,
@@ -19,7 +18,6 @@ from regpack.graphs import (
 )
 from regpack.regularity import (
     check_near_equiregular,
-    pair_density,
     pipeline_certificate,
     random_split,
     restrict_super_regular,
@@ -52,25 +50,6 @@ def certified_host(n, d, eps, seed, tries=200):
     raise AssertionError("could not generate a certified host")
 
 
-class TestPairDensity:
-    def test_complete(self):
-        B = complete_bipartite(3)
-        assert pair_density(B, [0, 1], [1, 2]) == 1.0
-
-    def test_empty_graph(self):
-        B = BipartiteGraph(4, 4)
-        assert pair_density(B, range(4), range(4)) == 0.0
-
-    def test_seeded_matches_enumeration(self):
-        B = random_bipartite(10, 0.5, 7)
-        e = sum(1 for u in range(10) for v in range(10) if B.has_edge(u, v))
-        assert pair_density(B, range(10), range(10)) == e / 100
-
-    def test_empty_subset_raises(self):
-        with pytest.raises(EmptySide):
-            pair_density(complete_bipartite(3), [], [0])
-
-
 class TestCertificate:
     def test_complete_passes(self):
         rep = super_regularity_certificate(complete_bipartite(12), 0.05, 1.0)
@@ -84,7 +63,7 @@ class TestCertificate:
 
     def test_seeded_dense_passes_and_exhaustive_codegree(self):
         B = certified_host(200, 0.5, 0.1, seed=3)
-        rep = super_regularity_certificate(B, 0.1, 0.5, probes=8, rng=random.Random(1))
+        rep = super_regularity_certificate(B, 0.1, 0.5)
         assert rep.ok
         # exhaustive codegree recount agrees with the report
         d_emp = B.density()
@@ -121,13 +100,6 @@ class TestCertificate:
         rep = super_regularity_certificate(B, 0.02, 0.5)
         # criterion needs |A| > 2/eps = 100; below that it cannot testify
         assert rep.codegree_ok
-
-    def test_report_json_fields(self):
-        rep = super_regularity_certificate(complete_bipartite(6), 0.1, 1.0,
-                                           probes=2, rng=random.Random(0))
-        data = json.loads(rep.to_json())
-        assert set(data) == {"eps", "d", "degree_ok", "codegree_bad_fraction", "probes"}
-        assert len(data["probes"]) == 2
 
 
 class TestProp37:
@@ -332,8 +304,8 @@ def _ref_super_certificate(B, eps, d):
     else:
         bad_fraction = 0.0
         codegree_ok = True
-    return dict(eps=eps, d=d, degree_ok=degree_ok, worst_offender=worst, codegree_ok=codegree_ok,
-                codegree_bad_fraction=bad_fraction, empirical_density=d_emp, probes_ok=True)
+    return dict(degree_ok=degree_ok, worst_offender=worst, codegree_ok=codegree_ok,
+                codegree_bad_fraction=bad_fraction)
 
 
 def _ref_pipeline_certificate(B, eps, d):
@@ -386,7 +358,7 @@ def test_certificates_match_the_implementations_they_replaced(B, eps, shift):
             super_regularity_certificate(B, eps, d)
         return
     rep = super_regularity_certificate(B, eps, d)
-    got = {k: (type(v), v) for k, v in vars(rep).items() if k != "probes"}
+    got = {k: (type(v), v) for k, v in vars(rep).items()}
     assert got == {k: (type(v), v) for k, v in _ref_super_certificate(B, eps, d).items()}
 
 

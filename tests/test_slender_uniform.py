@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import path3_instance, two_class_instance
-from regpack.errors import FailureType2, NotSuperRegular
+from regpack.errors import FailureType1, FailureType2, NotSuperRegular
 from regpack.coloring import round_schedule
 from regpack.graphs import LabeledGraph, ReducedGraph, blow_up, iter_bits, popcount
 from regpack.params import ParamSet
@@ -166,24 +166,34 @@ class TestValidation:
         s, _ = refined_two_class_input(seed=2)
         assert validate_input(s) == []
 
+    def test_preparation_certifies_the_host_pairs(self):
+        # the input check leaves the (V4) certificates to (P2): on an empty
+        # host every padded host pair sits 0.9 m below its density, beyond
+        # the window of about 0.74 m at eps = 0.05^(1/3)
+        s, rng = refined_two_class_input(seed=2)
+        s.G_host = LabeledGraph(s.G_host.n)
+        assert validate_input(s) == []
+        with pytest.raises(FailureType1, match=r"\(P2\) padded host pair"):
+            run_slender(s, rng)
+
     def test_nonmatching_pair_flagged(self):
         s_obj = TestSlenderDegenerate()._complete_input(m=4)
         Y = s_obj.Y_classes
         s_obj.H = LabeledGraph(8, [(Y[0][0], Y[1][0]), (Y[0][0], Y[1][1])])
-        assert validate_input(s_obj, check_certificates=False) == [
+        assert validate_input(s_obj) == [
             "(V6) pattern pair (0,1) is not a matching"]
 
     def test_pattern_edge_across_a_non_edge_flagged(self):
         s_obj = TestSlenderDegenerate()._complete_input(m=4)
         s_obj.R_star = ReducedGraph(2)
         s_obj.H = LabeledGraph(8, [(s_obj.Y_classes[0][0], s_obj.Y_classes[1][0])])
-        assert validate_input(s_obj, check_certificates=False) == [
+        assert validate_input(s_obj) == [
             "(V6) pattern edges between non-adjacent classes 0,1"]
 
     def test_dependent_schedule_class_flagged(self):
         s_obj = TestSlenderDegenerate()._complete_input(m=4)
         s_obj.schedule = [[0, 1], []]
-        violations = validate_input(s_obj, check_certificates=False)
+        violations = validate_input(s_obj)
         assert any("(V2)" in v for v in violations)
 
 
@@ -209,17 +219,17 @@ class TestScheduleValidation:
         # class 2 has both of its class-graph neighbours in the round {0, 1},
         # whichever of the two rounds comes first
         s = _three_class_input(ReducedGraph(3, [(0, 2), (1, 2)]), schedule)
-        violations = validate_input(s, check_certificates=False)
+        violations = validate_input(s)
         assert violations == [f"(V2) a vertex of round {schedule.index([2])} has two "
                               f"neighbours in round {schedule.index([0, 1])}"]
 
     def test_valid_three_round_schedule_passes(self):
         s = _three_class_input(ReducedGraph(3, [(0, 2), (1, 2)]), [[0], [2], [1]])
-        assert validate_input(s, check_certificates=False) == []
+        assert validate_input(s) == []
 
     def test_broken_partition_is_v1(self):
         s = _three_class_input(ReducedGraph(3, [(0, 2), (1, 2)]), [[0], [2], []])
-        violations = validate_input(s, check_certificates=False)
+        violations = validate_input(s)
         assert violations == ["(V1) schedule is not a partition of the vertex set"]
 
 
@@ -255,7 +265,7 @@ def test_v6_pair_check_matches_the_class_pair_loop(data):
     H = LabeledGraph(n, data.draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else ())
     R = ReducedGraph(3, data.draw(st.lists(st.sampled_from([(0, 1), (0, 2), (1, 2)]), max_size=3)))
     s = _three_class_input(R, [[0], [1], [2]], Y=Y, H=H)
-    got = [e for e in validate_input(s, check_certificates=False)
+    got = [e for e in validate_input(s)
            if e.startswith("(V6)") and "|Y_" not in e]
     assert got == _v6_reference(s)
 
@@ -417,18 +427,10 @@ class TestDiagnostics:
         v = host.partition.classes[0][0]
         nbrs = [w for w in host.graph.neighbors(v) if w in set(host.partition.classes[1])]
         S = nbrs[: int(0.4 * 48)]
-        from regpack.graphs import LabeledGraph as LG
-        empty_overlap = LG(host.graph.n)
-        report = b_diagnostics(runs, templates[0], host, kmat, b1_probes=[(v, S)],
-                               overlap_graph=empty_overlap,
-                               qw_probes=[(list(templates[0].partition.classes[0]),
-                                           list(host.partition.classes[0]))])
+        report = b_diagnostics(runs, templates[0], host, kmat, b1_probes=[(v, S)])
+        assert set(report) == {"runs", "b1", "b3_collision_rate"}
         assert report["runs"] == 30
         assert len(report["b1"]) == 1
-        # empty avoid-graph: image overlap statistics are identically zero
-        assert report["b4_overlap_mean"] == 0.0
-        # phi maps X_0 onto V_0, so the Q=X_0, W=V_0 probe is exact
-        assert report["b6"][0]["mean"] == len(host.partition.classes[0])
 
     def test_too_few_runs(self):
         from regpack.errors import TooFewRuns
@@ -455,7 +457,7 @@ class TestRefineHost:
         params = make_params()
         Y, K = refine_pattern(templates[0], kmat, 2, params, rng)
         with pytest.raises(NotSuperRegular):
-            refine_host(host, P.graph, A0, Y, bmat, 0.5, params, rng, cap=2)
+            refine_host(host, P.graph, A0, Y, bmat, 0.5, params, rng)
 
 
 def test_seeded_embedding_stream_is_pinned():
