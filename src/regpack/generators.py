@@ -205,8 +205,9 @@ def cycle_factor(n: int, lengths: list[int]) -> LabeledGraph:
 
 
 def random_bounded_degree_graph(n: int, max_degree: int, e_target: int, rng) -> LabeledGraph:
-    """Up to ``e_target`` random edges on n vertices of degree at most
-    ``max_degree``; a target that no such simple graph meets is refused."""
+    """``e_target`` random edges on n vertices of degree at most
+    ``max_degree``; a target that no such simple graph meets is refused,
+    and so is a draw whose random greedy gets stuck below it."""
     if max_degree < 0:
         raise BadParams(f"max_degree must not be negative, got {max_degree}")
     if e_target < 0:
@@ -227,6 +228,9 @@ def random_bounded_degree_graph(n: int, max_degree: int, e_target: int, rng) -> 
         G.add_edge(u, v)
         deg[u] += 1
         deg[v] += 1
+    if G.num_edges() < e_target:
+        raise RetriesExhausted(f"placed {G.num_edges()} of {e_target} edges on {n} vertices "
+                               f"of degree at most {max_degree}")
     return G
 
 

@@ -12,12 +12,21 @@ Two samplers with an explicit oracle/production split:
   the chain's connected component.  Connectivity of the switch graph is
   not guaranteed for arbitrary hosts; stats objects carry that caveat.
 
+``find_perfect_matching`` is Hopcroft-Karp (Hopcroft and Karp, SIAM J.
+Comput. 1973) on the int-bitset rows: each BFS layer is the OR of the
+frontier's rows, and each DFS step takes the lowest bit of the row masked
+by the free right vertices and the next layer, so no edge is visited one
+bit at a time.  When a left vertex stays free, the last BFS also names a
+Hall obstruction (``hall_witness``): the left vertices S it reached and
+their neighbourhood N(S), with |N(S)| < |S|.
+
 Every chain reads the same stream of pre-generated triples, in chunks of
 ``gen.integers(0, n, size=(chunk, 3))``, and the two kernels differ only
 in how they test edges:
 
-* ``sample_switch_chain`` runs ``_chain_rows``, which tests
-  ``rows[u2] >> sigma[u1] & 1`` on the int-bitset rows of ``B.adj``;
+* ``sample_switch_chain`` runs ``_chain_rows``, which drops the triples
+  with a repeated vertex by one numpy mask and tests ``R[u2][sigma[u1]]``
+  on 0/1 lists built once per chunk from the int-bitset rows of ``B.adj``;
 * ``sample_switch_chain_many`` runs ``_chain_python``, which indexes a
   bool matrix of the graph.
 
@@ -39,14 +48,16 @@ EXACT_CAP = 24
 _CHUNK = 1 << 16
 
 def _chain_rows(rows, sigma, trips):
-    """The chain over int-bitset rows and a list sigma; the chunk is read
-    once as a flat list of ints and walked three at a time."""
-    flat = iter(trips.ravel().tolist())
+    """The chain over int-bitset rows and a list sigma.  A triple with a
+    repeated vertex holds the state, so one mask drops those before the
+    chunk is read as a flat list of ints and walked three at a time; the
+    edge tests index 0/1 lists of the rows."""
+    c1, c2, c3 = trips[:, 0], trips[:, 1], trips[:, 2]
+    flat = iter(trips[(c1 != c2) & (c2 != c3) & (c1 != c3)].ravel().tolist())
+    R = bit_matrix(rows, len(rows)).tolist()
     for u1, u2, u3 in zip(flat, flat, flat):
-        if u1 == u2 or u2 == u3 or u1 == u3:
-            continue
         a, b, c = sigma[u1], sigma[u2], sigma[u3]
-        if rows[u2] >> a & 1 and rows[u3] >> b & 1 and rows[u1] >> c & 1:
+        if R[u2][a] and R[u3][b] and R[u1][c]:
             sigma[u1] = c
             sigma[u2] = a
             sigma[u3] = b
@@ -98,44 +109,74 @@ class MatchingStats:
         })
 
 
-def find_perfect_matching(B: BipartiteGraph) -> Matching | None:
-    """Hopcroft-Karp; returns None when no perfect matching exists."""
-    if B.nl != B.nr:
-        raise SideMismatch(f"sides differ: {B.nl} vs {B.nr}")
-    n = B.nl
-    if n == 0:
-        return Matching([])
+def _hopcroft_karp(adj: list[int]) -> tuple[list[int], tuple[int, int] | None]:
+    """Hopcroft-Karp on the square int-bitset rows ``adj``.
+
+    Returns ``pair_l`` (-1 marks a free left vertex) and, when a left
+    vertex stays free, the bitsets (S, N(S)) of the last BFS: the left
+    vertices it reached from a free left vertex and their neighbourhood.
+    Every vertex of N(S) is matched into S, so |N(S)| < |S|.
+
+    The BFS takes one layer at a time, the next right layer being the OR
+    of the frontier's rows.  The DFS keeps a free-right mask and, per
+    layer d, the mask of right vertices whose partner sits at layer d; it
+    takes candidates lowest bit first and recomputes them after each
+    failed sub-search, so it augments along the same paths as a search
+    that walks the rows bit by bit.
+    """
+    n = len(adj)
     INF = n + 1
     pair_l = [-1] * n
     pair_r = [-1] * n
-    dist = [0] * n
+    dist = [INF] * n
+    layer = [0] * (n + 1)
+    free_r = (1 << n) - 1
+    seen_r = 0
 
     def bfs() -> bool:
-        queue = []
+        nonlocal seen_r
+        frontier = []
         for u in range(n):
             if pair_l[u] == -1:
                 dist[u] = 0
-                queue.append(u)
+                frontier.append(u)
             else:
                 dist[u] = INF
-        found = False
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in iter_bits(B.adj[u]):
-                w = pair_r[v]
-                if w == -1:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
+        seen_r = 0
+        d = 0
+        while frontier:
+            reach = 0
+            for u in frontier:
+                reach |= adj[u]
+            reach &= ~seen_r
+            seen_r |= reach
+            d += 1
+            layer[d] = rest = reach & ~free_r
+            frontier = []
+            while rest:
+                low = rest & -rest
+                w = pair_r[low.bit_length() - 1]
+                dist[w] = d
+                frontier.append(w)
+                rest ^= low
+        return seen_r & free_r != 0
 
     def dfs(u: int) -> bool:
-        for v in iter_bits(B.adj[u]):
+        nonlocal free_r
+        du = dist[u]
+        # u's partner leaves layer du however the search ends; only deeper
+        # layers are read until it returns
+        if pair_l[u] != -1:
+            layer[du] ^= 1 << pair_l[u]
+        row = adj[u]
+        while cand := row & (free_r | layer[du + 1]):
+            low = cand & -cand
+            v = low.bit_length() - 1
             w = pair_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
+            if w == -1 or dfs(w):
+                if w == -1:
+                    free_r ^= low
+                layer[du] |= low
                 pair_l[u] = v
                 pair_r[v] = u
                 return True
@@ -147,9 +188,29 @@ def find_perfect_matching(B: BipartiteGraph) -> Matching | None:
         for u in range(n):
             if pair_l[u] == -1 and dfs(u):
                 matched += 1
-    if matched != n:
-        return None
-    return Matching(pair_l)
+    if matched == n:
+        return pair_l, None
+    S = 0
+    for u in range(n):
+        if dist[u] < INF:
+            S |= 1 << u
+    return pair_l, (S, seen_r)
+
+
+def find_perfect_matching(B: BipartiteGraph) -> Matching | None:
+    """Hopcroft-Karp on ``B.adj``; returns None when no perfect matching exists."""
+    if B.nl != B.nr:
+        raise SideMismatch(f"sides differ: {B.nl} vs {B.nr}")
+    pair_l, hall = _hopcroft_karp(B.adj)
+    return Matching(pair_l) if hall is None else None
+
+
+def hall_witness(B: BipartiteGraph) -> tuple[int, int] | None:
+    """Bitsets (S, N(S)) of left vertices with |N(S)| < |S|, taken from the
+    last BFS of the Hopcroft-Karp search; None when B has a perfect matching."""
+    if B.nl != B.nr:
+        raise SideMismatch(f"sides differ: {B.nl} vs {B.nr}")
+    return _hopcroft_karp(B.adj)[1]
 
 
 def _dp_table(B: BipartiteGraph) -> list[int]:
@@ -287,7 +348,8 @@ def sample_switch_chain_many(B: BipartiteGraph, samples: int, steps: int, rng) -
         raise NoMatching("host has no perfect matching")
     # Bool matrix until ROADMAP 2(a), which waits on item 1: the benchmark keeps
     # every draw, so a faster chain runs more passes and lifts sampler-oracle's
-    # peak_rss_mb past its 0.1 bound.
+    # peak_rss_mb past its 0.1 bound: on `_chain_rows` it read 528 -> 2671
+    # verified/s but 43.97 -> 48.61 MB (+10.6 %).  Move it with the benchmark fix.
     adj = _adj_bool(B)
     gen = np.random.Generator(np.random.PCG64(rng.getrandbits(63)))
     base = np.array(start.sigma, dtype=np.int64)

@@ -43,12 +43,11 @@ from .graphs import (
     LabeledGraph,
     ReducedGraph,
     bit_matrix,
-    iter_bits,
     mask_of,
     pair_view,
     popcount,
 )
-from .matching import default_steps, find_perfect_matching, sample_switch_chain
+from .matching import default_steps, find_perfect_matching, hall_witness, sample_switch_chain
 from .params import ParamSet
 from .regularity import _SLACK, codegree, pipeline_certificate, window
 
@@ -304,9 +303,13 @@ class _State:
                 cd, cb = pd * m, pb * m
                 wd = window(xi2, pd, m) + _SLACK
                 wb = window(xi2, pb, m) + _SLACK
-                for v in iter_bits(rows[a]):
-                    if abs(popcount(arow & gp[v]) - cd) > wd or abs(popcount(brow & pp[v]) - cb) > wb:
-                        rows[a] &= ~(1 << v)
+                rest = rows[a]
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    v = low.bit_length() - 1
+                    if abs((arow & gp[v]).bit_count() - cd) > wd or abs((brow & pp[v]).bit_count() - cb) > wb:
+                        rows[a] ^= low
                         dropped_deg[a] += 1
         ny = self.ny[i]
         # artificial vertices are paired identically: y_{i,t} -> u_{i,t}
@@ -323,7 +326,11 @@ class _State:
     def _sample_matching(self, Bi: BipartiteGraph, i: int, t: int) -> list[int]:
         start = find_perfect_matching(Bi)
         if start is None:
-            raise FailureType2(f"no perfect matching in candidacy class {i}", stage=(t, i))
+            S, NS = hall_witness(Bi)
+            raise FailureType2(
+                f"no perfect matching in candidacy class {i}: |S| = {S.bit_count()}, "
+                f"|N(S)| = {NS.bit_count()}, minimum degree {min(map(popcount, Bi.adj))}",
+                stage=(t, i))
         return sample_switch_chain(Bi, default_steps(Bi.nl), self.rng, start=start).sigma
 
     def _apply_constraints(self, i: int, j: int) -> None:

@@ -276,9 +276,7 @@ def b_diagnostics(runs: list[UniformEmbedResult], H: PartitionedGraph, G: Partit
 
     ``b1_probes`` are (host vertex, host subset) pairs; for each, the
     report compares the mean embedded-neighbour count inside the subset
-    with k|S|/(d n).  ``b3_collision_rate`` is the share of pattern-vertex
-    pairs, among the first 40 of each of the first 50 runs, whose pattern
-    neighbourhoods meet.
+    with k|S|/(d n).
     """
     if len(runs) < 30:
         raise TooFewRuns(f"diagnostics need at least 30 runs, got {len(runs)}")
@@ -307,17 +305,6 @@ def b_diagnostics(runs: list[UniformEmbedResult], H: PartitionedGraph, G: Partit
                         "expected": expected,
                         "ratio": mean / expected if expected else None})
         report["b1"] = out
-    collisions = 0
-    pairs = 0
-    for res in runs[:50]:
-        items = sorted(res.phi.items())[:40]
-        for ai in range(len(items)):
-            for bi in range(ai + 1, len(items)):
-                xa, xb = items[ai][0], items[bi][0]
-                pairs += 1
-                if set(H.graph.neighbors(xa)) & set(H.graph.neighbors(xb)):
-                    collisions += 1
-    report["b3_collision_rate"] = collisions / pairs if pairs else 0.0
     return report
 
 

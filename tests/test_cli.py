@@ -307,6 +307,14 @@ class TestMalformedInput:
                           "--n must be at least 1, got 0")
         assert not (tmp_path / "g").exists()
 
+    def test_gen_random_delta_graph_shortfall_exits_1(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["gen", "random-delta-graph", "--n", "5", "--max-degree", "2", "--e-target", "5",
+                     "--seed", "2", "--out", str(tmp_path / "g")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: placed 4 of 5 edges") and "Traceback" not in err
+        assert not (tmp_path / "g").exists()
+
     @pytest.mark.parametrize("flag,value,message", [
         ("--trials", "-5", "trials must be at least 1, got -5"),
         ("--trials", "0", "trials must be at least 1, got 0"),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regpack.errors import BadParams
+from regpack.errors import BadParams, RetriesExhausted
 from regpack.generators import (
     bipartite_union_templates,
     certified_bipartite_host,
@@ -112,6 +112,14 @@ class TestZeroDegree:
 def test_bounded_degree_graph_refuses_edges_without_vertices():
     with pytest.raises(BadParams, match="cannot place 3 edges on 0 vertices"):
         random_bounded_degree_graph(0, 3, 3, random.Random(0))
+
+
+def test_bounded_degree_graph_refuses_a_shortfall():
+    # seed 2 places a triangle plus one edge on 5 vertices and is stuck at degree 2
+    with pytest.raises(RetriesExhausted, match="placed 4 of 5 edges"):
+        random_bounded_degree_graph(5, 2, 5, random.Random(2))
+    G = random_bounded_degree_graph(5, 2, 5, random.Random(0))
+    assert G.num_edges() == 5 and max(G.degree(v) for v in range(5)) <= 2
 
 
 def bounds_of(sizes):

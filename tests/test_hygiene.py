@@ -2,10 +2,12 @@
 uses or a package other than the standard library and numpy, every function
 or method is referenced somewhere, every parameter is read, every plain
 dataclass default is overridden somewhere, every `ParamSet` default is
-overridden outside the tests, and outside the tests every defaulted
-parameter is set to more than one value."""
+overridden outside the tests, outside the tests every defaulted
+parameter is set to more than one value, and every span target of the
+benchmark names an attribute of the package."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -401,3 +403,55 @@ def test_default_checker_flags_a_constant_and_a_test_only_switch():
     assert [(fn, p) for fn, p, _ in defaulted_parameters(source)] == [
         ("f", "flag"), ("f", "cap"), ("f", "mode"), ("f", "scale"), ("g", "y"), ("h", "y"),
         ("u", "z"), ("m", "b"), ("m", "c")]
+
+
+def span_targets(source: str) -> list[str]:
+    """The "<module>.<attribute path>" names of the ``TARGETS`` list in a
+    ``perfbench/spans.py`` source, read without importing it."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            names = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in names):
+                return [f"{entry.elts[0].value}.{entry.elts[1].value}" for entry in node.value.elts]
+    raise AssertionError("no TARGETS list")
+
+
+def unresolved_targets(targets: list[str]) -> set[str]:
+    """Targets whose attribute path does not resolve in their package module."""
+    out = set()
+    for target in targets:
+        module, *path = target.split(".")
+        obj = importlib.import_module(f"regpack.{module}")
+        for part in path:
+            obj = getattr(obj, part, None)
+        if obj is None:
+            out.add(target)
+    return out
+
+
+# Span targets naming helpers that a pair-view refactor deleted; the next
+# benchmark change replaces them with `graphs.pair_view` and `graphs.transpose`.
+DEAD_SPAN_TARGETS = {"packer._cross_pair", "uniform._cross_pair", "slender._pair_view",
+                     "patching._cross", "balancer._pair"}
+
+
+def test_every_span_target_resolves():
+    """A renamed function would otherwise drop its per-layer metric silently."""
+    targets = span_targets((ROOT / "perfbench" / "spans.py").read_text())
+    assert {"matching.find_perfect_matching", "matching.sample_switch_chain"} <= set(targets)
+    assert unresolved_targets(targets) == DEAD_SPAN_TARGETS
+
+
+def test_span_target_checker_flags_a_missing_attribute():
+    source = (
+        "TARGETS: list = [\n"
+        "    (\"matching\", \"find_perfect_matching\", None),\n"
+        "    (\"graphs\", \"BipartiteGraph.right_adj\", _note),\n"
+        "    (\"graphs\", \"BipartiteGraph.no_such_method\", None),\n"
+        "    (\"slender\", \"no_such_function\", None),\n"
+        "]\n"
+    )
+    targets = span_targets(source)
+    assert targets[1] == "graphs.BipartiteGraph.right_adj"
+    assert unresolved_targets(targets) == {"graphs.BipartiteGraph.no_such_method",
+                                           "slender.no_such_function"}

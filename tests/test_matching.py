@@ -10,7 +10,7 @@ from scipy import stats
 
 from regpack.errors import NoMatching, SideMismatch, SwitchIneligible, TooLarge
 from regpack.generators import certified_bipartite_host
-from regpack.graphs import BipartiteGraph
+from regpack.graphs import BipartiteGraph, iter_bits
 from regpack.matching import (
     _CHUNK,
     ExactUniformSampler,
@@ -23,6 +23,7 @@ from regpack.matching import (
     count_matchings_through,
     default_steps,
     find_perfect_matching,
+    hall_witness,
     matching_diagnostics,
     sample_switch_chain,
     sample_switch_chain_many,
@@ -54,6 +55,7 @@ class TestFindPerfectMatching:
     def test_hall_violation(self):
         B = BipartiteGraph(4, 4, [(0, 0), (1, 0), (2, 0), (3, 1), (3, 2)])
         assert find_perfect_matching(B) is None
+        assert hall_witness(B) == (0b0111, 0b0001)
 
     def test_seeded_random(self):
         rng = random.Random(0)
@@ -69,6 +71,96 @@ class TestFindPerfectMatching:
     def test_side_mismatch(self):
         with pytest.raises(SideMismatch):
             find_perfect_matching(BipartiteGraph(2, 3))
+        with pytest.raises(SideMismatch):
+            hall_witness(BipartiteGraph(2, 3))
+
+
+def reference_hopcroft_karp(B):
+    """Hopcroft-Karp walking every row bit by bit, as ``find_perfect_matching``
+    ran before its mask kernel; kept as the reference for that kernel."""
+    n = B.nl
+    if n == 0:
+        return Matching([])
+    INF = n + 1
+    pair_l = [-1] * n
+    pair_r = [-1] * n
+    dist = [0] * n
+
+    def bfs() -> bool:
+        queue = []
+        for u in range(n):
+            if pair_l[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = INF
+        found = False
+        head = 0
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            for v in iter_bits(B.adj[u]):
+                w = pair_r[v]
+                if w == -1:
+                    found = True
+                elif dist[w] == INF:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found
+
+    def dfs(u: int) -> bool:
+        for v in iter_bits(B.adj[u]):
+            w = pair_r[v]
+            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
+                pair_l[u] = v
+                pair_r[v] = u
+                return True
+        dist[u] = INF
+        return False
+
+    matched = 0
+    while bfs():
+        for u in range(n):
+            if pair_l[u] == -1 and dfs(u):
+                matched += 1
+    if matched != n:
+        return None
+    return Matching(pair_l)
+
+
+@st.composite
+def _hk_cases(draw):
+    """Random n x n graphs up to 64 a side: sparse ones, which often have no
+    perfect matching, dense ones, and ones with a planted perfect matching."""
+    n = draw(st.integers(0, 64))
+    p = draw(st.sampled_from([0.02, 0.05, 0.1, 0.3, 0.6, 0.95]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    planted = draw(st.booleans())
+    return BipartiteGraph(n, n, [(u, v) for u in range(n) for v in range(n)
+                                 if (planted and v == perm[u]) or rng.random() < p])
+
+
+def _union_of_rows(B, S):
+    out = 0
+    for u in iter_bits(S):
+        out |= B.adj[u]
+    return out
+
+
+@given(_hk_cases())
+@settings(max_examples=300, deadline=None)
+def test_mask_hopcroft_karp_matches_reference(B):
+    got, ref = find_perfect_matching(B), reference_hopcroft_karp(B)
+    assert got == ref
+    witness = hall_witness(B)
+    if ref is None:
+        S, NS = witness
+        assert NS == _union_of_rows(B, S)
+        assert NS.bit_count() < S.bit_count()
+    else:
+        assert witness is None
 
 
 class TestExactCount:

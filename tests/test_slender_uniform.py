@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from helpers import path3_instance, two_class_instance
 from regpack.errors import FailureType1, FailureType2, NotSuperRegular
 from regpack.coloring import round_schedule
-from regpack.graphs import LabeledGraph, ReducedGraph, blow_up, iter_bits, popcount
+from regpack.graphs import BipartiteGraph, LabeledGraph, ReducedGraph, blow_up, iter_bits, popcount
 from regpack.params import ParamSet
 from regpack.regularity import _SLACK, window
 from regpack.slender import SlenderInput, _assert_output, _State, run_slender, validate_input
@@ -58,7 +58,6 @@ class TestSlenderDegenerate:
         U = [list(range(m)), list(range(m, 2 * m))]
         G = LabeledGraph(2 * m, [(u, v) for u in U[0] for v in U[1]])
         H = LabeledGraph(2 * m)
-        from regpack.graphs import BipartiteGraph
         A0 = []
         for i in range(2):
             B = BipartiteGraph(m, m, left_ids=Y[i], right_ids=U[i])
@@ -345,6 +344,16 @@ def test_certify_class_failure_text_matches_the_reference(kind):
     assert exc.value.stage == (3, 1)
 
 
+def test_missing_matching_names_its_hall_set():
+    state = _State(TestSlenderDegenerate()._complete_input(m=4), random.Random(0))
+    Bi = BipartiteGraph(4, 4, [(0, 0), (1, 0), (2, 0), (3, 1), (3, 2)])
+    with pytest.raises(FailureType2) as exc:
+        state._sample_matching(Bi, 1, 2)
+    assert str(exc.value) == ("no perfect matching in candidacy class 1: "
+                              "|S| = 3, |N(S)| = 1, minimum degree 1")
+    assert exc.value.stage == (2, 1)
+
+
 class TestUniformEmbed:
     def test_two_class_matching_pattern(self):
         host, P, tpl, res = embed_two_class(seed=3)
@@ -428,7 +437,7 @@ class TestDiagnostics:
         nbrs = [w for w in host.graph.neighbors(v) if w in set(host.partition.classes[1])]
         S = nbrs[: int(0.4 * 48)]
         report = b_diagnostics(runs, templates[0], host, kmat, b1_probes=[(v, S)])
-        assert set(report) == {"runs", "b1", "b3_collision_rate"}
+        assert set(report) == {"runs", "b1"}
         assert report["runs"] == 30
         assert len(report["b1"]) == 1
 
