@@ -51,9 +51,8 @@ def _params_from_args(args, host: PartitionedGraph, k_mats) -> ParamSet:
         k=max([2] + [x for km in k_mats for row in km for x in row]),
         Delta_R=max(host.reduced.max_degree(), 1),
         C=2,
+        embed_retry_cap=args.retries,
     )
-    if args.retries:
-        p.embed_retry_cap = args.retries
     return p
 
 
@@ -290,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pack", help="run the packing pipeline on an instance")
     common(p)
     p.add_argument("--instance", type=str, required=True)
-    p.add_argument("--retries", type=int, default=None)
+    p.add_argument("--retries", type=int, default=ParamSet.embed_retry_cap)
     p.add_argument("--gamma-n", type=int, default=1)
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--beta", type=float, default=0.1)
@@ -325,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("diagnose", help="embedding-distribution diagnostics")
     common(d)
     d.add_argument("--instance", type=str, required=True)
-    d.add_argument("--retries", type=int, default=None)
+    d.add_argument("--retries", type=int, default=ParamSet.embed_retry_cap)
     d.add_argument("--runs", type=int, default=30)
     d.add_argument("--probes", type=int, default=5)
     d.add_argument("--eps", type=float, default=0.05)

@@ -23,10 +23,6 @@ from .graphs import LabeledGraph, ReducedGraph, blow_up, iter_bits, mask_of, squ
 class EquitableColoring:
     classes: list[list[int]]
 
-    @property
-    def k(self) -> int:
-        return len(self.classes)
-
     def sizes(self) -> list[int]:
         return [len(c) for c in self.classes]
 

@@ -276,10 +276,6 @@ class VertexPartition:
             raise BadParams("partition does not cover the vertex set")
         return VertexPartition(cls, n)
 
-    @property
-    def r(self) -> int:
-        return len(self.classes)
-
     def class_of(self) -> list[int]:
         out = [-1] * self.n
         for idx, c in enumerate(self.classes):

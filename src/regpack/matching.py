@@ -84,9 +84,6 @@ class Matching:
     def as_tuple(self) -> tuple[int, ...]:
         return tuple(self.sigma)
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, v in enumerate(self.sigma)]
-
     def check(self, B: BipartiteGraph) -> None:
         n = len(self.sigma)
         if sorted(self.sigma) != list(range(n)):

@@ -62,7 +62,7 @@ from .graphs import (
     pair_view,
     popcount,
 )
-from .params import ParamSet, q as q_fn
+from .params import ParamSet
 from .patching import repatch
 from .regularity import pipeline_certificate, random_split, restrict_super_regular
 from .uniform import UniformEmbedResult, expand_matrix, run_uniform_embed
@@ -105,6 +105,8 @@ def validate_instance(inst: PackInstance) -> list[str]:
     host = inst.host
     r = host.reduced.r
     params = inst.params
+    if inst.gamma_n < 1:
+        v.append(f"gamma_n must be at least 1, got {inst.gamma_n}")
     if host.reduced.max_degree() > params.Delta_R:
         v.append("(S1) reduced-graph degree exceeds Delta_R")
     sizes = host.partition.sizes()
@@ -169,7 +171,7 @@ def _density_trace(inst: PackInstance, T: int, k_mats, beta_mat) -> list[list[li
     """Exact per-round density ladder d^t from the subscription counts."""
     r = inst.host.reduced.r
     n = max(inst.host.partition.sizes())
-    gamma_n = max(1, inst.gamma_n)
+    gamma_n = inst.gamma_n
     d = [[Fraction(inst.host.densities[i][j]) - Fraction(beta_mat[i][j]) for j in range(r)]
          for i in range(r)]
     trace = [[row[:] for row in d]]
@@ -192,7 +194,7 @@ def run_main_packing(inst: PackInstance, rng, round_retry_cap: int = 6) -> Packi
         raise BadParams("invalid packing instance: " + "; ".join(errs[:4]))
     params = inst.params
     s_real = len(inst.templates)
-    gamma_n = max(1, inst.gamma_n)
+    gamma_n = inst.gamma_n
     T = math.ceil(s_real / gamma_n) if s_real else 0
     run = _Run(inst, rng, T)
     G_cur, P_cur = run.G1, run.P_host.copy()
@@ -212,7 +214,9 @@ def run_main_packing(inst: PackInstance, rng, round_retry_cap: int = 6) -> Packi
             raise FailureExhausted(last_exc.failure_type, where=f"round {t}",
                                    msg=f"round {t} failed {round_retry_cap} attempts: {last_exc}")
         rounds.append(log)
-        eps_t = min(q_fn(eps_t, params.w), 0.45)
+        # the paper's q(eps_t, w) = eps_t^((1/300)^(w+3)) is at least 0.99999 from
+        # eps_t = eps^(1/3) on, for every double eps in (0, 1), so its clamp decides
+        eps_t = 0.45
 
     final = run.embeddings[:s_real]
     covered = _assert_packing(run, final)
@@ -247,7 +251,7 @@ class _Run:
         self.templates = list(inst.templates)
         self.k_mats = [list(map(list, km)) for km in inst.k_mats]
         self.A_list = list(inst.A_list)
-        while len(self.templates) < T * max(1, inst.gamma_n):
+        while len(self.templates) < T * inst.gamma_n:
             filler, k1 = _filler_template(host)
             self.templates.append(filler)
             self.k_mats.append(k1)

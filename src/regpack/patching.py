@@ -15,7 +15,6 @@ already-matching classes for no benefit, so it is skipped here.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 from .errors import BadParams, EmbedFailure, HypothesisViolation, PatchFailure
@@ -92,7 +91,6 @@ def repatch(H: LabeledGraph, P_host: LabeledGraph, R: ReducedGraph, beta_mat,
     bmat = [[Fraction(beta_mat[i][j]) for j in range(r)] for i in range(r)]
     if not 0 < delta < 1:
         raise BadParams(f"patching embeds at eps = delta, which must lie in (0,1); got delta = {delta}")
-    sl_params = dataclasses.replace(params, eps=delta, C=0)
     s = SlenderInput(
         R_star=R,
         Y_classes=[[i * m + a for a in range(m)] for i in range(r)],
@@ -105,7 +103,7 @@ def repatch(H: LabeledGraph, P_host: LabeledGraph, R: ReducedGraph, beta_mat,
         d_mat=bmat,
         beta_mat=tau,
         d0=beta_prime,
-        params=sl_params,
+        eps=delta,
         C=0,
         max_class_degree=max(R.max_degree(), 1),
     )

@@ -48,12 +48,17 @@ from .graphs import (
     popcount,
 )
 from .matching import default_steps, find_perfect_matching, hall_witness, sample_switch_chain
-from .params import ParamSet
+from .params import xi
 from .regularity import _SLACK, codegree, pipeline_certificate, window
 
 
 @dataclass
 class SlenderInput:
+    """One slender instance.  ``eps`` is the tolerance of the preparation
+    certificates and the seed of the round tolerances ``params.xi``;
+    ``C`` bounds how far a class may fall short of the largest (V4), and
+    ``max_class_degree`` bounds the class graph's degree (V2)."""
+
     R_star: ReducedGraph
     Y_classes: list[list[int]]
     U_classes: list[list[int]]
@@ -65,14 +70,9 @@ class SlenderInput:
     d_mat: list[list[Fraction]]
     beta_mat: list[list[Fraction]]
     d0: float
-    params: ParamSet
-    C: int = 0
-    max_class_degree: int | None = None  # defaults to K * Delta_R from params
-
-    def class_degree_bound(self) -> int:
-        if self.max_class_degree is not None:
-            return self.max_class_degree
-        return self.params.K * self.params.Delta_R
+    eps: float
+    C: int
+    max_class_degree: int
 
 
 @dataclass
@@ -97,9 +97,8 @@ def validate_input(s: SlenderInput) -> list[str]:
     # independent in the class graph and meets each neighbourhood at most once
     for e in schedule_violations(s.R_star.adj, s.schedule, q):
         v.append(("(V1) " if "partition" in e else "(V2) ") + e)
-    bound = s.class_degree_bound()
-    if s.R_star.max_degree() > bound:
-        v.append(f"(V2) class-graph degree {s.R_star.max_degree()} exceeds {bound}")
+    if s.R_star.max_degree() > s.max_class_degree:
+        v.append(f"(V2) class-graph degree {s.R_star.max_degree()} exceeds {s.max_class_degree}")
     # (V4)/(V6) sizes
     m = max((len(c) for c in s.U_classes), default=0)
     for i in range(q):
@@ -213,7 +212,7 @@ class _State:
         """(P2) padded-pair certificates and sampled (P3) intersection checks."""
         s, m = self.s, self.m
         errs: list[str] = []
-        eps2 = 2 * s.params.eps
+        eps2 = 2 * s.eps
         checks = [(f"{tr.name} pair ({i},{j})", tr.pairs[(i, j)], float(tr.dens[i][j]))
                   for i in range(self.q) for j in self.nbrs[i] if i < j for tr in self.tracks]
         checks += [(f"candidacy class {i}", self.A0_rows[i], s.d0) for i in range(self.q)]
@@ -232,7 +231,7 @@ class _State:
             return []
         errs = []
         budget = min(10_000, 50 * len(arty))
-        tol = 2 * s.params.eps * m
+        tol = 2 * s.eps * m
         host = self.tracks[0].pairs
         for _ in range(budget):
             j, a = arty[rng.randrange(len(arty))]
@@ -261,17 +260,15 @@ class _State:
 
     # -- rounds ------------------------------------------------------------
 
-    def run_rounds(self, trace: list[dict] | None = None) -> None:
+    def run_rounds(self) -> None:
         s = self.s
         for t, cls in enumerate(s.schedule, start=1):
-            xi_prev = s.params.xi(t - 1)
-            xi_now = s.params.xi(t)
+            xi_prev = xi(s.eps, t - 1)
+            xi_now = xi(s.eps, t)
             for i in cls:
                 if self.m == 0:
                     continue
-                dropped = self._build_and_embed(i, t, xi_prev)
-                if trace is not None:
-                    trace.append({"round": t, "class": i, "dropped_max_degree": dropped})
+                self._build_and_embed(i, t, xi_prev)
             touched = set()
             for i in cls:
                 for j in self.nbrs[i]:
@@ -280,11 +277,10 @@ class _State:
             for j in sorted(touched):
                 self._certify_class(j, t, xi_now)
 
-    def _build_and_embed(self, i: int, t: int, xi_prev: float) -> int:
+    def _build_and_embed(self, i: int, t: int, xi_prev: float) -> None:
         m = self.m
         host, patch = self.tracks
         rows = list(host.rows[i])
-        dropped_deg = [0] * m
         xi2 = 2 * xi_prev
         # drop candidates whose joint neighbourhood counts leave the
         # per-neighbour windows, on both tracks in one pass
@@ -310,7 +306,6 @@ class _State:
                     v = low.bit_length() - 1
                     if abs((arow & gp[v]).bit_count() - cd) > wd or abs((brow & pp[v]).bit_count() - cb) > wb:
                         rows[a] ^= low
-                        dropped_deg[a] += 1
         ny = self.ny[i]
         # artificial vertices are paired identically: y_{i,t} -> u_{i,t}
         for a in range(ny, m):
@@ -321,7 +316,6 @@ class _State:
             sigma = self._sample_matching(Bi, i, t)
             for a in range(ny):
                 self.f[i][a] = sigma[a]
-        return max(dropped_deg, default=0)
 
     def _sample_matching(self, Bi: BipartiteGraph, i: int, t: int) -> list[int]:
         start = find_perfect_matching(Bi)
@@ -374,7 +368,7 @@ class _State:
             raise FailureType2(f"codegree criterion failed for class {j}", stage=(t, j))
 
 
-def run_slender(s: SlenderInput, rng, trace: list[dict] | None = None) -> SlenderOutput:
+def run_slender(s: SlenderInput, rng) -> SlenderOutput:
     """One attempt of the slender embedding; raises FailureType1/2 on abort."""
     violations = validate_input(s)
     if violations:
@@ -384,7 +378,7 @@ def run_slender(s: SlenderInput, rng, trace: list[dict] | None = None) -> Slende
     prep_errs = state.check_preparation()
     if prep_errs:
         raise FailureType1("; ".join(prep_errs[:4]))
-    state.run_rounds(trace)
+    state.run_rounds()
 
     phi: dict[int, int] = {}
     for i in range(state.q):

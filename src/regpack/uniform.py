@@ -2,7 +2,9 @@
 valid slender instance and runs it.
 
 Step 1 splits every pattern class into K = (k+1)^2 * Delta_R classes
-independent in the pattern square, so each refined pair is a matching.
+independent in the pattern square, so each refined pair is a matching;
+``run_uniform_embed`` derives K from the template's degree matrix and
+reduced graph and passes it down.
 Step 2 refines the host classes at the refined pattern-class sizes,
 routing the few vertices whose initial candidacy degrees stray outside
 the (d0 +- 2 eps) window into classes where they keep enough candidates,
@@ -12,7 +14,6 @@ algorithm at the sharpened tolerance eps^(1/3).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,27 +53,26 @@ class UniformEmbedResult:
     attempts: int = 1
 
 
-def refine_pattern(H: PartitionedGraph, kmat, C: int, params: ParamSet, rng):
-    """Step 1: split classes via the pattern square.
+def refine_pattern(H: PartitionedGraph, kmat, C: int, K: int, rng) -> list[list[int]]:
+    """Step 1: split each class into K classes via the pattern square.
 
-    Returns (Y_classes, K); Y_classes come in per-block order, larger
-    classes first inside each block.
+    Returns Y_classes in per-block order, larger classes first inside
+    each block.
     """
     ok, violations = check_near_equiregular(H, kmat, C)
     if not ok:
         raise NotNearEquiregular("; ".join(violations[:4]))
-    K = params.K
     H2 = square(H.graph)
     Y_classes: list[list[int]] = []
     for i, cls in enumerate(H.partition.classes):
         sub = LabeledGraph(len(cls), pair_view(H2.adj, cls, cls).edges())
         col = hs_equitable_coloring(sub, K - 1, rng)
         Y_classes.extend([sorted(cls[a] for a in blk) for blk in col.classes])
-    return Y_classes, K
+    return Y_classes
 
 
 def refine_host(G: PartitionedGraph, P_host: LabeledGraph, A0: list[BipartiteGraph | None],
-                Y_classes: list[list[int]], beta_mat, d0: float, params: ParamSet, rng):
+                Y_classes: list[list[int]], beta_mat, d0: float, eps: float, rng):
     """Step 2: refine host classes to the pattern-class sizes and trim A0.
 
     Returns (U_classes, A0_star) where A0_star[j] is the candidacy pair
@@ -80,26 +80,25 @@ def refine_host(G: PartitionedGraph, P_host: LabeledGraph, A0: list[BipartiteGra
     fail ``retry_cap`` times.
     """
     r = G.reduced.r
-    eps = params.eps
+    K = len(Y_classes) // r
     eps_out = eps ** (1 / 3)
-    for _attempt in range(params.retry_cap):
+    for _attempt in range(ParamSet.retry_cap):
         U_classes: list[list[int]] = [[] for _ in Y_classes]
         A0_star: list[BipartiteGraph] = [None] * len(Y_classes)  # type: ignore
         feasible = True
         for i in range(r):
             if not _refine_one_block(G, A0[i], Y_classes, U_classes, A0_star,
-                                     i, d0, eps, params, rng):
+                                     i, K, d0, eps, rng):
                 feasible = False
                 break
         if not feasible:
             continue
-        if _refined_events_hold(G, P_host, beta_mat, U_classes, A0_star, d0, eps_out, params):
+        if _refined_events_hold(G, P_host, beta_mat, U_classes, A0_star, K, d0, eps_out):
             return U_classes, A0_star
-    raise FailureType1(f"host refinement failed to certify after {params.retry_cap} attempts")
+    raise FailureType1(f"host refinement failed to certify after {ParamSet.retry_cap} attempts")
 
 
-def _refine_one_block(G, Ai, Y_classes, U_classes, A0_star, i, d0, eps, params, rng) -> bool:
-    K = params.K
+def _refine_one_block(G, Ai, Y_classes, U_classes, A0_star, i, K, d0, eps, rng) -> bool:
     Vi = list(G.partition.classes[i])
     block = list(range(i * K, (i + 1) * K))
     m = max(len(Y_classes[j]) for j in block)
@@ -171,8 +170,7 @@ def _refine_one_block(G, Ai, Y_classes, U_classes, A0_star, i, d0, eps, params, 
     return True
 
 
-def _refined_events_hold(G, P_host, beta_mat, U_classes, A0_star, d0, eps_out, params) -> bool:
-    K = params.K
+def _refined_events_hold(G, P_host, beta_mat, U_classes, A0_star, K, d0, eps_out) -> bool:
     # host then reserve, each against its own density matrix; a host without
     # densities is not re-certified
     tracks = ([(G.graph, G.densities)] if G.densities else []) + [(P_host, beta_mat)]
@@ -206,23 +204,20 @@ def expand_matrix(mat, r: int, K: int) -> list[list[Fraction]]:
 
 def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
                       H: PartitionedGraph, kmat, A0: list[BipartiteGraph | None],
-                      d0: float, params: ParamSet, rng,
-                      trace: list[dict] | None = None) -> UniformEmbedResult:
+                      d0: float, params: ParamSet, rng) -> UniformEmbedResult:
     """Steps 1-3 with whole-run retries; returns the embedding bundle."""
     r = G.reduced.r
-    # the refinement constants come from this template's degree matrix and
+    # the refinement constant comes from this template's degree matrix and
     # this reduced graph, not the instance-wide caps
-    k_inst = max(1, max(max(row) for row in kmat))
-    dr_inst = max(1, H.reduced.max_degree())
-    eff = dataclasses.replace(params, k=k_inst, Delta_R=dr_inst)
-    K = eff.K
+    k = max(1, max(max(row) for row in kmat))
+    Delta_R = max(1, H.reduced.max_degree())
+    K = (k + 1) ** 2 * Delta_R
     last: Exception | None = None
-    for attempt in range(1, eff.embed_retry_cap + 1):
+    for attempt in range(1, params.embed_retry_cap + 1):
         try:
-            Y_classes, K = refine_pattern(H, kmat, C=eff.C, params=eff, rng=rng)
-            schedule = round_schedule(H.reduced, K, eff.Delta_R)
-            U_classes, A0_star = refine_host(G, P_host, A0, Y_classes, beta_mat, d0, eff, rng)
-            sl_params = dataclasses.replace(eff, eps=min(eff.eps ** (1 / 3), 0.5))
+            Y_classes = refine_pattern(H, kmat, params.C, K, rng)
+            schedule = round_schedule(H.reduced, K, Delta_R)
+            U_classes, A0_star = refine_host(G, P_host, A0, Y_classes, beta_mat, d0, params.eps, rng)
             s = SlenderInput(
                 R_star=blow_up(H.reduced, K),
                 Y_classes=Y_classes,
@@ -235,10 +230,11 @@ def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
                 d_mat=expand_matrix(G.densities, r, K),
                 beta_mat=expand_matrix(beta_mat, r, K),
                 d0=d0,
-                params=sl_params,
+                eps=min(params.eps ** (1 / 3), 0.5),
                 C=params.C,
+                max_class_degree=K * Delta_R,
             )
-            out = run_slender(s, rng, trace=trace)
+            out = run_slender(s, rng)
             res = UniformEmbedResult(phi=out.phi, Y_classes=Y_classes, U_classes=U_classes,
                                      F=out.F, K=K, attempts=attempt)
             _assert_result(G, H, A0, res)
@@ -246,7 +242,7 @@ def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
         except EmbedFailure as exc:
             last = exc
     raise RetriesExhausted(
-        f"uniform embedding failed {eff.embed_retry_cap} times; last: {last}") from last
+        f"uniform embedding failed {params.embed_retry_cap} times; last: {last}") from last
 
 
 def _assert_result(G: PartitionedGraph, H: PartitionedGraph, A0, res: UniformEmbedResult) -> None:

@@ -323,6 +323,17 @@ class TestMalformedInput:
     def test_sample_matching_bad_counts(self, capsys, flag, value, message):
         self._usage_error(capsys, ["sample-matching", "--n", "6", flag, value], message)
 
+    @pytest.mark.parametrize("cmd,flag,value,message", [
+        ("pack", "--retries", "0", "embed_retry_cap must be at least 1, got 0"),
+        ("pack", "--retries", "-1", "embed_retry_cap must be at least 1, got -1"),
+        ("diagnose", "--retries", "0", "embed_retry_cap must be at least 1, got 0"),
+        ("pack", "--gamma-n", "0", "gamma_n must be at least 1, got 0"),
+        ("pack", "--gamma-n", "-3", "gamma_n must be at least 1, got -3"),
+    ])
+    def test_pack_refuses_bad_counts(self, instance_dir, capsys, cmd, flag, value, message):
+        self._usage_error(capsys, [cmd, "--instance", str(instance_dir / "instance.json"), flag, value],
+                          message)
+
     @pytest.mark.parametrize("payload", [{}, [], {"embeddings": 3}, {"embeddings": [1, 2]}])
     def test_verify_result_without_image_lists(self, instance_dir, tmp_path, capsys, payload):
         res = tmp_path / "res.json"

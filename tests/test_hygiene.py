@@ -2,12 +2,15 @@
 uses or a package other than the standard library and numpy, every function
 or method is referenced somewhere, every parameter is read, every plain
 dataclass default is overridden somewhere, every `ParamSet` default is
-overridden outside the tests, outside the tests every defaulted
+overridden outside the tests and the README lists exactly its fields,
+outside the tests every defaulted
 parameter is set to more than one value, and every span target of the
 benchmark names an attribute of the package."""
 
 import ast
+import dataclasses
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -249,6 +252,22 @@ def test_every_paramset_knob_is_set_outside_tests():
     assert [f for f in fields if f.split(".")[1] not in written] == []
 
 
+def readme_paramset_fields(readme: str) -> list[str]:
+    """The backticked names after "the settable fields of `ParamSet`" in the
+    README's "Desk-scale behaviour" section, up to the end of that clause."""
+    section = readme.split("## Desk-scale behaviour", 1)[1].split("\n## ", 1)[0]
+    clause = section.split("the settable fields of `ParamSet`", 1)[1].split(";", 1)[0]
+    return re.findall(r"`(\w+)`", clause)
+
+
+def test_readme_lists_the_paramset_fields():
+    """The README's list of settable knobs is the dataclass's field list."""
+    from regpack.params import ParamSet
+
+    readme = (ROOT / "README.md").read_text()
+    assert readme_paramset_fields(readme) == [f.name for f in dataclasses.fields(ParamSet)]
+
+
 def test_field_checker_flags_an_unwritten_default():
     source = (
         "from dataclasses import dataclass, field\n"
@@ -356,7 +375,6 @@ UNVARIED = {
     "stack_family(resamples)": "at the default 50 resamples the family of the balancer's "
                                "decomposition-identity test raises `StackEmbedFailure`",
     "run_main_packing(round_retry_cap)": "acceptance criterion 1 pins 5 attempts; the default 6 would loosen it",
-    "run_uniform_embed(trace)": "the per-round trace, until a run-level trace replaces it",
     "pack_quasirandom(r)": "perfbench packs at r = 2 and acceptance criterion 9 at r = 8",
     "bipartite_union_templates(sizes)": "the only seeded source of ragged families",
     "write_instance(lam)": "writes the `lambda` key that `read_instance` reads",

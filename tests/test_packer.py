@@ -75,6 +75,13 @@ class TestValidation:
         errs = validate_instance(inst)
         assert errs == [f"(S8) collision constraint {lam} names a vertex outside its template"]
 
+    @pytest.mark.parametrize("gamma_n", [0, -3])
+    def test_batch_size_below_one_rejected(self, gamma_n):
+        inst, rng = simple_instance(n=48, s=3, gamma_n=gamma_n)
+        assert validate_instance(inst) == [f"gamma_n must be at least 1, got {gamma_n}"]
+        with pytest.raises(BadParams, match="gamma_n must be at least 1"):
+            run_main_packing(inst, rng)
+
     def test_host_without_classes_rejected(self):
         host = PartitionedGraph(LabeledGraph(0), VertexPartition.from_lists([], 0), ReducedGraph(0))
         inst = PackInstance(host=host, templates=[], k_mats=[], A_list=[],

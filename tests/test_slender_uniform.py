@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import hashlib
 import json
 import random
@@ -38,14 +37,15 @@ def refined_two_class_input(seed):
     (refined classes, expanded densities, eps^(1/3)), and the rng after it."""
     host, P, bmat, templates, kmat, rng = two_class_instance(seed=seed)
     params = make_params()
-    Y, K = refine_pattern(templates[0], kmat, 2, params, rng)
-    U, A0s = refine_host(host, P.graph, [None, None], Y, bmat, 1.0, params, rng)
+    K = 4
+    Y = refine_pattern(templates[0], kmat, 2, K, rng)
+    U, A0s = refine_host(host, P.graph, [None, None], Y, bmat, 1.0, params.eps, rng)
     s = SlenderInput(
         R_star=blow_up(templates[0].reduced, K), Y_classes=Y, U_classes=U,
         G_host=host.graph, P_host=P.graph, H=templates[0].graph, A0=A0s,
         schedule=round_schedule(templates[0].reduced, K, params.Delta_R),
         d_mat=expand_matrix(host.densities, 2, K), beta_mat=expand_matrix(bmat, 2, K), d0=1.0,
-        params=dataclasses.replace(params, eps=params.eps ** (1 / 3)), C=params.C)
+        eps=params.eps ** (1 / 3), C=params.C, max_class_degree=K * params.Delta_R)
     return s, rng
 
 
@@ -65,11 +65,10 @@ class TestSlenderDegenerate:
             A0.append(B)
         one = Fraction(1)
         zero = Fraction(0)
-        params = make_params()
         return SlenderInput(
             R_star=R, Y_classes=Y, U_classes=U, G_host=G, P_host=G, H=H,
             A0=A0, schedule=[[0], [1]], d_mat=[[zero, one], [one, zero]],
-            beta_mat=[[zero, one], [one, zero]], d0=1.0, params=params, C=0,
+            beta_mat=[[zero, one], [one, zero]], d0=1.0, eps=0.05, C=0,
             max_class_degree=1)
 
     def test_empty_pattern_complete_host(self):
@@ -209,7 +208,7 @@ def _three_class_input(R, schedule, Y=None, H=None):
     ones = [[Fraction(1)] * 3 for _ in range(3)]
     return SlenderInput(
         R_star=R, Y_classes=Y, U_classes=U, G_host=G, P_host=G, H=H, A0=A0, schedule=schedule, d_mat=ones, beta_mat=ones, d0=1.0,
-        params=make_params(), C=0, max_class_degree=2)
+        eps=0.05, C=0, max_class_degree=2)
 
 
 class TestScheduleValidation:
@@ -413,18 +412,16 @@ class TestUniformEmbed:
             for p in templates[0].partition.classes[i]:
                 assert Ab.has_edge(xpos[p], vpos[res.phi[p]])
 
-    def test_w_exceeds_refined_round_count(self):
-        # dropped-candidate bound from the trace: bounded by 4 K Delta_R xi m
-        host, P, bmat, templates, kmat, rng = two_class_instance(seed=10)
-        params = make_params()
-        trace: list[dict] = []
-        res = run_uniform_embed(host, P.graph, bmat, templates[0], kmat,
-                                [None, None], 1.0, params, rng, trace=trace)
-        m = max(len(c) for c in res.Y_classes)
-        bound = 4 * res.K * params.Delta_R * params.xi_max * m
-        for ev in trace:
-            if "dropped_max_degree" in ev:
-                assert ev["dropped_max_degree"] <= bound
+    def test_refinement_constant_is_the_templates(self):
+        # K follows each template's k and Delta_R, not the instance caps k = 3, Delta_R = 2
+        params = ParamSet(eps=0.05, k=3, Delta_R=2, C=2)
+        host, P, bmat, templates, kmat, rng = two_class_instance(seed=3)
+        res = run_uniform_embed(host, P.graph, bmat, templates[0], kmat, [None, None], 1.0, params, rng)
+        assert res.K == 4
+        assert len(res.Y_classes) == 8
+        host, P, bmat, templates, kmat, rng = path3_instance(seed=5)
+        res = run_uniform_embed(host, P.graph, bmat, templates[0], kmat, [None] * 3, 1.0, params, rng)
+        assert res.K == 8
 
 
 class TestDiagnostics:
@@ -463,10 +460,9 @@ class TestRefineHost:
             for a in range(n):
                 B.adj[a] = full_half
             A0.append(B)
-        params = make_params()
-        Y, K = refine_pattern(templates[0], kmat, 2, params, rng)
+        Y = refine_pattern(templates[0], kmat, 2, 4, rng)
         with pytest.raises(NotSuperRegular):
-            refine_host(host, P.graph, A0, Y, bmat, 0.5, params, rng)
+            refine_host(host, P.graph, A0, Y, bmat, 0.5, 0.05, rng)
 
 
 def test_seeded_embedding_stream_is_pinned():
