@@ -45,7 +45,6 @@ class FlowNetwork:
 
     n_nodes: int
     heads: list[int] = field(default_factory=list)
-    tails: list[int] = field(default_factory=list)
     caps: list[int] = field(default_factory=list)
     out: list[list[int]] = field(default_factory=list)
 
@@ -55,12 +54,10 @@ class FlowNetwork:
 
     def add_arc(self, u: int, v: int, cap: int) -> int:
         idx = len(self.heads)
-        self.tails.append(u)
         self.heads.append(v)
         self.caps.append(cap)
         self.out[u].append(idx)
         # residual arc
-        self.tails.append(v)
         self.heads.append(u)
         self.caps.append(0)
         self.out[v].append(idx + 1)
@@ -130,10 +127,9 @@ def regularize_pair(H: BipartiteGraph, k: int) -> BipartiteGraph:
     if max(degs_l, default=0) > k or max(degs_r, default=0) > k:
         raise Infeasible(f"a vertex already exceeds degree {k}")
     net = FlowNetwork(2 + 2 * n)
-    left_arc = {}
     mid_arc = {}
     for u in range(n):
-        left_arc[u] = net.add_arc(0, 2 + u, k - degs_l[u])
+        net.add_arc(0, 2 + u, k - degs_l[u])
     for v in range(n):
         net.add_arc(2 + n + v, 1, k - degs_r[v])
     for u in range(n):

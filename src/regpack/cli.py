@@ -2,7 +2,7 @@
 balancing, matching sampling, and diagnostics.
 
 Every subcommand prints one machine-readable JSON summary on stdout.
-Exit codes: 0 success, 1 verification violation, 2 usage error.
+Exit codes: 0 success, 1 verification violation or failed run, 2 usage error.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .graphs import (
     VertexPartition,
     write_edge_list,
 )
-from .matching import matching_diagnostics
+from .matching import EXACT_CAP, matching_diagnostics
 from .params import ParamSet
 
 
@@ -206,6 +206,8 @@ def cmd_balance(args) -> int:
 
 
 def cmd_sample_matching(args) -> int:
+    if args.exact and args.n > EXACT_CAP:
+        raise BadParams(f"--n must be at most {EXACT_CAP} with --exact, got {args.n}")
     rng = random.Random(args.seed)
     B = certified_bipartite_host(args.n, args.d, args.eps, rng)
     sampler = "exact" if args.exact else "switch-chain"
@@ -218,8 +220,12 @@ def cmd_sample_matching(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    from .uniform import b_diagnostics, run_uniform_embed
+    from .uniform import MIN_DIAGNOSTIC_RUNS, b_diagnostics, run_uniform_embed
 
+    if args.runs < MIN_DIAGNOSTIC_RUNS:
+        raise BadParams(f"--runs must be at least {MIN_DIAGNOSTIC_RUNS}, got {args.runs}")
+    if args.probes < 0:
+        raise BadParams(f"--probes must not be negative, got {args.probes}")
     rng = random.Random(args.seed)
     host, templates, k_mats, iparams, lam = read_instance(args.instance)
     if not templates:
@@ -234,7 +240,8 @@ def cmd_diagnose(args) -> int:
     runs = []
     for _ in range(args.runs):
         runs.append(run_uniform_embed(host, P.graph, beta, templates[0], k_mats[0],
-                                      [None] * host.reduced.r, 1.0, params, rng))
+                                      [None] * host.reduced.r, 1.0, params.eps, params.C,
+                                      params.embed_retry_cap, rng))
     n = max(host.partition.sizes())
     probes = []
     probe_rng = random.Random(args.seed + 1)

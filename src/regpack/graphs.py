@@ -13,7 +13,7 @@ pair between two vertex lists out of a graph's rows, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -314,16 +314,11 @@ class PartitionedGraph:
     partition: VertexPartition
     reduced: ReducedGraph
     densities: list[list[Fraction]] | None = None
-    _masks: list[int] = field(default_factory=list, repr=False)
-
-    def __post_init__(self):
-        if not self._masks:
-            self._masks = self.partition.masks()
 
     def validate(self) -> list[str]:
         """Structural invariants: independent classes, no off-R edges."""
         errs = []
-        masks = self._masks
+        masks = self.partition.masks()
         for i, ci in enumerate(self.partition.classes):
             for v in ci:
                 if self.graph.adj[v] & masks[i]:

@@ -25,15 +25,16 @@ its embeddings.  Any failure restarts the round with fresh randomness, up
 to ``round_retry_cap`` attempts.
 
 Desk-scale thresholds.  The batch events (U1)/(U2), (W1)-(W3) and
-(a')/(b') are checked per the stated formulas but with configurable
-floors: at the batch sizes this package runs, quantities like
-gamma^(4/3) n or 2 delta gamma n drop below one vertex and would make
-the events unsatisfiable whenever anything at all needs patching.
+(a')/(b') are checked per the stated formulas but with fixed floors:
+2.0 for the (U1) cap, ceil(delta m') for the (U2) cap and
+ceil(4 / (beta d0)) for the patch window, m' = ceil(n / K) being the
+refined class size.  At the batch sizes this package runs, quantities
+like gamma^(4/3) n or 2 delta gamma n drop below one vertex and would
+make the events unsatisfiable whenever anything at all needs patching.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -321,14 +322,15 @@ def _embed_batch(run: _Run, batch: list[int], G_cur: LabeledGraph, d_now,
     params = run.inst.params
     host = run.inst.host
     G_round = PartitionedGraph(G_cur, host.partition, host.reduced, densities=[row[:] for row in d_now])
-    emb_params = dataclasses.replace(params, eps=max(min(eps_t ** 3, params.eps), 1e-6))
+    eps = max(min(eps_t ** 3, params.eps), 1e-6)
     results: dict[int, UniformEmbedResult] = {}
     for idx in batch:
         try:
             A_eff = _collision_thinned_candidacy(run, idx)
             d0 = 1.0 if all(a is None for a in A_eff) else run.inst.d0
             res = run_uniform_embed(G_round, run.P_host, run.beta_mat, run.templates[idx],
-                                    run.k_mats[idx], A_eff, d0, emb_params, run.rng)
+                                    run.k_mats[idx], A_eff, d0, eps, params.C,
+                                    params.embed_retry_cap, run.rng)
         except (EmbedFailure, RetriesExhausted, InfeasibleTargetSets) as exc:
             raise _RoundRestart(1, f"template {idx}: {exc}")
         for Q, W in run.inst.probe_sets or ():
@@ -458,7 +460,7 @@ def _patch(run: _Run, idx: int, res: UniformEmbedResult, U_by_class: list[list[i
         phi2 = repatch(run.templates[idx].graph, P_next, blow_up(R, res.K),
                        expand_matrix(run.beta_mat, R.r, res.K), phi, rows, Z_classes,
                        beta_prime=float(params.beta) * run.inst.d0, delta=params.delta,
-                       params=params, rng=run.rng, A0_rows=run.A_rows[idx])
+                       retries=params.embed_retry_cap, rng=run.rng, A0_rows=run.A_rows[idx])
     except (PatchFailure, HypothesisViolation) as exc:
         raise _RoundRestart(6 if isinstance(exc, HypothesisViolation) else 5,
                             f"template {idx}: {exc}")
@@ -562,9 +564,13 @@ def _assert_packing(run: _Run, embeddings) -> set[frozenset[int]]:
 
 
 def pack_partite(host: PartitionedGraph, families: list[PartitionedGraph], params: ParamSet,
-                 rng, batch_size: int | None = None, gamma_n: int = 1):
+                 rng, batch_size: int = 1, gamma_n: int = 1):
     """Batch the family, stack each batch into a near-equiregular template,
     pack the templates, then compose back to per-member embeddings.
+
+    ``batch_size`` defaults to singleton batches: the stacked per-pair
+    degree drives the refinement constant quadratically, so only callers
+    with matching-like members should raise it.
 
     Returns (member_embeddings, PackingResult, batch_info).
     """
@@ -585,11 +591,6 @@ def pack_partite(host: PartitionedGraph, families: list[PartitionedGraph], param
     for i, j in off_pairs:
         if any(_pair_mass(L, i, j) for L in families):
             raise BadParams(f"family has edges on the non-edge ({i},{j}) of the reduced graph")
-    if batch_size is None:
-        # the stacked per-pair degree drives the refinement constant
-        # quadratically, so default to singleton batches; callers with
-        # matching-like members can raise this safely
-        batch_size = 1
     batches = [families[i:i + batch_size] for i in range(0, len(families), batch_size)]
 
     templates = []

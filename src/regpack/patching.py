@@ -6,8 +6,10 @@ may take, this produces phi' that agrees with phi outside Z, realizes
 every pattern edge at Z inside the patching graph, and respects F.
 
 The re-embedding itself is the slender primitive run directly on the
-patch instance: pattern pairs H[Z_i, Z_j] have maximum degree one, so
-they are already matchings, and the schedule embeds one class per round
+patch instance, in the packer's own ids: pattern classes Z_i, host
+classes W_i, the reserve as host and the pattern edges inside Z as
+pattern.  Pattern pairs H[Z_i, Z_j] have maximum degree one, so they
+are already matchings, and the schedule embeds one class per round
 (each singleton class set is trivially independent).  The blow-up
 refinement used for full-size patterns would re-split these
 already-matching classes for no benefit, so it is skipped here.
@@ -18,8 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BadParams, EmbedFailure, HypothesisViolation, PatchFailure
-from .graphs import LabeledGraph, ReducedGraph, blow_up, pair_view
-from .params import ParamSet
+from .graphs import LabeledGraph, ReducedGraph, pair_view
 from .regularity import pipeline_certificate
 from .slender import SlenderInput, run_slender
 
@@ -27,15 +28,17 @@ from .slender import SlenderInput, run_slender
 def repatch(H: LabeledGraph, P_host: LabeledGraph, R: ReducedGraph, beta_mat,
             phi: dict[int, int], F_rows: dict[int, int],
             Z_classes: list[list[int]], beta_prime: float, delta: float,
-            params: ParamSet, rng, A0_rows: dict[int, int] | None = None) -> dict[int, int]:
+            retries: int, rng, A0_rows: dict[int, int] | None = None) -> dict[int, int]:
     """Return phi' re-embedding Z inside W = phi(Z); conclusions asserted.
 
-    ``F_rows`` maps each z in Z to the bitset over host ids of its
-    permitted images: bit w is set when z may take host vertex w.
+    ``R`` is the class graph of the patch classes and ``beta_mat`` its
+    reserve densities.  ``F_rows`` maps each z in Z to the bitset over host
+    ids of its permitted images: bit w is set when z may take host vertex w.
     ``beta_prime`` is the claimed candidacy density for the hypothesis
-    certificate and ``delta`` its tolerance.  ``A0_rows`` maps a pattern
-    vertex to the bitset of host ids its initial candidacy allows
-    (``graphs.candidacy_rows``); vertices it omits are unconstrained.
+    certificate and ``delta`` its tolerance; the embedding is tried at most
+    ``retries`` times.  ``A0_rows`` maps a pattern vertex to the bitset of
+    host ids its initial candidacy allows (``graphs.candidacy_rows``);
+    vertices it omits are unconstrained.
     """
     r = len(Z_classes)
     Z = [z for cls in Z_classes for z in cls]
@@ -54,61 +57,46 @@ def repatch(H: LabeledGraph, P_host: LabeledGraph, R: ReducedGraph, beta_mat,
         if not pipeline_certificate(F_pairs[i], delta, beta_prime):
             raise HypothesisViolation(f"patch candidacy class {i} failed its ({delta},{beta_prime}) certificate")
     # hypothesis (b): P restricted to W certified at (delta, beta) per pair
-    W_pairs = {}
     for i, j in R.edges():
-        pair = W_pairs[i, j] = pair_view(P_host.adj, W_classes[i], W_classes[j])
-        if not pipeline_certificate(pair, delta, float(beta_mat[i][j])):
+        if not pipeline_certificate(pair_view(P_host.adj, W_classes[i], W_classes[j]), delta,
+                                    float(beta_mat[i][j])):
             raise HypothesisViolation(f"patching pair ({i},{j}) on W failed its certificate")
     zset = set(Z)
-    zpos = {}
-    zclass = {}
-    for c, cls in enumerate(Z_classes):
-        for a, z in enumerate(cls):
-            zpos[z] = a
-            zclass[z] = c
+    zclass = {z: c for c, cls in enumerate(Z_classes) for z in cls}
+    # the pattern restricted to Z
+    HZ = LabeledGraph(H.n)
     for x, y in H.edges():
         if x in zset and y in zset:
             if zclass[x] != zclass[y] and not R.has_edge(zclass[x], zclass[y]):
                 raise HypothesisViolation("pattern edge inside Z crosses a non-edge of R")
+            HZ.add_edge(x, y)
 
-    # pattern restricted to Z, on local ids class by class
-    local_n = r * m
-    def lid(z):
-        return zclass[z] * m + zpos[z]
-    HZ = LabeledGraph(local_n)
-    for x, y in H.edges():
-        if x in zset and y in zset:
-            HZ.add_edge(lid(x), lid(y))
-
-    # auxiliary complete-partite graph plays the patching role: no
+    # auxiliary complete-partite graph on W plays the patching role: no
     # constraints beyond F bind inside the patch
-    Q = blow_up(R, m)
-    PW = LabeledGraph(local_n)
-    for (i, j), pair in W_pairs.items():
-        PW.add_pair(pair.adj, range(i * m, i * m + m), range(j * m, j * m + m))
+    Q = LabeledGraph(P_host.n)
+    for i, j in R.edges():
+        Q.add_pair([(1 << m) - 1] * m, W_classes[i], W_classes[j])
 
     tau = [[Fraction(1) if i != j else Fraction(0) for j in range(r)] for i in range(r)]
-    bmat = [[Fraction(beta_mat[i][j]) for j in range(r)] for i in range(r)]
     if not 0 < delta < 1:
         raise BadParams(f"patching embeds at eps = delta, which must lie in (0,1); got delta = {delta}")
     s = SlenderInput(
         R_star=R,
-        Y_classes=[[i * m + a for a in range(m)] for i in range(r)],
-        U_classes=[[i * m + a for a in range(m)] for i in range(r)],
-        G_host=PW,
+        Y_classes=Z_classes,
+        U_classes=W_classes,
+        G_host=P_host,
         P_host=Q,
         H=HZ,
         A0=F_pairs,
         schedule=[[i] for i in range(r)],
-        d_mat=bmat,
+        d_mat=beta_mat,
         beta_mat=tau,
         d0=beta_prime,
         eps=delta,
         C=0,
-        max_class_degree=max(R.max_degree(), 1),
     )
     last = None
-    for _ in range(params.embed_retry_cap):
+    for _ in range(retries):
         try:
             out = run_slender(s, rng)
             break
@@ -117,12 +105,7 @@ def repatch(H: LabeledGraph, P_host: LabeledGraph, R: ReducedGraph, beta_mat,
     else:
         raise PatchFailure(f"patch embedding failed: {last}") from last
 
-    phi2 = dict(phi)
-    for c, cls in enumerate(Z_classes):
-        for a, z in enumerate(cls):
-            local_img = out.phi[c * m + a]
-            phi2[z] = W_classes[local_img // m][local_img % m]
-
+    phi2 = {**phi, **out.phi}
     _assert_conclusions(H, phi, phi2, zset, P_host, F_pairs, Z_classes, W_classes, A0_rows or {})
     return phi2
 

@@ -55,9 +55,8 @@ from .regularity import _SLACK, codegree, pipeline_certificate, window
 @dataclass
 class SlenderInput:
     """One slender instance.  ``eps`` is the tolerance of the preparation
-    certificates and the seed of the round tolerances ``params.xi``;
-    ``C`` bounds how far a class may fall short of the largest (V4), and
-    ``max_class_degree`` bounds the class graph's degree (V2)."""
+    certificates and the seed of the round tolerances ``params.xi``, and
+    ``C`` bounds how far a class may fall short of the largest (V4)."""
 
     R_star: ReducedGraph
     Y_classes: list[list[int]]
@@ -72,7 +71,6 @@ class SlenderInput:
     d0: float
     eps: float
     C: int
-    max_class_degree: int
 
 
 @dataclass
@@ -97,8 +95,6 @@ def validate_input(s: SlenderInput) -> list[str]:
     # independent in the class graph and meets each neighbourhood at most once
     for e in schedule_violations(s.R_star.adj, s.schedule, q):
         v.append(("(V1) " if "partition" in e else "(V2) ") + e)
-    if s.R_star.max_degree() > s.max_class_degree:
-        v.append(f"(V2) class-graph degree {s.R_star.max_degree()} exceeds {s.max_class_degree}")
     # (V4)/(V6) sizes
     m = max((len(c) for c in s.U_classes), default=0)
     for i in range(q):

@@ -204,8 +204,10 @@ def expand_matrix(mat, r: int, K: int) -> list[list[Fraction]]:
 
 def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
                       H: PartitionedGraph, kmat, A0: list[BipartiteGraph | None],
-                      d0: float, params: ParamSet, rng) -> UniformEmbedResult:
-    """Steps 1-3 with whole-run retries; returns the embedding bundle."""
+                      d0: float, eps: float, C: int, retries: int, rng) -> UniformEmbedResult:
+    """Steps 1-3, the whole run tried at most ``retries`` times; returns the
+    embedding bundle.  ``eps`` is the host-refinement tolerance, whose cube
+    root the slender rounds run at, and ``C`` the near-equiregularity slack."""
     r = G.reduced.r
     # the refinement constant comes from this template's degree matrix and
     # this reduced graph, not the instance-wide caps
@@ -213,11 +215,11 @@ def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
     Delta_R = max(1, H.reduced.max_degree())
     K = (k + 1) ** 2 * Delta_R
     last: Exception | None = None
-    for attempt in range(1, params.embed_retry_cap + 1):
+    for attempt in range(1, retries + 1):
         try:
-            Y_classes = refine_pattern(H, kmat, params.C, K, rng)
+            Y_classes = refine_pattern(H, kmat, C, K, rng)
             schedule = round_schedule(H.reduced, K, Delta_R)
-            U_classes, A0_star = refine_host(G, P_host, A0, Y_classes, beta_mat, d0, params.eps, rng)
+            U_classes, A0_star = refine_host(G, P_host, A0, Y_classes, beta_mat, d0, eps, rng)
             s = SlenderInput(
                 R_star=blow_up(H.reduced, K),
                 Y_classes=Y_classes,
@@ -230,9 +232,8 @@ def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
                 d_mat=expand_matrix(G.densities, r, K),
                 beta_mat=expand_matrix(beta_mat, r, K),
                 d0=d0,
-                eps=min(params.eps ** (1 / 3), 0.5),
-                C=params.C,
-                max_class_degree=K * Delta_R,
+                eps=min(eps ** (1 / 3), 0.5),
+                C=C,
             )
             out = run_slender(s, rng)
             res = UniformEmbedResult(phi=out.phi, Y_classes=Y_classes, U_classes=U_classes,
@@ -242,7 +243,7 @@ def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
         except EmbedFailure as exc:
             last = exc
     raise RetriesExhausted(
-        f"uniform embedding failed {params.embed_retry_cap} times; last: {last}") from last
+        f"uniform embedding failed {retries} times; last: {last}") from last
 
 
 def _assert_result(G: PartitionedGraph, H: PartitionedGraph, A0, res: UniformEmbedResult) -> None:
@@ -265,6 +266,8 @@ def _assert_result(G: PartitionedGraph, H: PartitionedGraph, A0, res: UniformEmb
 # ---------------------------------------------------------------------------
 # Monte-Carlo diagnostics over repeated runs
 
+MIN_DIAGNOSTIC_RUNS = 30
+
 
 def b_diagnostics(runs: list[UniformEmbedResult], H: PartitionedGraph, G: PartitionedGraph,
                   kmat, b1_probes: list[tuple[int, list[int]]] | None = None) -> dict:
@@ -274,8 +277,8 @@ def b_diagnostics(runs: list[UniformEmbedResult], H: PartitionedGraph, G: Partit
     report compares the mean embedded-neighbour count inside the subset
     with k|S|/(d n).
     """
-    if len(runs) < 30:
-        raise TooFewRuns(f"diagnostics need at least 30 runs, got {len(runs)}")
+    if len(runs) < MIN_DIAGNOSTIC_RUNS:
+        raise TooFewRuns(f"diagnostics need at least {MIN_DIAGNOSTIC_RUNS} runs, got {len(runs)}")
     vclass = G.partition.class_of()
     report: dict = {"runs": len(runs)}
     if b1_probes:

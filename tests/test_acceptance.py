@@ -444,7 +444,8 @@ def test_criterion_8_embedding_distribution_regression():
     runs = 300
     sums = [0] * len(probes)
     for _ in range(runs):
-        res = run_uniform_embed(G, P.graph, beta, H, kmat, [None, None], 1.0, params, rng)
+        res = run_uniform_embed(G, P.graph, beta, H, kmat, [None, None], 1.0,
+                                params.eps, params.C, params.embed_retry_cap, rng)
         inv = {hv: p for p, hv in res.phi.items()}
         for pi, (v, S) in enumerate(probes):
             x = inv[v]

@@ -40,12 +40,12 @@ def brute_force_max_flow(net: FlowNetwork) -> int:
         ok = True
         for v in range(2, net.n_nodes):
             inflow = sum(f for e, f in flow.items() if net.heads[e] == v)
-            outflow = sum(f for e, f in flow.items() if net.tails[e] == v)
+            outflow = sum(f for e, f in flow.items() if net.heads[e ^ 1] == v)
             if inflow != outflow:
                 ok = False
                 break
         if ok:
-            best = max(best, sum(f for e, f in flow.items() if net.tails[e] == 0))
+            best = max(best, sum(f for e, f in flow.items() if net.heads[e ^ 1] == 0))
     return best
 
 

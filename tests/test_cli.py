@@ -319,6 +319,7 @@ class TestMalformedInput:
         ("--trials", "-5", "trials must be at least 1, got -5"),
         ("--trials", "0", "trials must be at least 1, got 0"),
         ("--steps", "-1", "steps must not be negative, got -1"),
+        ("--exact", "--n=25", "--n must be at most 24 with --exact, got 25"),
     ])
     def test_sample_matching_bad_counts(self, capsys, flag, value, message):
         self._usage_error(capsys, ["sample-matching", "--n", "6", flag, value], message)
@@ -329,6 +330,9 @@ class TestMalformedInput:
         ("diagnose", "--retries", "0", "embed_retry_cap must be at least 1, got 0"),
         ("pack", "--gamma-n", "0", "gamma_n must be at least 1, got 0"),
         ("pack", "--gamma-n", "-3", "gamma_n must be at least 1, got -3"),
+        ("diagnose", "--runs", "5", "--runs must be at least 30, got 5"),
+        ("diagnose", "--runs", "-3", "--runs must be at least 30, got -3"),
+        ("diagnose", "--probes", "-2", "--probes must not be negative, got -2"),
     ])
     def test_pack_refuses_bad_counts(self, instance_dir, capsys, cmd, flag, value, message):
         self._usage_error(capsys, [cmd, "--instance", str(instance_dir / "instance.json"), flag, value],

@@ -1,7 +1,7 @@
 """Static hygiene of the package source: no module imports a name it never
 uses or a package other than the standard library and numpy, every function
-or method is referenced somewhere, every parameter is read, every plain
-dataclass default is overridden somewhere, every `ParamSet` default is
+or method is referenced somewhere, every parameter is read, only the
+packer takes a `ParamSet` parameter, every plain dataclass default is overridden somewhere, every `ParamSet` default is
 overridden outside the tests and the README lists exactly its fields,
 outside the tests every defaulted
 parameter is set to more than one value, and every span target of the
@@ -200,6 +200,34 @@ def test_parameter_checker_flags_an_ignored_argument():
         "    return args, kw\n"
     )
     assert unread_parameters(source) == ["f(a)", "f(flag)", "m(ignored)"]
+
+
+def paramset_parameters(source: str) -> list[str]:
+    """``function(parameter)`` for each parameter annotated with `ParamSet`."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            out += [f"{node.name}({p.arg})" for p in a.posonlyargs + a.args + a.kwonlyargs
+                    if p.annotation is not None and "ParamSet" in _annotation_names(p.annotation)]
+    return sorted(out)
+
+
+def test_only_the_packer_takes_a_paramset():
+    """Below the packer's drivers each layer takes the values it reads."""
+    taken = {p.name: paramset_parameters(p.read_text()) for p in MODULES if p.name != "packer.py"}
+    assert {k: v for k, v in taken.items() if v} == {}
+
+
+def test_paramset_checker_flags_an_annotated_parameter():
+    source = (
+        "def f(params: ParamSet, eps: float = ParamSet.eps):\n"
+        "    return ParamSet.retry_cap\n"
+        "class A:\n"
+        "    def m(self, *, p: 'ParamSet | None' = None, q=ParamSet()):\n"
+        "        pass\n"
+    )
+    assert paramset_parameters(source) == ["f(params)", "m(p)"]
 
 
 def defaulted_fields(source: str) -> list[str]:

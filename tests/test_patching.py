@@ -15,7 +15,7 @@ def embedded_instance(seed=5, n=60, beta="9/20"):
         n=n, d="9/10", beta=beta, k=1, seed=seed)
     params = ParamSet(eps=0.05, k=1, Delta_R=1, C=2, beta=float(Fraction(beta)), delta=0.1)
     res = run_uniform_embed(host, P.graph, bmat, templates[0], kmat,
-                            [None, None], 1.0, params, rng)
+                            [None, None], 1.0, params.eps, params.C, params.embed_retry_cap, rng)
     return host, P, bmat, templates[0], params, res, rng
 
 
@@ -52,7 +52,7 @@ class TestRepatch:
         RK = blow_up(host.reduced, res.K)
         phi2 = repatch(tpl.graph, P.graph, RK, [[Fraction(0)] * (2 * res.K)] * (2 * res.K),
                        res.phi, {}, Z_classes, beta_prime=0.45, delta=0.1,
-                       params=params, rng=rng)
+                       retries=params.embed_retry_cap, rng=rng)
         assert phi2 == res.phi
 
     def test_patch_conclusions_hold(self):
@@ -60,7 +60,8 @@ class TestRepatch:
         Z_classes, RK, bKr = patch_setup(res, host, rng, size=10)
         rows = refreshed_rows(res, tpl, P, Z_classes)
         phi2 = repatch(tpl.graph, P.graph, RK, bKr, res.phi,
-                       rows, Z_classes, beta_prime=0.45, delta=0.1, params=params, rng=rng)
+                       rows, Z_classes, beta_prime=0.45, delta=0.1,
+                    retries=params.embed_retry_cap, rng=rng)
         zall = {z for cls in Z_classes for z in cls}
         # (i) untouched outside Z
         for x in res.phi:
@@ -82,7 +83,8 @@ class TestRepatch:
         Z_classes, RK, bKr = patch_setup(res, host, rng, size=10)
         rows = refreshed_rows(res, tpl, P, Z_classes)
         phi2 = repatch(tpl.graph, P.graph, RK, bKr, res.phi,
-                       rows, Z_classes, beta_prime=0.45, delta=0.1, params=params, rng=rng)
+                       rows, Z_classes, beta_prime=0.45, delta=0.1,
+                    retries=params.embed_retry_cap, rng=rng)
         for j, cls in enumerate(Z_classes):
             W = {res.phi[z] for z in cls}
             for z in cls:
@@ -95,7 +97,8 @@ class TestRepatch:
         rows = refreshed_rows(res, tpl, P, Z_classes)
         with pytest.raises(HypothesisViolation):
             repatch(tpl.graph, P.graph, RK, bKr, res.phi,
-                    rows, Z_classes, beta_prime=0.45, delta=0.1, params=params, rng=rng)
+                    rows, Z_classes, beta_prime=0.45, delta=0.1,
+                    retries=params.embed_retry_cap, rng=rng)
 
     def test_sparse_candidacy_rejected(self):
         from regpack.errors import PatchFailure
@@ -106,4 +109,5 @@ class TestRepatch:
         # itself (the diagonal pairs are not patching-graph adjacent)
         with pytest.raises((HypothesisViolation, PatchFailure)):
             repatch(tpl.graph, P.graph, RK, bKr, res.phi,
-                    rows, Z_classes, beta_prime=0.45, delta=0.1, params=params, rng=rng)
+                    rows, Z_classes, beta_prime=0.45, delta=0.1,
+                    retries=params.embed_retry_cap, rng=rng)

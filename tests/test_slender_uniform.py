@@ -28,7 +28,7 @@ def embed_two_class(n=60, d="9/10", k=1, seed=0, **param_kw):
     host, P, bmat, templates, kmat, rng = two_class_instance(n=n, d=d, k=k, seed=seed)
     params = make_params(k=k, **param_kw)
     res = run_uniform_embed(host, P.graph, bmat, templates[0], kmat,
-                            [None, None], 1.0, params, rng)
+                            [None, None], 1.0, params.eps, params.C, params.embed_retry_cap, rng)
     return host, P, templates[0], res
 
 
@@ -45,7 +45,7 @@ def refined_two_class_input(seed):
         G_host=host.graph, P_host=P.graph, H=templates[0].graph, A0=A0s,
         schedule=round_schedule(templates[0].reduced, K, params.Delta_R),
         d_mat=expand_matrix(host.densities, 2, K), beta_mat=expand_matrix(bmat, 2, K), d0=1.0,
-        eps=params.eps ** (1 / 3), C=params.C, max_class_degree=K * params.Delta_R)
+        eps=params.eps ** (1 / 3), C=params.C)
     return s, rng
 
 
@@ -68,8 +68,7 @@ class TestSlenderDegenerate:
         return SlenderInput(
             R_star=R, Y_classes=Y, U_classes=U, G_host=G, P_host=G, H=H,
             A0=A0, schedule=[[0], [1]], d_mat=[[zero, one], [one, zero]],
-            beta_mat=[[zero, one], [one, zero]], d0=1.0, eps=0.05, C=0,
-            max_class_degree=1)
+            beta_mat=[[zero, one], [one, zero]], d0=1.0, eps=0.05, C=0)
 
     def test_empty_pattern_complete_host(self):
         s = self._complete_input(m=6)
@@ -208,7 +207,7 @@ def _three_class_input(R, schedule, Y=None, H=None):
     ones = [[Fraction(1)] * 3 for _ in range(3)]
     return SlenderInput(
         R_star=R, Y_classes=Y, U_classes=U, G_host=G, P_host=G, H=H, A0=A0, schedule=schedule, d_mat=ones, beta_mat=ones, d0=1.0,
-        eps=0.05, C=0, max_class_degree=2)
+        eps=0.05, C=0)
 
 
 class TestScheduleValidation:
@@ -370,7 +369,7 @@ class TestUniformEmbed:
         host, P, bmat, templates, kmat, rng = path3_instance(seed=5)
         params = ParamSet(eps=0.05, k=1, Delta_R=2, C=2)
         res = run_uniform_embed(host, P.graph, bmat, templates[0], kmat,
-                                [None] * 3, 1.0, params, rng)
+                                [None] * 3, 1.0, params.eps, params.C, params.embed_retry_cap, rng)
         for x, y in templates[0].graph.edges():
             assert host.graph.has_edge(res.phi[x], res.phi[y])
 
@@ -405,7 +404,8 @@ class TestUniformEmbed:
             B.right_ids = list(host.partition.classes[i])
             A0.append(B)
         params = make_params()
-        res = run_uniform_embed(host, P.graph, bmat, templates[0], kmat, A0, 0.7, params, rng)
+        res = run_uniform_embed(host, P.graph, bmat, templates[0], kmat, A0, 0.7,
+                                params.eps, params.C, params.embed_retry_cap, rng)
         for i, Ab in enumerate(A0):
             xpos = {p: a for a, p in enumerate(Ab.left_ids)}
             vpos = {v: b for b, v in enumerate(Ab.right_ids)}
@@ -413,14 +413,15 @@ class TestUniformEmbed:
                 assert Ab.has_edge(xpos[p], vpos[res.phi[p]])
 
     def test_refinement_constant_is_the_templates(self):
-        # K follows each template's k and Delta_R, not the instance caps k = 3, Delta_R = 2
-        params = ParamSet(eps=0.05, k=3, Delta_R=2, C=2)
+        # K follows each template's k matrix and reduced graph
         host, P, bmat, templates, kmat, rng = two_class_instance(seed=3)
-        res = run_uniform_embed(host, P.graph, bmat, templates[0], kmat, [None, None], 1.0, params, rng)
+        res = run_uniform_embed(host, P.graph, bmat, templates[0], kmat, [None, None], 1.0,
+                                0.05, 2, ParamSet.embed_retry_cap, rng)
         assert res.K == 4
         assert len(res.Y_classes) == 8
         host, P, bmat, templates, kmat, rng = path3_instance(seed=5)
-        res = run_uniform_embed(host, P.graph, bmat, templates[0], kmat, [None] * 3, 1.0, params, rng)
+        res = run_uniform_embed(host, P.graph, bmat, templates[0], kmat, [None] * 3, 1.0,
+                                0.05, 2, ParamSet.embed_retry_cap, rng)
         assert res.K == 8
 
 
@@ -428,8 +429,8 @@ class TestDiagnostics:
     def test_b_diagnostics_shapes(self):
         host, P, bmat, templates, kmat, rng = two_class_instance(n=48, seed=11)
         params = make_params()
-        runs = [run_uniform_embed(host, P.graph, bmat, templates[0], kmat,
-                                  [None, None], 1.0, params, rng) for _ in range(30)]
+        runs = [run_uniform_embed(host, P.graph, bmat, templates[0], kmat, [None, None], 1.0,
+                                  params.eps, params.C, params.embed_retry_cap, rng) for _ in range(30)]
         v = host.partition.classes[0][0]
         nbrs = [w for w in host.graph.neighbors(v) if w in set(host.partition.classes[1])]
         S = nbrs[: int(0.4 * 48)]
@@ -479,7 +480,8 @@ def test_seeded_embedding_stream_is_pinned():
         B.left_ids = list(templates[0].partition.classes[i])
         B.right_ids = list(host.partition.classes[i])
         A0.append(B)
-    res = run_uniform_embed(host, P.graph, bmat, templates[0], kmat, A0, 0.7, make_params(), rng)
+    res = run_uniform_embed(host, P.graph, bmat, templates[0], kmat, A0, 0.7,
+                            0.05, 2, ParamSet.embed_retry_cap, rng)
 
     def sha(obj):
         return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
