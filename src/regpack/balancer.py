@@ -122,10 +122,12 @@ def regularize_pair(H: BipartiteGraph, k: int) -> BipartiteGraph:
     if k > n:
         raise Infeasible(f"target degree {k} exceeds side size {n}")
     degs_l = [popcount(row) for row in H.adj]
-    cols = H.right_adj()
-    degs_r = [popcount(c) for c in cols]
+    degs_r = [popcount(c) for c in H.right_adj()]
     if max(degs_l, default=0) > k or max(degs_r, default=0) > k:
         raise Infeasible(f"a vertex already exceeds degree {k}")
+    need = sum(k - d for d in degs_l)
+    if need == 0:  # every left degree is k, so every right degree is k too
+        return H.copy()
     net = FlowNetwork(2 + 2 * n)
     mid_arc = {}
     for u in range(n):
@@ -136,7 +138,6 @@ def regularize_pair(H: BipartiteGraph, k: int) -> BipartiteGraph:
         for v in range(n):
             if not H.has_edge(u, v):
                 mid_arc[(u, v)] = net.add_arc(2 + u, 2 + n + v, 1)
-    need = sum(k - d for d in degs_l)
     value, flows = max_flow(net)
     if value != need:
         raise Infeasible(f"max flow {value} < required {need}; no {k}-regular supergraph exists")
@@ -352,8 +353,8 @@ def _stacking_targets(kmat):
     """Desk-scale feasibility: per pair, the achieved maximum degree (at
     least kmat's entry and 1) and the two degrees above it, tried in order.
 
-    Keeping k minimal matters downstream: the embedding pipeline refines
-    classes (k+1)^2-fold, so a gratuitous +1 here can empty them."""
+    Keeping k minimal matters downstream: the refinement constant grows
+    like k^2 (``uniform.square_slices``), so a gratuitous +1 can empty classes."""
     def targets(i, j, pair):
         achieved = max(max(map(popcount, pair.adj), default=0),
                        max(map(popcount, pair.right_adj()), default=0))

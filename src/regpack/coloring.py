@@ -49,15 +49,13 @@ def _greedy_classes(G: LabeledGraph, k: int, order: list[int]) -> list[list[int]
     masks = [0] * (k + 1)
     for v in order:
         # prefer the currently smallest admissible class; ties by index
-        best = -1
         for c in sorted(range(k + 1), key=lambda c: (len(classes[c]), c)):
             if not (G.adj[v] & masks[c]):
-                best = c
                 break
-        if best < 0:
+        else:
             raise DegreeTooHigh(f"greedy found no class for vertex {v}")
-        classes[best].append(v)
-        masks[best] |= 1 << v
+        classes[c].append(v)
+        masks[c] |= 1 << v
     return classes
 
 

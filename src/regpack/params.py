@@ -25,8 +25,8 @@ def g(a: float) -> float:
 class ParamSet:
     """Knobs for one pipeline run.
 
-    The refinement constant K = (k+1)^2 * Delta_R is derived per template
-    in ``uniform.run_uniform_embed``.  The class-level constants below are
+    The refinement constant K is read off each template by
+    ``uniform.square_slices``.  The class-level constants below are
     calibrated for desk-scale classes and are not settable; the
     degree-window floor they work with is ``regularity.SD_FLOOR``.
     """

@@ -1,10 +1,10 @@
 """Preprocessing pipeline that turns a near-equiregular pattern into a
 valid slender instance and runs it.
 
-Step 1 splits every pattern class into K = (k+1)^2 * Delta_R classes
-independent in the pattern square, so each refined pair is a matching;
-``run_uniform_embed`` derives K from the template's degree matrix and
-reduced graph and passes it down.
+Step 1 splits every pattern class into K = max(2, D + 1) classes
+independent in the pattern square, D its largest degree inside one class
+(Hajnal-Szemeredi; the paper's (k+1)^2 * Delta_R is the worst case of D + 1),
+so each refined pair is a matching.
 Step 2 refines the host classes at the refined pattern-class sizes,
 routing the few vertices whose initial candidacy degrees stray outside
 the (d0 +- 2 eps) window into classes where they keep enough candidates,
@@ -53,19 +53,22 @@ class UniformEmbedResult:
     attempts: int = 1
 
 
-def refine_pattern(H: PartitionedGraph, kmat, C: int, K: int, rng) -> list[list[int]]:
-    """Step 1: split each class into K classes via the pattern square.
+def square_slices(H: PartitionedGraph) -> tuple[list[LabeledGraph], int]:
+    """Each class's slice of the pattern square, and the K = max(2, D + 1) they admit."""
+    H2 = square(H.graph)
+    slices = [LabeledGraph(len(cls), pair_view(H2.adj, cls, cls).edges())
+              for cls in H.partition.classes]
+    return slices, max(2, 1 + max(sub.max_degree() for sub in slices))
+
+
+def refine_pattern(H: PartitionedGraph, slices: list[LabeledGraph], K: int, rng) -> list[list[int]]:
+    """Step 1: split each class into K classes independent in its square slice.
 
     Returns Y_classes in per-block order, larger classes first inside
     each block.
     """
-    ok, violations = check_near_equiregular(H, kmat, C)
-    if not ok:
-        raise NotNearEquiregular("; ".join(violations[:4]))
-    H2 = square(H.graph)
     Y_classes: list[list[int]] = []
-    for i, cls in enumerate(H.partition.classes):
-        sub = LabeledGraph(len(cls), pair_view(H2.adj, cls, cls).edges())
+    for cls, sub in zip(H.partition.classes, slices):
         col = hs_equitable_coloring(sub, K - 1, rng)
         Y_classes.extend([sorted(cls[a] for a in blk) for blk in col.classes])
     return Y_classes
@@ -129,14 +132,12 @@ def _refine_one_block(G, Ai, Y_classes, U_classes, A0_star, i, K, d0, eps, rng) 
                 f"initial candidacy cannot be ({eps},{d0})-super-regular")
         counts = [0] * K
         for v in exceptional:
-            placed = False
             for jj, j in enumerate(block):
                 if degs[v][jj] > d0 * m - width - 1e-9 and counts[jj] < len(Y_classes[j]):
                     routed[v] = j
                     counts[jj] += 1
-                    placed = True
                     break
-            if not placed:
+            else:
                 return False
     rng.shuffle(rest)
     pos = 0
@@ -209,15 +210,15 @@ def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
     embedding bundle.  ``eps`` is the host-refinement tolerance, whose cube
     root the slender rounds run at, and ``C`` the near-equiregularity slack."""
     r = G.reduced.r
-    # the refinement constant comes from this template's degree matrix and
-    # this reduced graph, not the instance-wide caps
-    k = max(1, max(max(row) for row in kmat))
+    ok, violations = check_near_equiregular(H, kmat, C)
+    if not ok:
+        raise NotNearEquiregular("; ".join(violations[:4]))
+    slices, K = square_slices(H)
     Delta_R = max(1, H.reduced.max_degree())
-    K = (k + 1) ** 2 * Delta_R
     last: Exception | None = None
     for attempt in range(1, retries + 1):
         try:
-            Y_classes = refine_pattern(H, kmat, C, K, rng)
+            Y_classes = refine_pattern(H, slices, K, rng)
             schedule = round_schedule(H.reduced, K, Delta_R)
             U_classes, A0_star = refine_host(G, P_host, A0, Y_classes, beta_mat, d0, eps, rng)
             s = SlenderInput(

@@ -470,9 +470,9 @@ def test_criterion_9_tree_family_demo():
     reduction keeps only the C(8,2) * 15^2 = 6300 cross-class edges, and the
     per-pair budgets of pack_partite sum to (1 - params.alpha) * 6300 =
     5670, below the family's 5969 edges; the budget fits only from r = 15
-    on, where 8-vertex classes cannot hold the refinement constant
-    (k+1)^2 * Delta_R.  Any other error, the per-pair refusal, or a
-    packing that fails verification fails the test."""
+    on, where even the smallest refinement constant, K = 2, leaves
+    refined classes of 4 vertices.  Any other error, the per-pair refusal,
+    or a packing that fails verification fails the test."""
     n = 120
     r = 8
     p = 1.0

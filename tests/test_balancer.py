@@ -19,7 +19,7 @@ from regpack.balancer import (
     stack_family,
 )
 from regpack.errors import BadParams, Infeasible
-from regpack.generators import bipartite_union_templates
+from regpack.generators import bipartite_union_templates, random_regular_bipartite
 from regpack.graphs import (
     BipartiteGraph,
     LabeledGraph,
@@ -119,6 +119,19 @@ class TestRegularizePair:
         H = BipartiteGraph(4, 4, [(u, (u + t) % 4) for u in range(4) for t in (0, 1)])
         out = regularize_pair(H, 2)
         assert out.adj == H.adj
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (12, 3), (40, 5)])
+    def test_regular_pair_comes_back_as_an_equal_copy(self, n, k):
+        # a pair with no deficit returns before any flow is built, as a
+        # copy the caller may change freely
+        H = random_regular_bipartite(n, k, random.Random(n))
+        H.left_ids, H.right_ids = list(range(n)), list(range(n, 2 * n))
+        out = regularize_pair(H, k)
+        assert out is not H and out.adj is not H.adj
+        assert (out.nl, out.nr, out.adj, out.left_ids, out.right_ids) == \
+            (H.nl, H.nr, H.adj, H.left_ids, H.right_ids)
+        out.remove_edge(0, out.adj[0].bit_length() - 1)
+        assert popcount(H.adj[0]) == k
 
     def test_empty_to_perfect_matching(self):
         out = regularize_pair(BipartiteGraph(3, 3), 1)

@@ -11,11 +11,28 @@ from hypothesis import strategies as st
 from helpers import path3_instance, two_class_instance
 from regpack.errors import FailureType1, FailureType2, NotSuperRegular
 from regpack.coloring import round_schedule
-from regpack.graphs import BipartiteGraph, LabeledGraph, ReducedGraph, blow_up, iter_bits, popcount
+from regpack.generators import bipartite_union_templates
+from regpack.graphs import (
+    BipartiteGraph,
+    LabeledGraph,
+    ReducedGraph,
+    blow_up,
+    iter_bits,
+    mask_of,
+    popcount,
+    square,
+)
 from regpack.params import ParamSet
 from regpack.regularity import _SLACK, window
 from regpack.slender import SlenderInput, _assert_output, _State, run_slender, validate_input
-from regpack.uniform import expand_matrix, refine_host, refine_pattern, run_uniform_embed, b_diagnostics
+from regpack.uniform import (
+    b_diagnostics,
+    expand_matrix,
+    refine_host,
+    refine_pattern,
+    run_uniform_embed,
+    square_slices,
+)
 
 
 def make_params(**kw):
@@ -37,8 +54,8 @@ def refined_two_class_input(seed):
     (refined classes, expanded densities, eps^(1/3)), and the rng after it."""
     host, P, bmat, templates, kmat, rng = two_class_instance(seed=seed)
     params = make_params()
-    K = 4
-    Y = refine_pattern(templates[0], kmat, 2, K, rng)
+    slices, K = square_slices(templates[0])
+    Y = refine_pattern(templates[0], slices, K, rng)
     U, A0s = refine_host(host, P.graph, [None, None], Y, bmat, 1.0, params.eps, rng)
     s = SlenderInput(
         R_star=blow_up(templates[0].reduced, K), Y_classes=Y, U_classes=U,
@@ -361,7 +378,7 @@ class TestUniformEmbed:
 
     def test_k2_pattern(self):
         host, P, tpl, res = embed_two_class(n=100, d="4/5", k=2, seed=4)
-        assert res.K == 9
+        assert res.K == 3
         for x, y in tpl.graph.edges():
             assert host.graph.has_edge(res.phi[x], res.phi[y])
 
@@ -413,16 +430,71 @@ class TestUniformEmbed:
                 assert Ab.has_edge(xpos[p], vpos[res.phi[p]])
 
     def test_refinement_constant_is_the_templates(self):
-        # K follows each template's k matrix and reduced graph
+        # K follows each template's pattern square: matchings have D = 0
         host, P, bmat, templates, kmat, rng = two_class_instance(seed=3)
         res = run_uniform_embed(host, P.graph, bmat, templates[0], kmat, [None, None], 1.0,
                                 0.05, 2, ParamSet.embed_retry_cap, rng)
-        assert res.K == 4
-        assert len(res.Y_classes) == 8
+        assert res.K == 2
+        assert len(res.Y_classes) == 4
         host, P, bmat, templates, kmat, rng = path3_instance(seed=5)
         res = run_uniform_embed(host, P.graph, bmat, templates[0], kmat, [None] * 3, 1.0,
                                 0.05, 2, ParamSet.embed_retry_cap, rng)
-        assert res.K == 8
+        assert res.K == 2
+
+
+def _c4_factor_template():
+    """A C4-factor of K_96 coloured onto two classes as ``pack_quasirandom``
+    does at r = 2, stacked alone into the template the embedding sees."""
+    from regpack.balancer import stack_family
+    from regpack.generators import cycle_factor
+    from regpack.packer import color_members
+
+    rng = random.Random(9500)
+    R = ReducedGraph(2, [(0, 1)])
+    member = color_members([cycle_factor(96, [4] * 24)], R, rng)[0]
+    return stack_family([member], R, [[0, 0], [0, 0]], 2, rng)[0]
+
+
+@pytest.mark.parametrize("build,K", [
+    (lambda: two_class_instance(seed=3)[3][0], 2),
+    (lambda: two_class_instance(n=100, d="4/5", k=2, seed=4)[3][0], 3),
+    (lambda: path3_instance(seed=5)[3][0], 2),
+    (_c4_factor_template, 2),
+], ids=["k1-matching", "k2-union", "path3", "c4-factor-r2"])
+def test_refinement_constant_table(build, K):
+    assert square_slices(build())[1] == K
+
+
+def _square_degree_inside(H, cls) -> int:
+    """Largest number of other class vertices within distance two, by sets."""
+    members = set(cls)
+    return max(len({z for y in H.graph.neighbors(x) for z in H.graph.neighbors(y)
+                    if z in members} - {x}) for x in cls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 3), n=st.integers(24, 60), seed=st.integers(0, 2 ** 16))
+def test_refined_classes_are_independent_in_the_square(k, n, seed):
+    """60 examples: K = max(2, D + 1) never exceeds the worst case
+    (k+1)^2 * Delta_R, and every refined class has no two vertices within
+    distance two, so every refined pair is a matching."""
+    rng = random.Random(seed)
+    R = ReducedGraph(2, [(0, 1)])
+    H = bipartite_union_templates(2, n, k, 1, rng, R=R)[0]
+    slices, K = square_slices(H)
+    D = max(_square_degree_inside(H, cls) for cls in H.partition.classes)
+    assert K == max(2, D + 1) <= (k + 1) ** 2 * R.max_degree()
+    Y = refine_pattern(H, slices, K, rng)
+    assert len(Y) == 2 * K
+    for i, cls in enumerate(H.partition.classes):
+        assert sorted(y for blk in Y[i * K:(i + 1) * K] for y in blk) == list(cls)
+    H2 = square(H.graph)
+    for blk in Y:
+        assert not any(H2.adj[x] & mask_of(blk) for x in blk)
+    for a in range(K):
+        for b in range(K, 2 * K):
+            target = set(Y[b])
+            assert all(len(set(H.graph.neighbors(x)) & target) <= 1 for x in Y[a])
 
 
 class TestDiagnostics:
@@ -461,18 +533,18 @@ class TestRefineHost:
             for a in range(n):
                 B.adj[a] = full_half
             A0.append(B)
-        Y = refine_pattern(templates[0], kmat, 2, 4, rng)
+        Y = refine_pattern(templates[0], *square_slices(templates[0]), rng)
         with pytest.raises(NotSuperRegular):
             refine_host(host, P.graph, A0, Y, bmat, 0.5, 0.05, rng)
 
 
 def test_seeded_embedding_stream_is_pinned():
-    """One seeded run on two classes of 62 (refined sizes 16 and 15, so the
+    """One seeded run on two classes of 63 (refined sizes 32 and 31, so the
     padding draws run too): the embedding, the candidacy bigraph F and the
     next draw of the stream are pinned.  A refactor that moves one draw or
     one window bound changes these digests."""
     from regpack.generators import certified_bipartite_host
-    n = 62
+    n = 63
     host, P, bmat, templates, kmat, rng = two_class_instance(n=n, seed=9)
     A0 = []
     for i in range(2):
@@ -486,9 +558,9 @@ def test_seeded_embedding_stream_is_pinned():
     def sha(obj):
         return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
 
-    assert [len(c) for c in res.Y_classes] == [16, 16, 15, 15] * 2
+    assert [len(c) for c in res.Y_classes] == [32, 31] * 2
     assert sha(sorted(res.phi.items())) == \
-        "382d1205620f30f783f2f743edcd1b4a69543aece969838a36b530b7f30ba2d9"
+        "f942304c1cc96d7353f1177b8c1af99bafa38ff4be4c9fb3e04d7b865b63931f"
     assert sha([[Fj.left_ids, Fj.right_ids, Fj.adj] for Fj in res.F]) == \
-        "ebe512030950621180939d0352271df2e68b883eec2e8d35eb38618a3859dc68"
-    assert rng.random() == 0.23237041086185295
+        "317c88102e5aad544c69f83b75a1b049a46535ce62e5096a4f0eaf45ff918531"
+    assert rng.random() == 0.5434283572434653
