@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -56,6 +58,31 @@ def _params_from_args(args, host: PartitionedGraph, k_mats) -> ParamSet:
     return p
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float option: NaN and the infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _check_outputs(args) -> None:
+    """Refuse an output file whose directory is missing or not writable,
+    before any work is done."""
+    for flag in ("json_out", "emit_trace", "leftover_out", "csv_out"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        opt, parent = "--" + flag.replace("_", "-"), Path(path).parent
+        if not parent.is_dir():
+            raise BadParams(f"{opt} {path}: directory {parent} does not exist")
+        if Path(path).is_dir() or not os.access(parent, os.W_OK):
+            raise BadParams(f"{opt} {path}: not a writable file path")
+
+
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2, default=str)
     print(text)
@@ -77,7 +104,10 @@ def cmd_gen(args) -> int:
 
     def target(name: str) -> Path:
         # made at the first write, so a usage error leaves no directory behind
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise BadParams(f"--out {out}: not a directory") from None
         return out / name
 
     kind = args.kind
@@ -284,9 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--r", type=int, default=2)
     g.add_argument("--k", type=int, default=1)
     g.add_argument("--count", type=int, default=4)
-    g.add_argument("--p", type=float, default=0.5)
-    g.add_argument("--d", type=float, default=0.8)
-    g.add_argument("--eps", type=float, default=0.05)
+    g.add_argument("--p", type=_finite_float, default=0.5)
+    g.add_argument("--d", type=_finite_float, default=0.8)
+    g.add_argument("--eps", type=_finite_float, default=0.05)
     g.add_argument("--max-degree", type=int, default=3)
     g.add_argument("--e-target", type=int, default=0)
     g.add_argument("--lengths", type=str, default="")
@@ -298,10 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", type=str, required=True)
     p.add_argument("--retries", type=int, default=ParamSet.embed_retry_cap)
     p.add_argument("--gamma-n", type=int, default=1)
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--beta", type=float, default=0.1)
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--alpha", type=float, default=0.25)
+    p.add_argument("--eps", type=_finite_float, default=0.05)
+    p.add_argument("--beta", type=_finite_float, default=0.1)
+    p.add_argument("--delta", type=_finite_float, default=0.0)
+    p.add_argument("--alpha", type=_finite_float, default=0.25)
     p.add_argument("--emit-trace", type=str, default=None)
     p.add_argument("--leftover-out", type=str, default=None)
     p.set_defaults(fn=cmd_pack)
@@ -321,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("sample-matching", help="matching-sampler diagnostics on a seeded host")
     common(m)
     m.add_argument("--n", type=int, default=12)
-    m.add_argument("--d", type=float, default=0.7)
-    m.add_argument("--eps", type=float, default=0.05)
+    m.add_argument("--d", type=_finite_float, default=0.7)
+    m.add_argument("--eps", type=_finite_float, default=0.05)
     m.add_argument("--trials", type=int, default=1000)
     m.add_argument("--steps", type=int, default=None)
     m.add_argument("--exact", action="store_true")
@@ -334,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--retries", type=int, default=ParamSet.embed_retry_cap)
     d.add_argument("--runs", type=int, default=30)
     d.add_argument("--probes", type=int, default=5)
-    d.add_argument("--eps", type=float, default=0.05)
+    d.add_argument("--eps", type=_finite_float, default=0.05)
     d.add_argument("--csv-out", type=str, default=None)
     d.set_defaults(fn=cmd_diagnose)
     return ap
@@ -347,6 +377,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_outputs(args)
         return args.fn(args)
     except BadParams as exc:
         print(f"usage error: {exc}", file=sys.stderr)

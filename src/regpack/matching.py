@@ -9,8 +9,12 @@ Two samplers with an explicit oracle/production split:
   rotation sigma'(u1)=sigma(u3), sigma'(u2)=sigma(u1), sigma'(u3)=sigma(u2)
   whenever the three required edges are present, else holds.  The
   proposal is symmetric, so the stationary distribution is uniform on
-  the chain's connected component.  Connectivity of the switch graph is
-  not guaranteed for arbitrary hosts; stats objects carry that caveat.
+  the chain's connected component.  Every move is a 3-rotation, an even
+  permutation, so the chain never leaves the matchings of its start's
+  sign (sigma read as a permutation): on K_{4,4} it reaches only the 12
+  even matchings of 24.  Even within that sign, connectivity of the
+  switch graph is not guaranteed for arbitrary hosts; stats objects
+  carry that caveat.
 
 ``find_perfect_matching`` is Hopcroft-Karp (Hopcroft and Karp, SIAM J.
 Comput. 1973) on the int-bitset rows: each BFS layer is the OR of the

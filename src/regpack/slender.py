@@ -36,6 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .coloring import schedule_violations
 from .errors import BadParams, FailureType1, FailureType2
 from .graphs import (
@@ -43,6 +45,7 @@ from .graphs import (
     LabeledGraph,
     ReducedGraph,
     bit_matrix,
+    bit_rows,
     mask_of,
     pair_view,
     popcount,
@@ -127,6 +130,8 @@ class _Track:
     dens: list[list[Fraction]]
     # adjacency per ordered class pair, local indices, artificial vertices padded in
     pairs: dict[tuple[int, int], list[int]] = field(default_factory=dict)
+    # the same pairs as float32 0/1 matrices, fixed once the padding is drawn
+    pair_mats: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     rows: list[list[int]] = field(default_factory=list)   # candidacy rows over U'_j, per class
     px: list[list[float]] = field(default_factory=list)   # per-row density ladder
     p: list[Fraction] = field(default_factory=list)       # exact per-class density ladder
@@ -177,6 +182,8 @@ class _State:
                         if rng.random() < prob:
                             tr.pairs[(i, j)][a] |= 1 << b
                             tr.pairs[(j, i)][b] |= 1 << a
+        for tr in self.tracks:
+            tr.pair_mats = {ij: bit_matrix(rows, m).astype(np.float32) for ij, rows in tr.pairs.items()}
         # candidacy rows from A0, padded with Bernoulli(d0) artificial edges
         for i in range(q):
             rows = [0] * m
@@ -274,34 +281,10 @@ class _State:
                 self._certify_class(j, t, xi_now)
 
     def _build_and_embed(self, i: int, t: int, xi_prev: float) -> None:
+        """Filter class i's candidates (one matrix product per neighbour and
+        track, `_filtered_rows`) and sample its matching."""
         m = self.m
-        host, patch = self.tracks
-        rows = list(host.rows[i])
-        xi2 = 2 * xi_prev
-        # drop candidates whose joint neighbourhood counts leave the
-        # per-neighbour windows, on both tracks in one pass
-        for j in self.nbrs[i]:
-            partner = self.real_nbr[(i, j)]
-            gp, pp = host.pairs[(i, j)], patch.pairs[(i, j)]
-            arows, brows = host.rows[j], patch.rows[j]
-            gpx, ppx = host.px[j], patch.px[j]
-            dij, bij = float(host.dens[i][j]), float(patch.dens[i][j])
-            for a in range(m):
-                xj = partner[a]
-                if xj < 0:
-                    continue
-                arow, brow = arows[xj], brows[xj]
-                pd, pb = dij * gpx[xj], bij * ppx[xj]
-                cd, cb = pd * m, pb * m
-                wd = window(xi2, pd, m) + _SLACK
-                wb = window(xi2, pb, m) + _SLACK
-                rest = rows[a]
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    v = low.bit_length() - 1
-                    if abs((arow & gp[v]).bit_count() - cd) > wd or abs((brow & pp[v]).bit_count() - cb) > wb:
-                        rows[a] ^= low
+        rows = self._filtered_rows(i, 2 * xi_prev)
         ny = self.ny[i]
         # artificial vertices are paired identically: y_{i,t} -> u_{i,t}
         for a in range(ny, m):
@@ -312,6 +295,36 @@ class _State:
             sigma = self._sample_matching(Bi, i, t)
             for a in range(ny):
                 self.f[i][a] = sigma[a]
+
+    def _filtered_rows(self, i: int, xi2: float) -> list[int]:
+        """Class i's host-track candidacy rows without the candidates whose
+        joint neighbourhood counts leave a per-neighbour window on either
+        track.
+
+        For the rows a with a partner in class j, the counts
+        ``count[a, v] = |rows_j[partner[a]] & pairs[(i, j)][v]|`` are one
+        product of two 0/1 matrices, exact in float32 below 2**24.  A
+        candidate's test reads no other candidate, so the keep-masks of
+        the neighbours are ANDed in independently."""
+        m = self.m
+        rows = list(self.tracks[0].rows[i])
+        for j in self.nbrs[i]:
+            partner = self.real_nbr[(i, j)]
+            act = [a for a in range(m) if partner[a] >= 0]
+            if not act:
+                continue
+            drop = np.zeros((len(act), m), dtype=bool)
+            for tr in self.tracks:
+                dij, px = float(tr.dens[i][j]), tr.px[j]
+                pd = [dij * px[partner[a]] for a in act]
+                # the ladder holds a handful of distinct values per class
+                widths = {p: window(xi2, p, m) + _SLACK for p in set(pd)}
+                left = bit_matrix([tr.rows[j][partner[a]] for a in act], m).astype(np.float32)
+                count = left @ tr.pair_mats[(i, j)].T
+                drop |= np.abs(count - np.multiply(pd, m)[:, None]) > np.array([widths[p] for p in pd])[:, None]
+            for a, keep in zip(act, bit_rows(~drop)):
+                rows[a] &= keep
+        return rows
 
     def _sample_matching(self, Bi: BipartiteGraph, i: int, t: int) -> list[int]:
         start = find_perfect_matching(Bi)

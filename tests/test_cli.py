@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -413,6 +414,66 @@ class TestUsageErrors:
         assert main(["gen", *argv, "--out", str(tmp_path / "g")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_gen_out_at_or_below_a_file(self, below, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / below if below else afile
+        assert main(["gen", "host-complete", "--n", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: --out {out}: not a directory") and "Traceback" not in err
+
+
+# the fewest arguments that reach each subcommand's float options
+_REQUIRED = {"gen": ["host-superregular", "--n", "4", "--out", "{tmp}/g"],
+             "pack": ["--instance", "{tmp}/x.json"], "diagnose": ["--instance", "{tmp}/x.json"],
+             "sample-matching": []}
+
+
+def _float_options():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(cmd, a.option_strings[-1]) for cmd, p in sub.choices.items()
+            for a in p._actions if isinstance(a.default, float)]
+
+
+def test_every_subcommand_with_floats_is_covered():
+    assert {cmd for cmd, _ in _float_options()} == set(_REQUIRED)
+
+
+@pytest.mark.parametrize("cmd,flag", _float_options())
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_options_are_usage_errors(cmd, flag, value, tmp_path, capsys):
+    argv = [cmd] + [a.format(tmp=tmp_path) for a in _REQUIRED[cmd]] + [f"{flag}={value}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: not a finite number: '{value}'" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["pack", "--instance", "{inst}", "--json-out", "{out}"],
+    ["pack", "--instance", "{inst}", "--emit-trace", "{out}"],
+    ["pack", "--instance", "{inst}", "--leftover-out", "{out}"],
+    ["sample-matching", "--n", "6", "--trials", "10", "--json-out", "{out}"],
+    ["diagnose", "--instance", "{inst}", "--csv-out", "{out}"],
+])
+@pytest.mark.parametrize("where,message", [
+    ("missing/out.txt", "directory {tmp}/missing does not exist"),
+    ("", "not a writable file path"),
+])
+def test_unwritable_output_path_is_a_usage_error_before_any_work(
+        argv, where, message, instance_dir, tmp_path, capsys):
+    out = str(tmp_path / where) if where else str(tmp_path)
+    argv = [a.format(inst=instance_dir / "instance.json", out=out) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage error: {argv[-2]} {out}: ")
+    assert message.format(tmp=tmp_path) in captured.err
+    assert "Traceback" not in captured.err
+    # refused before the run: no summary on stdout
+    assert captured.out == ""
 
 
 def test_console_entry_point():

@@ -359,6 +359,84 @@ def test_certify_class_failure_text_matches_the_reference(kind):
     assert exc.value.stage == (3, 1)
 
 
+def _filtered_rows_reference(state, i, xi2):
+    """The candidate filter as a loop over candidates, two popcounts per
+    candidate and neighbour, kept as the reference."""
+    m = state.m
+    host, patch = state.tracks
+    rows = list(host.rows[i])
+    for j in state.nbrs[i]:
+        partner = state.real_nbr[(i, j)]
+        gp, pp = host.pairs[(i, j)], patch.pairs[(i, j)]
+        arows, brows = host.rows[j], patch.rows[j]
+        gpx, ppx = host.px[j], patch.px[j]
+        dij, bij = float(host.dens[i][j]), float(patch.dens[i][j])
+        for a in range(m):
+            xj = partner[a]
+            if xj < 0:
+                continue
+            arow, brow = arows[xj], brows[xj]
+            pd, pb = dij * gpx[xj], bij * ppx[xj]
+            cd, cb = pd * m, pb * m
+            wd = window(xi2, pd, m) + _SLACK
+            wb = window(xi2, pb, m) + _SLACK
+            for v in iter_bits(rows[a]):
+                if abs((arow & gp[v]).bit_count() - cd) > wd or abs((brow & pp[v]).bit_count() - cb) > wb:
+                    rows[a] ^= 1 << v
+    return rows
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_filtered_rows_match_the_per_candidate_loop(data):
+    """Three classes of up to 80 (across the 64-bit boundary) with padding,
+    on a path or a triangle, so some class has two neighbours; partial
+    pattern matchings leave rows without a partner; both tracks carry
+    their own hosts, densities, cut candidacy rows and several-step
+    ladders."""
+    m = data.draw(st.integers(2, 80))
+    ny = [data.draw(st.integers(1, m)) for _ in range(3)]
+    ny[data.draw(st.integers(0, 2))] = m
+    R = ReducedGraph(3, data.draw(st.sampled_from([[(0, 1), (1, 2)], [(0, 1), (0, 2), (1, 2)]])))
+    rnd = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    U = [list(range(sum(ny[:i]), sum(ny[:i + 1]))) for i in range(3)]
+
+    def draw_host():
+        dens = {e: rnd.uniform(0.2, 1.0) for e in R.edges()}
+        return LabeledGraph(sum(ny), [(u, w) for (i, j), p in dens.items()
+                                      for u in U[i] for w in U[j] if rnd.random() < p])
+
+    def draw_dens():
+        mat = [[Fraction(0)] * 3 for _ in range(3)]
+        for i, j in R.edges():
+            mat[i][j] = mat[j][i] = Fraction(rnd.randint(2, 10), 10)
+        return mat
+
+    H = LabeledGraph(sum(ny))
+    for i, j in R.edges():
+        k = rnd.randint(0, min(ny[i], ny[j]))
+        for x, y in zip(rnd.sample(U[i], k), rnd.sample(U[j], k)):
+            H.add_edge(x, y)
+    A0 = []
+    for i in range(3):
+        B = BipartiteGraph(ny[i], ny[i], left_ids=U[i], right_ids=U[i])
+        B.adj = [rnd.getrandbits(ny[i]) for _ in range(ny[i])]
+        A0.append(B)
+    d0 = rnd.uniform(0.3, 1.0)
+    s = SlenderInput(
+        R_star=R, Y_classes=U, U_classes=U, G_host=draw_host(), P_host=draw_host(), H=H, A0=A0,
+        schedule=[[0], [1], [2]], d_mat=draw_dens(), beta_mat=draw_dens(), d0=d0, eps=0.05, C=m)
+    state = _State(s, rnd)
+    state.prepare()
+    ladder = [d0 * f for f in (1.0, 0.9, 0.81, 0.5)]
+    for tr in state.tracks:
+        tr.rows = [[row & rnd.getrandbits(m) for row in rows] for rows in tr.rows]
+        tr.px = [[rnd.choice(ladder) for _ in range(m)] for _ in range(3)]
+    xi2 = data.draw(st.floats(0.0, 0.3))
+    for i in range(3):
+        assert state._filtered_rows(i, xi2) == _filtered_rows_reference(state, i, xi2)
+
+
 def test_missing_matching_names_its_hall_set():
     state = _State(TestSlenderDegenerate()._complete_input(m=4), random.Random(0))
     Bi = BipartiteGraph(4, 4, [(0, 0), (1, 0), (2, 0), (3, 1), (3, 2)])
