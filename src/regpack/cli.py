@@ -213,6 +213,8 @@ def cmd_balance(args) -> int:
     from .coloring import try_equitable_coloring
     from .graphs import read_edge_list
 
+    if args.r < 1:
+        raise BadParams(f"--r must be at least 1, got {args.r}")
     rng = random.Random(args.seed)
     r = args.r
     R = ReducedGraph(r, [(i, j) for i in range(r) for j in range(i + 1, r)])
@@ -275,7 +277,8 @@ def cmd_diagnose(args) -> int:
     n = max(host.partition.sizes())
     probes = []
     probe_rng = random.Random(args.seed + 1)
-    for _ in range(args.probes):
+    # a probe needs a class pair
+    for _ in range(args.probes if host.reduced.r > 1 else 0):
         i, j = probe_rng.sample(range(host.reduced.r), 2)
         if not host.reduced.has_edge(i, j):
             continue

@@ -1,4 +1,4 @@
-"""Equitable colorings and the embedding-round schedule.
+"""Equitable colorings.
 
 A graph of maximum degree at most k always has an equitable
 (k+1)-coloring.  The constructive route here: greedy proper coloring
@@ -12,11 +12,10 @@ canonical order: by descending size, then lexicographically.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BadParams, DegreeTooHigh, RetriesExhausted
-from .graphs import LabeledGraph, ReducedGraph, blow_up, iter_bits, mask_of, square
+from .graphs import LabeledGraph, mask_of
 
 
 @dataclass
@@ -149,93 +148,3 @@ def try_equitable_coloring(G: LabeledGraph, classes: int, rng, restarts: int = 3
             return col
         rng.shuffle(order)
     return None
-
-
-def _first_fit(adj: list[int], vertices, colors: int) -> list[list[int]] | None:
-    """Each vertex in turn joins the first of ``colors`` classes that holds
-    none of its neighbours; None when some vertex fits in no class."""
-    classes: list[list[int]] = [[] for _ in range(colors)]
-    masks = [0] * colors
-    for v in vertices:
-        for c in range(colors):
-            if not (adj[v] & masks[c]):
-                classes[c].append(v)
-                masks[c] |= 1 << v
-                break
-        else:
-            return None
-    return classes
-
-
-def round_schedule(R: ReducedGraph, K: int, Delta_R: int) -> list[list[int]]:
-    """Partition of [K*r] into w = (K*Delta_R)^2 (Delta_R+1) round classes.
-
-    Every class is independent in the square of the K-fold blow-up, the
-    per-pair bipartite degree between classes is at most 1, and for
-    every edge ij of R the round windows of blocks i and j are disjoint
-    intervals.  Empty classes are retained so round indices stay aligned
-    with the bookkeeping.
-    """
-    if R.max_degree() > Delta_R:
-        raise DegreeTooHigh(f"Delta(R)={R.max_degree()} exceeds Delta_R={Delta_R}")
-    # independent sets W*_1..W*_{Delta_R+1} of R; the degree check above
-    # leaves every vertex a free color
-    w_star = _first_fit(R.adj, range(R.r), Delta_R + 1)
-    RK2 = square(blow_up(R, K))
-    per_block = (K * Delta_R) ** 2
-    schedule: list[list[int]] = []
-    for c in range(Delta_R + 1):
-        members = [v for i in w_star[c] for v in range(i * K, (i + 1) * K)]
-        # lexicographically-first greedy partition of (R_K)^2[W**] into
-        # per_block independent sets
-        sub = _first_fit(RK2.adj, members, per_block)
-        if sub is None:
-            raise BadParams("blow-up square needs more colors than reserved")
-        schedule.extend(sub)
-    return schedule
-
-
-def schedule_violations(adj: list[int], schedule: list[list[int]], n: int) -> list[str]:
-    """Violations of the schedule properties on the graph with rows ``adj``:
-    the rounds partition ``range(n)``, each round is independent, and no
-    vertex has two neighbours in one other round.  Each vertex's neighbours
-    are walked once, so the cost does not grow with the number of rounds."""
-    errs = []
-    if sorted(v for cls in schedule for v in cls) != list(range(n)):
-        errs.append("schedule is not a partition of the vertex set")
-    round_of = [-1] * n
-    for idx, cls in enumerate(schedule):
-        for v in cls:
-            if 0 <= v < n:
-                round_of[v] = idx
-    dependent: set[int] = set()
-    crowded: set[tuple[int, int]] = set()
-    for v, a in enumerate(round_of):
-        hits = Counter(round_of[u] for u in iter_bits(adj[v])) if a >= 0 else {}
-        if a in hits:
-            dependent.add(a)
-        crowded.update((a, b) for b, c in hits.items() if c > 1 and b not in (a, -1))
-    errs += [f"round {a} is not independent" for a in sorted(dependent)]
-    errs += [f"a vertex of round {a} has two neighbours in round {b}" for a, b in sorted(crowded)]
-    return errs
-
-
-def check_schedule(R: ReducedGraph, K: int, Delta_R: int, schedule: list[list[int]]) -> list[str]:
-    """Mechanical checks of the schedule properties; returns violations.  A
-    round is independent in the square of the blow-up iff it is independent
-    in the blow-up and no vertex has two neighbours in it."""
-    errs = schedule_violations(blow_up(R, K).adj, schedule, K * R.r)
-    if len(schedule) != (K * Delta_R) ** 2 * (Delta_R + 1):
-        errs.append(f"schedule has {len(schedule)} classes, expected {(K * Delta_R) ** 2 * (Delta_R + 1)}")
-    # window disjointness per R-edge
-    first = {}
-    last = {}
-    for idx, cls in enumerate(schedule):
-        for v in cls:
-            blk = v // K
-            first.setdefault(blk, idx)
-            last[blk] = idx
-    for i, j in R.edges():
-        if not (last.get(i, -1) < first.get(j, 1 << 30) or last.get(j, -1) < first.get(i, 1 << 30)):
-            errs.append(f"round windows of blocks {i},{j} overlap")
-    return errs

@@ -9,9 +9,8 @@ The re-embedding itself is the slender primitive run directly on the
 patch instance, in the packer's own ids: pattern classes Z_i, host
 classes W_i, the reserve as host and the pattern edges inside Z as
 pattern.  Pattern pairs H[Z_i, Z_j] have maximum degree one, so they
-are already matchings, and the schedule embeds one class per round
-(each singleton class set is trivially independent).  The blow-up
-refinement used for full-size patterns would re-split these
+are already matchings, and slender embeds them one class per round.  The
+blow-up refinement used for full-size patterns would re-split these
 already-matching classes for no benefit, so it is skipped here.
 """
 
@@ -88,7 +87,6 @@ def repatch(H: LabeledGraph, P_host: LabeledGraph, R: ReducedGraph, beta_mat,
         P_host=Q,
         H=HZ,
         A0=F_pairs,
-        schedule=[[i] for i in range(r)],
         d_mat=beta_mat,
         beta_mat=tau,
         d0=beta_prime,

@@ -2,11 +2,14 @@
 
 The pattern H sits on classes Y_1..Y_q, the host G on classes U_1..U_q
 of equal sizes, and every pattern pair H[Y_i, Y_j] on an edge of the
-class graph is a matching.  Classes are embedded one schedule round at
-a time by sampling a near-uniform perfect matching of the current
-candidacy graph A(i) on (Y_i, U_i); a vertex stays a candidate exactly
-while it is adjacent in the host to the images of all embedded pattern
-neighbours.
+class graph is a matching.  Round t = i + 1 embeds class i by sampling a
+near-uniform perfect matching of the current candidacy graph A(i) on
+(Y_i, U_i); a vertex stays a candidate exactly while it is adjacent in
+the host to the images of all embedded pattern neighbours.  The paper
+groups classes into rounds independent in the square of the class graph
+so that the number of tolerance steps does not grow with q; here the
+round tolerances are clamped at ``ParamSet.xi_max`` from round 1 on, so
+one class per round in index order runs at the same tolerances.
 
 Two candidacy tracks run side by side, one ``_Track`` each: the host
 track (A against G, with the densities d) and the patching track (B
@@ -38,7 +41,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coloring import schedule_violations
 from .errors import BadParams, FailureType1, FailureType2
 from .graphs import (
     BipartiteGraph,
@@ -68,7 +70,6 @@ class SlenderInput:
     P_host: LabeledGraph
     H: LabeledGraph
     A0: list[BipartiteGraph]
-    schedule: list[list[int]]
     d_mat: list[list[Fraction]]
     beta_mat: list[list[Fraction]]
     d0: float
@@ -94,10 +95,6 @@ def validate_input(s: SlenderInput) -> list[str]:
     if len(s.U_classes) != q or s.R_star.r != q:
         v.append("class counts of Y, U and the class graph disagree")
         return v
-    # (V1) the schedule partitions the class indices; (V2) every round is
-    # independent in the class graph and meets each neighbourhood at most once
-    for e in schedule_violations(s.R_star.adj, s.schedule, q):
-        v.append(("(V1) " if "partition" in e else "(V2) ") + e)
     # (V4)/(V6) sizes
     m = max((len(c) for c in s.U_classes), default=0)
     for i in range(q):
@@ -264,21 +261,16 @@ class _State:
     # -- rounds ------------------------------------------------------------
 
     def run_rounds(self) -> None:
-        s = self.s
-        for t, cls in enumerate(s.schedule, start=1):
-            xi_prev = xi(s.eps, t - 1)
-            xi_now = xi(s.eps, t)
-            for i in cls:
-                if self.m == 0:
-                    continue
-                self._build_and_embed(i, t, xi_prev)
-            touched = set()
-            for i in cls:
-                for j in self.nbrs[i]:
-                    self._apply_constraints(i, j)
-                    touched.add(j)
-            for j in sorted(touched):
-                self._certify_class(j, t, xi_now)
+        """Round t = i + 1 embeds class i, constrains its class-graph
+        neighbours by its images and certifies them in ascending order."""
+        eps = self.s.eps
+        for i in range(self.q):
+            t = i + 1
+            if self.m:
+                self._build_and_embed(i, t, xi(eps, t - 1))
+            for j in self.nbrs[i]:
+                self._apply_constraints(i, j)
+                self._certify_class(j, t, xi(eps, t))
 
     def _build_and_embed(self, i: int, t: int, xi_prev: float) -> None:
         """Filter class i's candidates (one matrix product per neighbour and
@@ -338,7 +330,7 @@ class _State:
 
     def _apply_constraints(self, i: int, j: int) -> None:
         """Constrain class j's rows by the images of class i on both tracks,
-        and step both density ladders (one neighbour per round by (V2))."""
+        and step both density ladders by the density of the pair (i, j)."""
         partner = self.real_nbr[(i, j)]
         fi = self.f[i]
         for tr in self.tracks:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coloring import hs_equitable_coloring, round_schedule
+from .coloring import hs_equitable_coloring
 from .errors import (
     EmbedFailure,
     FailureType1,
@@ -214,12 +214,10 @@ def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
     if not ok:
         raise NotNearEquiregular("; ".join(violations[:4]))
     slices, K = square_slices(H)
-    Delta_R = max(1, H.reduced.max_degree())
     last: Exception | None = None
     for attempt in range(1, retries + 1):
         try:
             Y_classes = refine_pattern(H, slices, K, rng)
-            schedule = round_schedule(H.reduced, K, Delta_R)
             U_classes, A0_star = refine_host(G, P_host, A0, Y_classes, beta_mat, d0, eps, rng)
             s = SlenderInput(
                 R_star=blow_up(H.reduced, K),
@@ -229,7 +227,6 @@ def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
                 P_host=P_host,
                 H=H.graph,
                 A0=A0_star,
-                schedule=schedule,
                 d_mat=expand_matrix(G.densities, r, K),
                 beta_mat=expand_matrix(beta_mat, r, K),
                 d0=d0,

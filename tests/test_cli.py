@@ -190,6 +190,14 @@ def test_pack_with_patching_at_delta_zero_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_diagnose_on_one_class_draws_no_probes(tmp_path, capsys):
+    # a probe needs two classes, so a one-class host is diagnosed without probes
+    assert main(["gen", "host-superregular", "--n", "20", "--r", "1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["diagnose", "--instance", str(tmp_path / "instance.json")]) == 0
+    assert json.loads(capsys.readouterr().out) == {"runs": 30}
+
+
 class TestMalformedInput:
     """Unreadable or malformed files exit 2 with a message naming the path."""
 
@@ -295,6 +303,14 @@ class TestMalformedInput:
         path = tmp_path / "g.txt"
         path.write_text("2 1\n0 x\n")
         self._usage_error(capsys, ["balance", str(path)], f"{path}: malformed edge list")
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_balance_refuses_fewer_than_one_class(self, tmp_path, capsys, value):
+        # refused before the colouring, which cannot take zero classes
+        path = tmp_path / "g.txt"
+        path.write_text("0 0\n")
+        self._usage_error(capsys, ["balance", "--r", value, str(path)],
+                          f"--r must be at least 1, got {value}")
 
     def test_gen_cycle_factor_bad_lengths(self, tmp_path, capsys):
         self._usage_error(capsys, ["gen", "cycle-factor", "--n", "6", "--lengths", "3,x",

@@ -136,7 +136,6 @@ def test_every_function_is_referenced():
 # that does run.
 TEST_ONLY = {
     "check_arithm_split": "acceptance criterion 5 checks the arithmetic split with it",
-    "check_schedule": "the checker for `round_schedule`",
     "apply_switch": "the switch move that the chain kernels inline",
     "oracle_pack_small": "the exhaustive oracle of acceptance criterion 7",
     "pack_bipartite": "the bipartite driver the README documents",

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from helpers import path3_instance, two_class_instance
 from regpack.errors import FailureType1, FailureType2, NotSuperRegular
-from regpack.coloring import round_schedule
 from regpack.generators import bipartite_union_templates
 from regpack.graphs import (
     BipartiteGraph,
@@ -60,7 +59,6 @@ def refined_two_class_input(seed):
     s = SlenderInput(
         R_star=blow_up(templates[0].reduced, K), Y_classes=Y, U_classes=U,
         G_host=host.graph, P_host=P.graph, H=templates[0].graph, A0=A0s,
-        schedule=round_schedule(templates[0].reduced, K, params.Delta_R),
         d_mat=expand_matrix(host.densities, 2, K), beta_mat=expand_matrix(bmat, 2, K), d0=1.0,
         eps=params.eps ** (1 / 3), C=params.C)
     return s, rng
@@ -84,7 +82,7 @@ class TestSlenderDegenerate:
         zero = Fraction(0)
         return SlenderInput(
             R_star=R, Y_classes=Y, U_classes=U, G_host=G, P_host=G, H=H,
-            A0=A0, schedule=[[0], [1]], d_mat=[[zero, one], [one, zero]],
+            A0=A0, d_mat=[[zero, one], [one, zero]],
             beta_mat=[[zero, one], [one, zero]], d0=1.0, eps=0.05, C=0)
 
     def test_empty_pattern_complete_host(self):
@@ -204,14 +202,8 @@ class TestValidation:
         assert validate_input(s_obj) == [
             "(V6) pattern edges between non-adjacent classes 0,1"]
 
-    def test_dependent_schedule_class_flagged(self):
-        s_obj = TestSlenderDegenerate()._complete_input(m=4)
-        s_obj.schedule = [[0, 1], []]
-        violations = validate_input(s_obj)
-        assert any("(V2)" in v for v in violations)
 
-
-def _three_class_input(R, schedule, Y=None, H=None):
+def _three_class_input(R, Y=None, H=None):
     """Three classes of two on a class graph R; complete host and candidacy."""
     from regpack.graphs import BipartiteGraph
     Y = Y if Y is not None else [[0, 1], [2, 3], [4, 5]]
@@ -223,28 +215,33 @@ def _three_class_input(R, schedule, Y=None, H=None):
                          left_ids=U[i], right_ids=U[i]) for i in range(3)]
     ones = [[Fraction(1)] * 3 for _ in range(3)]
     return SlenderInput(
-        R_star=R, Y_classes=Y, U_classes=U, G_host=G, P_host=G, H=H, A0=A0, schedule=schedule, d_mat=ones, beta_mat=ones, d0=1.0,
+        R_star=R, Y_classes=Y, U_classes=U, G_host=G, P_host=G, H=H, A0=A0, d_mat=ones, beta_mat=ones, d0=1.0,
         eps=0.05, C=0)
 
 
-class TestScheduleValidation:
-    @pytest.mark.parametrize("schedule", [[[0, 1], [2]], [[2], [0, 1]]])
-    def test_two_neighbours_in_one_round_flagged_in_either_order(self, schedule):
-        # class 2 has both of its class-graph neighbours in the round {0, 1},
-        # whichever of the two rounds comes first
-        s = _three_class_input(ReducedGraph(3, [(0, 2), (1, 2)]), schedule)
-        violations = validate_input(s)
-        assert violations == [f"(V2) a vertex of round {schedule.index([2])} has two "
-                              f"neighbours in round {schedule.index([0, 1])}"]
+@pytest.mark.parametrize("edges", [[(0, 1), (1, 2)], [(0, 1), (0, 2), (1, 2)], [(0, 2)]],
+                         ids=["path", "triangle", "isolated-class"])
+def test_rounds_embed_each_class_in_index_order(monkeypatch, edges):
+    """Round t = i + 1 embeds class i once and then certifies its class-graph
+    neighbours in ascending order: on a path, a triangle, and a class graph
+    with an isolated class."""
+    log = []
+    embed, certify = _State._build_and_embed, _State._certify_class
 
-    def test_valid_three_round_schedule_passes(self):
-        s = _three_class_input(ReducedGraph(3, [(0, 2), (1, 2)]), [[0], [2], [1]])
-        assert validate_input(s) == []
+    def logged_embed(self, i, t, xi_prev):
+        log.append(("embed", i, t))
+        return embed(self, i, t, xi_prev)
 
-    def test_broken_partition_is_v1(self):
-        s = _three_class_input(ReducedGraph(3, [(0, 2), (1, 2)]), [[0], [2], []])
-        violations = validate_input(s)
-        assert violations == ["(V1) schedule is not a partition of the vertex set"]
+    def logged_certify(self, j, t, xi_now):
+        log.append(("certify", j, t))
+        return certify(self, j, t, xi_now)
+
+    monkeypatch.setattr(_State, "_build_and_embed", logged_embed)
+    monkeypatch.setattr(_State, "_certify_class", logged_certify)
+    R = ReducedGraph(3, edges)
+    run_slender(_three_class_input(R), random.Random(0))
+    assert log == [entry for i in range(3)
+                   for entry in [("embed", i, i + 1)] + [("certify", j, i + 1) for j in sorted(R.neighbors(i))]]
 
 
 def _v6_reference(s):
@@ -278,7 +275,7 @@ def test_v6_pair_check_matches_the_class_pair_loop(data):
     pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
     H = LabeledGraph(n, data.draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else ())
     R = ReducedGraph(3, data.draw(st.lists(st.sampled_from([(0, 1), (0, 2), (1, 2)]), max_size=3)))
-    s = _three_class_input(R, [[0], [1], [2]], Y=Y, H=H)
+    s = _three_class_input(R, Y=Y, H=H)
     got = [e for e in validate_input(s)
            if e.startswith("(V6)") and "|Y_" not in e]
     assert got == _v6_reference(s)
@@ -312,7 +309,7 @@ def test_prepare_pairings_match_the_neighbour_loop(data):
     pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
     H = LabeledGraph(n, data.draw(st.lists(st.sampled_from(pairs), max_size=20)))
     R = ReducedGraph(3, data.draw(st.lists(st.sampled_from([(0, 1), (0, 2), (1, 2)]), max_size=3)))
-    s = _three_class_input(R, [[0], [1], [2]], Y=Y, H=H)
+    s = _three_class_input(R, Y=Y, H=H)
     state = _State(s, random.Random(0))
     state.prepare()
     assert state.real_nbr == _pairings_reference(s, state.m, state.nbrs)
@@ -425,7 +422,7 @@ def test_filtered_rows_match_the_per_candidate_loop(data):
     d0 = rnd.uniform(0.3, 1.0)
     s = SlenderInput(
         R_star=R, Y_classes=U, U_classes=U, G_host=draw_host(), P_host=draw_host(), H=H, A0=A0,
-        schedule=[[0], [1], [2]], d_mat=draw_dens(), beta_mat=draw_dens(), d0=d0, eps=0.05, C=m)
+        d_mat=draw_dens(), beta_mat=draw_dens(), d0=d0, eps=0.05, C=m)
     state = _State(s, rnd)
     state.prepare()
     ladder = [d0 * f for f in (1.0, 0.9, 0.81, 0.5)]
