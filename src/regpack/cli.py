@@ -221,6 +221,9 @@ def cmd_balance(args) -> int:
     graphs = []
     for path in args.graphs:
         G = read_edge_list(path)
+        # an empty class cannot be regularised against another one
+        if r > max(G.n, 1):
+            raise BadParams(f"--r {r} exceeds the {G.n} vertices of {path}")
         col = try_equitable_coloring(G, r, rng)
         if col is None:
             raise BadParams(f"{path} admits no equitable {r}-coloring; raise --r")

@@ -120,6 +120,8 @@ def validate_instance(inst: PackInstance) -> list[str]:
             v.append(f"(S3) template {i} partition sizes differ from the host")
             break
     for i, km in enumerate(inst.k_mats):
+        if min(map(min, km), default=0) < 0:
+            v.append(f"(S2) k-matrix {i} has a negative entry")
         for a in range(r):
             for b in range(r):
                 if km[a][b] != km[b][a]:

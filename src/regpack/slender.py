@@ -7,17 +7,17 @@ near-uniform perfect matching of the current candidacy graph A(i) on
 (Y_i, U_i); a vertex stays a candidate exactly while it is adjacent in
 the host to the images of all embedded pattern neighbours.  The paper
 groups classes into rounds independent in the square of the class graph
-so that the number of tolerance steps does not grow with q; here the
-round tolerances are clamped at ``ParamSet.xi_max`` from round 1 on, so
-one class per round in index order runs at the same tolerances.
+so that the number of tolerance steps does not grow with q; here every
+round after the first runs at the clamp ``XI``, so one class per round in
+index order runs at the same tolerances.  From ``uniform`` the instance
+tolerance eps is min(eps_host^(1/3), 0.5); ``patching`` passes delta.
 
 Two candidacy tracks run side by side, one ``_Track`` each: the host
 track (A against G, with the densities d) and the patching track (B
 against the reserve P, with the densities beta).  Both take the same
 constraint and density-ladder update after every round and the same
-degree-window certificate; the host track also supplies the matchings
-and the codegree check, and the patching track is returned as the
-candidacy bigraph F.
+degree-window certificate; the host track also supplies the matchings,
+and the patching track is returned as the candidacy bigraph F.
 
 Candidacy policy.  Only real pattern edges constrain candidacy.  The
 asymptotic analysis also charges the edges that complete each pair to a
@@ -53,15 +53,25 @@ from .graphs import (
     popcount,
 )
 from .matching import default_steps, find_perfect_matching, hall_witness, sample_switch_chain
-from .params import xi
-from .regularity import _SLACK, codegree, pipeline_certificate, window
+from .regularity import _SLACK, pipeline_certificate, window
+
+# clamp of the paper's tolerances g^t(2*eps): g(2*eps) >= 0.25 once 2*eps >= 0.25**300
+XI = 0.25
+
+
+def round_xi(eps: float, t: int) -> float:
+    """Round t + 1's candidate-filter tolerance: the paper's xi_t =
+    g^t(2*eps), g(a) = a^(1/300), clamped at ``XI`` (exactly so for every
+    eps >= 1.3e-181).  Class certificates read ``XI``."""
+    return XI if t else min(2 * eps, XI)
 
 
 @dataclass
 class SlenderInput:
     """One slender instance.  ``eps`` is the tolerance of the preparation
-    certificates and the seed of the round tolerances ``params.xi``, and
-    ``C`` bounds how far a class may fall short of the largest (V4)."""
+    certificates and of round 1's candidate filter (``round_xi``); later
+    rounds run at ``XI``.  ``C`` bounds how far a class may fall short of
+    the largest (V4)."""
 
     R_star: ReducedGraph
     Y_classes: list[list[int]]
@@ -263,14 +273,13 @@ class _State:
     def run_rounds(self) -> None:
         """Round t = i + 1 embeds class i, constrains its class-graph
         neighbours by its images and certifies them in ascending order."""
-        eps = self.s.eps
         for i in range(self.q):
             t = i + 1
             if self.m:
-                self._build_and_embed(i, t, xi(eps, t - 1))
+                self._build_and_embed(i, t, round_xi(self.s.eps, i))
             for j in self.nbrs[i]:
                 self._apply_constraints(i, j)
-                self._certify_class(j, t, xi(eps, t))
+                self._certify_class(j, t)
 
     def _build_and_embed(self, i: int, t: int, xi_prev: float) -> None:
         """Filter class i's candidates (one matrix product per neighbour and
@@ -344,9 +353,9 @@ class _State:
                 px[b] *= dij
             tr.p[j] *= Fraction(tr.dens[i][j])
 
-    def _certify_class(self, j: int, t: int, xi: float) -> None:
-        """Per-vertex degree windows on both tracks plus the codegree
-        criterion on the real part of the host track."""
+    def _certify_class(self, j: int, t: int) -> None:
+        """Per-vertex degree windows at ``XI`` on both tracks.  The codegree
+        criterion does not apply there, 1 - 5 * XI being negative."""
         m = self.m
         if m == 0:
             return
@@ -355,8 +364,8 @@ class _State:
             mean = sum(px) / m
             cols = bit_matrix(rows, m).sum(axis=0).tolist()
             # the ladder holds a handful of distinct values per class
-            widths = {p: window(xi, p, m) for p in set(px)}
-            widths[mean] = window(xi, mean, m)
+            widths = {p: window(XI, p, m) for p in set(px)}
+            widths[mean] = window(XI, mean, m)
             for kind, degs, ps in (("row", map(popcount, rows), px), ("column", cols, [mean] * m)):
                 for a, (deg, p) in enumerate(zip(degs, ps)):
                     width = widths[p]
@@ -364,9 +373,6 @@ class _State:
                         raise FailureType2(
                             f"{tr.name} candidacy {kind} {a} of class {j} has degree {deg}, "
                             f"expected {p * m:.2f} +- {width:.2f}", stage=(t, j))
-        ny = self.ny[j]
-        if 1 - 5 * xi > 0 and not codegree(bit_matrix(self.tracks[0].rows[j][:ny], ny), xi)[1]:
-            raise FailureType2(f"codegree criterion failed for class {j}", stage=(t, j))
 
 
 def run_slender(s: SlenderInput, rng) -> SlenderOutput:

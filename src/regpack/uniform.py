@@ -9,7 +9,8 @@ Step 2 refines the host classes at the refined pattern-class sizes,
 routing the few vertices whose initial candidacy degrees stray outside
 the (d0 +- 2 eps) window into classes where they keep enough candidates,
 and trims the candidacy graph to the window.  Step 3 runs the slender
-algorithm at the sharpened tolerance eps^(1/3).
+algorithm at the sharpened tolerance min(eps^(1/3), 0.5), its rounds after
+the first at the clamp ``slender.XI``.
 """
 
 from __future__ import annotations
@@ -207,8 +208,9 @@ def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
                       H: PartitionedGraph, kmat, A0: list[BipartiteGraph | None],
                       d0: float, eps: float, C: int, retries: int, rng) -> UniformEmbedResult:
     """Steps 1-3, the whole run tried at most ``retries`` times; returns the
-    embedding bundle.  ``eps`` is the host-refinement tolerance, whose cube
-    root the slender rounds run at, and ``C`` the near-equiregularity slack."""
+    embedding bundle.  ``eps`` is the host-refinement tolerance; slender
+    runs at min(eps^(1/3), 0.5), its rounds after the first at the clamp
+    ``slender.XI``.  ``C`` is the near-equiregularity slack."""
     r = G.reduced.r
     ok, violations = check_near_equiregular(H, kmat, C)
     if not ok:

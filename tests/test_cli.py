@@ -312,6 +312,15 @@ class TestMalformedInput:
         self._usage_error(capsys, ["balance", "--r", value, str(path)],
                           f"--r must be at least 1, got {value}")
 
+    @pytest.mark.parametrize("text,r", [("0 0\n", 3), ("3 2\n0 1\n1 2\n", 5)],
+                             ids=["empty", "three-vertex"])
+    def test_balance_refuses_more_classes_than_vertices(self, tmp_path, capsys, text, r):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        n = text.split()[0]
+        self._usage_error(capsys, ["balance", "--r", str(r), str(path)],
+                          f"--r {r} exceeds the {n} vertices of {path}")
+
     def test_gen_cycle_factor_bad_lengths(self, tmp_path, capsys):
         self._usage_error(capsys, ["gen", "cycle-factor", "--n", "6", "--lengths", "3,x",
                                    "--out", str(tmp_path / "g")],
@@ -354,6 +363,13 @@ class TestMalformedInput:
     def test_pack_refuses_bad_counts(self, instance_dir, capsys, cmd, flag, value, message):
         self._usage_error(capsys, [cmd, "--instance", str(instance_dir / "instance.json"), flag, value],
                           message)
+
+    @pytest.mark.parametrize("flag,value", [("--alpha", "-1"), ("--alpha", "1"),
+                                            ("--delta", "-0.5"), ("--delta", "1.5")])
+    def test_pack_refuses_alpha_and_delta_outside_the_unit_interval(self, instance_dir, capsys,
+                                                                    flag, value):
+        self._usage_error(capsys, ["pack", "--instance", str(instance_dir / "instance.json"), flag, value],
+                          f"{flag[2:]} must lie in [0, 1), got {float(value)}")
 
     @pytest.mark.parametrize("payload", [{}, [], {"embeddings": 3}, {"embeddings": [1, 2]}])
     def test_verify_result_without_image_lists(self, instance_dir, tmp_path, capsys, payload):

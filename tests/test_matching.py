@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from regpack.errors import NoMatching, SideMismatch, SwitchIneligible, TooLarge
 from regpack.generators import certified_bipartite_host
@@ -230,8 +229,27 @@ class TestExactSampler:
             counts[key] = counts.get(key, 0) + 1
         observed = [counts.get(key, 0) for key in
                     (tuple(p) for p in itertools.permutations(range(4)))]
-        chi2, p = stats.chisquare(observed)
-        assert p > 0.01
+        expected = N / len(observed)
+        chi2 = sum((o - expected) ** 2 / expected for o in observed)
+        assert chi2_sf(chi2, len(observed) - 1) > 0.01
+
+
+def chi2_sf(x, df):
+    """P(X > x) for X chi-square with df degrees of freedom: the upper
+    regularised gamma Q(df/2, x/2), stepped up by Q(a + 1, y) = Q(a, y) +
+    y^a e^-y / Gamma(a + 1) from Q(1/2, y) = erfc(sqrt y) or Q(1, y) = e^-y."""
+    y = x / 2
+    a, q = (0.5, math.erfc(math.sqrt(y))) if df % 2 else (1.0, math.exp(-y))
+    while a < df / 2:
+        q += y ** a * math.exp(-y) / math.gamma(a + 1)
+        a += 1
+    return q
+
+
+@pytest.mark.parametrize("x,df,p", [(0.0, 23, 1.0), (2.0, 2, math.exp(-1)), (1.0, 1, math.erfc(math.sqrt(0.5))),
+                                    (41.638398, 23, 0.01), (22.0, 23, 0.5202518)])
+def test_chi2_sf_matches_known_values(x, df, p):
+    assert chi2_sf(x, df) == pytest.approx(p, rel=1e-4)
 
 
 class TestSwitch:

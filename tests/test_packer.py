@@ -75,6 +75,13 @@ class TestValidation:
         errs = validate_instance(inst)
         assert errs == [f"(S8) collision constraint {lam} names a vertex outside its template"]
 
+    def test_negative_k_matrix_entry_rejected(self):
+        inst, rng = simple_instance(n=48, s=3)
+        inst.k_mats[1] = [[0, -1], [-1, 0]]
+        assert validate_instance(inst) == ["(S2) k-matrix 1 has a negative entry"]
+        with pytest.raises(BadParams, match="negative entry"):
+            run_main_packing(inst, rng)
+
     @pytest.mark.parametrize("gamma_n", [0, -3])
     def test_batch_size_below_one_rejected(self, gamma_n):
         inst, rng = simple_instance(n=48, s=3, gamma_n=gamma_n)

@@ -23,7 +23,7 @@ from regpack.graphs import (
 )
 from regpack.params import ParamSet
 from regpack.regularity import _SLACK, window
-from regpack.slender import SlenderInput, _assert_output, _State, run_slender, validate_input
+from regpack.slender import XI, SlenderInput, _assert_output, _State, run_slender, validate_input
 from regpack.uniform import (
     b_diagnostics,
     expand_matrix,
@@ -232,9 +232,9 @@ def test_rounds_embed_each_class_in_index_order(monkeypatch, edges):
         log.append(("embed", i, t))
         return embed(self, i, t, xi_prev)
 
-    def logged_certify(self, j, t, xi_now):
+    def logged_certify(self, j, t):
         log.append(("certify", j, t))
-        return certify(self, j, t, xi_now)
+        return certify(self, j, t)
 
     monkeypatch.setattr(_State, "_build_and_embed", logged_embed)
     monkeypatch.setattr(_State, "_certify_class", logged_certify)
@@ -336,7 +336,7 @@ def _certify_windows_reference(state, j, xi):
 def test_certify_class_failure_text_matches_the_reference(kind):
     """Forty rows on a two-step ladder, each a cyclic run of its expected
     degree; then one patching row is emptied, or one host column."""
-    m, xi = 40, 0.05
+    m, xi = 40, XI
     state = _State(TestSlenderDegenerate()._complete_input(m=m), random.Random(0))
     px = [0.9] * 20 + [0.81] * 20
     for tr in state.tracks:
@@ -351,7 +351,7 @@ def test_certify_class_failure_text_matches_the_reference(kind):
     want = _certify_windows_reference(state, 1, xi)
     assert want is not None and f" {kind} " in want
     with pytest.raises(FailureType2) as exc:
-        state._certify_class(1, 3, xi)
+        state._certify_class(1, 3)
     assert str(exc.value) == want
     assert exc.value.stage == (3, 1)
 
