@@ -274,9 +274,10 @@ def stack_family(families: list[PartitionedGraph], R: ReducedGraph, kmat, C: int
                  resamples: int = 50):
     """Pack the family into one near-equiregular template.
 
-    Returns (H, taus, J): H contains the union of the embedded copies
-    plus the regularization edges, taus are the per-graph embeddings,
-    and J = H minus the union.  The exact decomposition identity
+    Returns (H, taus, J, kmat_eff): H contains the union of the embedded
+    copies plus the regularization edges, taus are the per-graph
+    embeddings, J = H minus the union, and kmat_eff is the per-pair degree
+    matrix H reached.  The exact decomposition identity
     E(H) = disjoint-union of tau_ell(E(L_ell)) and E(J) is asserted.
 
     The class-size arithmetic follows the degree-sorted block scheme:

@@ -349,8 +349,9 @@ def sample_switch_chain_many(B: BipartiteGraph, samples: int, steps: int, rng) -
         raise NoMatching("host has no perfect matching")
     # Bool matrix until ROADMAP 2(a), which waits on item 1: the benchmark keeps
     # every draw, so a faster chain runs more passes and lifts sampler-oracle's
-    # peak_rss_mb past its 0.1 bound: on `_chain_rows` it read 528 -> 2671
-    # verified/s but 43.97 -> 48.61 MB (+10.6 %).  Move it with the benchmark fix.
+    # peak_rss_mb past its 0.1 bound: on `_chain_rows` (same digest) it read
+    # about 430 -> 3100 verified/s but 44.5 -> 55.1 MB (+24 %), 21 retained
+    # passes in place of 4 (seeds 61-63).  Move it with the benchmark fix.
     adj = _adj_bool(B)
     gen = np.random.Generator(np.random.PCG64(rng.getrandbits(63)))
     base = np.array(start.sigma, dtype=np.int64)

@@ -120,16 +120,19 @@ def validate_instance(inst: PackInstance) -> list[str]:
             v.append(f"(S3) template {i} partition sizes differ from the host")
             break
     for i, km in enumerate(inst.k_mats):
+        # each distinct violation once per matrix, in first-seen order
+        seen: dict[str, None] = {}
         if min(map(min, km), default=0) < 0:
-            v.append(f"(S2) k-matrix {i} has a negative entry")
+            seen["has a negative entry"] = None
         for a in range(r):
             for b in range(r):
                 if km[a][b] != km[b][a]:
-                    v.append(f"(S2) k-matrix {i} not symmetric")
+                    seen["not symmetric"] = None
                 if km[a][b] > params.k:
-                    v.append(f"(S2) k-matrix {i} exceeds k={params.k}")
+                    seen[f"exceeds k={params.k}"] = None
                 if km[a][b] and not host.reduced.has_edge(a, b):
-                    v.append(f"(S2) k-matrix {i} nonzero off the reduced graph")
+                    seen["nonzero off the reduced graph"] = None
+        v.extend(f"(S2) k-matrix {i} {msg}" for msg in seen)
     for a, b in host.reduced.edges():
         total = sum(km[a][b] for km in inst.k_mats)
         budget = (1 - params.alpha) * float(host.densities[a][b]) * n
@@ -266,6 +269,12 @@ class _Run:
                           / dmin if host.reduced.has_edge(i, j) else Fraction(0) for j in range(r)]
                          for i in range(r)]
 
+        # the ladder draws nothing, so an oversubscribed instance is refused
+        # before round 0 touches the random stream
+        self.ladder = _density_trace(inst, T, self.k_mats, self.beta_mat)
+        if any(level[i][j] <= 0 for level in self.ladder for i, j in host.reduced.edges()):
+            raise BadParams("density ladder hits zero: instance oversubscribed for this gamma")
+
         # Round 0: carve the patching reserve out of every host pair
         self.P_host = LabeledGraph(host.graph.n)
         self.G1 = LabeledGraph(host.graph.n)
@@ -274,9 +283,6 @@ class _Run:
                                  float(self.beta_mat[i][j]), rng, eps=params.eps)
             for graph, part in zip((self.P_host, self.G1), parts):
                 graph.add_pair(part.adj, host.partition.classes[i], host.partition.classes[j])
-        self.ladder = _density_trace(inst, T, self.k_mats, self.beta_mat)
-        if any(level[i][j] <= 0 for level in self.ladder for i, j in host.reduced.edges()):
-            raise BadParams("density ladder hits zero: instance oversubscribed for this gamma")
 
         self.embeddings: list[dict[int, int] | None] = [None] * len(self.templates)
         self.lam_by_tpl: dict[int, list[tuple[int, int, int]]] = {}

@@ -91,7 +91,6 @@ def repatch(H: LabeledGraph, P_host: LabeledGraph, R: ReducedGraph, beta_mat,
         beta_mat=tau,
         d0=beta_prime,
         eps=delta,
-        C=0,
     )
     last = None
     for _ in range(retries):

@@ -233,7 +233,6 @@ def run_uniform_embed(G: PartitionedGraph, P_host: LabeledGraph, beta_mat,
                 beta_mat=expand_matrix(beta_mat, r, K),
                 d0=d0,
                 eps=min(eps ** (1 / 3), 0.5),
-                C=C,
             )
             out = run_slender(s, rng)
             res = UniformEmbedResult(phi=out.phi, Y_classes=Y_classes, U_classes=U_classes,

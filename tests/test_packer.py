@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -81,6 +82,28 @@ class TestValidation:
         assert validate_instance(inst) == ["(S2) k-matrix 1 has a negative entry"]
         with pytest.raises(BadParams, match="negative entry"):
             run_main_packing(inst, rng)
+
+    @pytest.mark.parametrize("km,want", [
+        ([[0, 1], [2, 0]], ["not symmetric"]),
+        ([[0, 3], [3, 0]], ["exceeds k=2"]),
+        ([[1, 3], [2, 0]], ["nonzero off the reduced graph", "not symmetric", "exceeds k=2"]),
+    ], ids=["asymmetric", "above-k", "three-kinds"])
+    def test_k_matrix_violations_reported_once_each(self, km, want):
+        # an entry and its mirror break one rule once, in first-seen order
+        inst, rng = simple_instance(n=48, s=3)
+        inst.k_mats[0] = km
+        assert validate_instance(inst) == [f"(S2) k-matrix 0 {msg}" for msg in want]
+
+    def test_oversubscribed_ladder_refused_before_any_draw(self):
+        # (S4) passes at alpha = 0.05, but one template per round drives the
+        # density ladder of the 48-vertex classes below zero
+        inst, rng = simple_instance(n=48, s=39, gamma_n=1)
+        inst.params = dataclasses.replace(inst.params, alpha=0.05)
+        assert validate_instance(inst) == []
+        before = rng.getstate()
+        with pytest.raises(BadParams, match="density ladder hits zero"):
+            run_main_packing(inst, rng)
+        assert rng.getstate() == before
 
     @pytest.mark.parametrize("gamma_n", [0, -3])
     def test_batch_size_below_one_rejected(self, gamma_n):

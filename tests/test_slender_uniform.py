@@ -48,19 +48,40 @@ def embed_two_class(n=60, d="9/10", k=1, seed=0, **param_kw):
     return host, P, templates[0], res
 
 
+def ragged_two_class_instance():
+    """Two classes of 63 with certified initial candidacy at d0 = 0.7; they
+    refine into classes of 32 and 31."""
+    from regpack.generators import certified_bipartite_host
+    n = 63
+    host, P, bmat, templates, kmat, rng = two_class_instance(n=n, seed=9)
+    A0 = []
+    for i in range(2):
+        B = certified_bipartite_host(n, 0.7, 0.05, rng)
+        B.left_ids = list(templates[0].partition.classes[i])
+        B.right_ids = list(host.partition.classes[i])
+        A0.append(B)
+    return host, P, bmat, templates, kmat, A0, rng
+
+
 def refined_two_class_input(seed):
+    """The slender input ``run_uniform_embed`` builds on two seeded classes
+    of 60 with full candidacy, and the rng after it."""
+    host, P, bmat, templates, kmat, rng = two_class_instance(seed=seed)
+    return refined_input(host, P, bmat, templates, [None, None], 1.0, rng)
+
+
+def refined_input(host, P, bmat, templates, A0, d0, rng):
     """The slender input ``run_uniform_embed`` builds on a two-class instance
     (refined classes, expanded densities, eps^(1/3)), and the rng after it."""
-    host, P, bmat, templates, kmat, rng = two_class_instance(seed=seed)
     params = make_params()
     slices, K = square_slices(templates[0])
     Y = refine_pattern(templates[0], slices, K, rng)
-    U, A0s = refine_host(host, P.graph, [None, None], Y, bmat, 1.0, params.eps, rng)
+    U, A0s = refine_host(host, P.graph, A0, Y, bmat, d0, params.eps, rng)
     s = SlenderInput(
         R_star=blow_up(templates[0].reduced, K), Y_classes=Y, U_classes=U,
         G_host=host.graph, P_host=P.graph, H=templates[0].graph, A0=A0s,
-        d_mat=expand_matrix(host.densities, 2, K), beta_mat=expand_matrix(bmat, 2, K), d0=1.0,
-        eps=params.eps ** (1 / 3), C=params.C)
+        d_mat=expand_matrix(host.densities, 2, K), beta_mat=expand_matrix(bmat, 2, K), d0=d0,
+        eps=params.eps ** (1 / 3))
     return s, rng
 
 
@@ -83,7 +104,7 @@ class TestSlenderDegenerate:
         return SlenderInput(
             R_star=R, Y_classes=Y, U_classes=U, G_host=G, P_host=G, H=H,
             A0=A0, d_mat=[[zero, one], [one, zero]],
-            beta_mat=[[zero, one], [one, zero]], d0=1.0, eps=0.05, C=0)
+            beta_mat=[[zero, one], [one, zero]], d0=1.0, eps=0.05)
 
     def test_empty_pattern_complete_host(self):
         s = self._complete_input(m=6)
@@ -179,14 +200,26 @@ class TestValidation:
         assert validate_input(s) == []
 
     def test_preparation_certifies_the_host_pairs(self):
-        # the input check leaves the (V4) certificates to (P2): on an empty
-        # host every padded host pair sits 0.9 m below its density, beyond
-        # the window of about 0.74 m at eps = 0.05^(1/3)
+        # the input check leaves the pair certificates to (P2): on an empty
+        # host every host pair sits 0.9 n below its density, beyond the
+        # window of about 0.74 n at eps = 0.05^(1/3)
         s, rng = refined_two_class_input(seed=2)
         s.G_host = LabeledGraph(s.G_host.n)
         assert validate_input(s) == []
-        with pytest.raises(FailureType1, match=r"\(P2\) padded host pair"):
+        with pytest.raises(FailureType1, match=r"\(P2\) host pair"):
             run_slender(s, rng)
+
+    def test_preparation_draws_nothing_on_ragged_classes(self):
+        # classes of 32 and 31 are prepared and certified at their own
+        # sizes, without a random draw
+        host, P, bmat, templates, kmat, A0, rng = ragged_two_class_instance()
+        s, rng = refined_input(host, P, bmat, templates, A0, 0.7, rng)
+        assert [len(c) for c in s.Y_classes] == [32, 31] * 2
+        state = _State(s, rng)
+        before = rng.getstate()
+        state.prepare()
+        assert state.check_preparation() == []
+        assert rng.getstate() == before
 
     def test_nonmatching_pair_flagged(self):
         s_obj = TestSlenderDegenerate()._complete_input(m=4)
@@ -216,7 +249,7 @@ def _three_class_input(R, Y=None, H=None):
     ones = [[Fraction(1)] * 3 for _ in range(3)]
     return SlenderInput(
         R_star=R, Y_classes=Y, U_classes=U, G_host=G, P_host=G, H=H, A0=A0, d_mat=ones, beta_mat=ones, d0=1.0,
-        eps=0.05, C=0)
+        eps=0.05)
 
 
 @pytest.mark.parametrize("edges", [[(0, 1), (1, 2)], [(0, 1), (0, 2), (1, 2)], [(0, 2)]],
@@ -281,7 +314,7 @@ def test_v6_pair_check_matches_the_class_pair_loop(data):
     assert got == _v6_reference(s)
 
 
-def _pairings_reference(s, m, nbrs):
+def _pairings_reference(s, ny, nbrs):
     """The pattern pairings ``prepare`` built from a ``neighbors()`` loop
     (the last neighbour in Y_j wins), kept as the reference."""
     ypos = [{p: k for k, p in enumerate(cls)} for cls in s.Y_classes]
@@ -289,7 +322,7 @@ def _pairings_reference(s, m, nbrs):
     real_all = {}
     for i in range(len(s.Y_classes)):
         for j in nbrs[i]:
-            real = [-1] * m
+            real = [-1] * ny[i]
             for a, x in enumerate(s.Y_classes[i]):
                 for ynb in s.H.neighbors(x):
                     if yclass.get(ynb) == j:
@@ -312,13 +345,13 @@ def test_prepare_pairings_match_the_neighbour_loop(data):
     s = _three_class_input(R, Y=Y, H=H)
     state = _State(s, random.Random(0))
     state.prepare()
-    assert state.real_nbr == _pairings_reference(s, state.m, state.nbrs)
+    assert state.real_nbr == _pairings_reference(s, state.ny, state.nbrs)
 
 
 def _certify_windows_reference(state, j, xi):
     """The degree-window loop of ``_certify_class`` with one ``window`` call
     per row and column, kept as the reference: the first failure's text."""
-    m = state.m
+    m = state.ny[j]
     for tr in state.tracks:
         rows, px = tr.rows[j], tr.px[j]
         mean = sum(px) / m
@@ -359,16 +392,16 @@ def test_certify_class_failure_text_matches_the_reference(kind):
 def _filtered_rows_reference(state, i, xi2):
     """The candidate filter as a loop over candidates, two popcounts per
     candidate and neighbour, kept as the reference."""
-    m = state.m
     host, patch = state.tracks
     rows = list(host.rows[i])
     for j in state.nbrs[i]:
+        m = state.ny[j]
         partner = state.real_nbr[(i, j)]
         gp, pp = host.pairs[(i, j)], patch.pairs[(i, j)]
         arows, brows = host.rows[j], patch.rows[j]
         gpx, ppx = host.px[j], patch.px[j]
         dij, bij = float(host.dens[i][j]), float(patch.dens[i][j])
-        for a in range(m):
+        for a in range(state.ny[i]):
             xj = partner[a]
             if xj < 0:
                 continue
@@ -386,8 +419,8 @@ def _filtered_rows_reference(state, i, xi2):
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_filtered_rows_match_the_per_candidate_loop(data):
-    """Three classes of up to 80 (across the 64-bit boundary) with padding,
-    on a path or a triangle, so some class has two neighbours; partial
+    """Three classes of up to 80 (across the 64-bit boundary) and of
+    different sizes, on a path or a triangle, so some class has two neighbours; partial
     pattern matchings leave rows without a partner; both tracks carry
     their own hosts, densities, cut candidacy rows and several-step
     ladders."""
@@ -422,13 +455,13 @@ def test_filtered_rows_match_the_per_candidate_loop(data):
     d0 = rnd.uniform(0.3, 1.0)
     s = SlenderInput(
         R_star=R, Y_classes=U, U_classes=U, G_host=draw_host(), P_host=draw_host(), H=H, A0=A0,
-        d_mat=draw_dens(), beta_mat=draw_dens(), d0=d0, eps=0.05, C=m)
+        d_mat=draw_dens(), beta_mat=draw_dens(), d0=d0, eps=0.05)
     state = _State(s, rnd)
     state.prepare()
     ladder = [d0 * f for f in (1.0, 0.9, 0.81, 0.5)]
     for tr in state.tracks:
         tr.rows = [[row & rnd.getrandbits(m) for row in rows] for rows in tr.rows]
-        tr.px = [[rnd.choice(ladder) for _ in range(m)] for _ in range(3)]
+        tr.px = [[rnd.choice(ladder) for _ in range(n)] for n in ny]
     xi2 = data.draw(st.floats(0.0, 0.3))
     for i in range(3):
         assert state._filtered_rows(i, xi2) == _filtered_rows_reference(state, i, xi2)
@@ -614,19 +647,11 @@ class TestRefineHost:
 
 
 def test_seeded_embedding_stream_is_pinned():
-    """One seeded run on two classes of 63 (refined sizes 32 and 31, so the
-    padding draws run too): the embedding, the candidacy bigraph F and the
-    next draw of the stream are pinned.  A refactor that moves one draw or
-    one window bound changes these digests."""
-    from regpack.generators import certified_bipartite_host
-    n = 63
-    host, P, bmat, templates, kmat, rng = two_class_instance(n=n, seed=9)
-    A0 = []
-    for i in range(2):
-        B = certified_bipartite_host(n, 0.7, 0.05, rng)
-        B.left_ids = list(templates[0].partition.classes[i])
-        B.right_ids = list(host.partition.classes[i])
-        A0.append(B)
+    """One seeded run on two classes of 63 (refined sizes 32 and 31, each
+    embedded at its own size): the embedding, the candidacy bigraph F and
+    the next draw of the stream are pinned.  A refactor that moves one draw
+    or one window bound changes these digests."""
+    host, P, bmat, templates, kmat, A0, rng = ragged_two_class_instance()
     res = run_uniform_embed(host, P.graph, bmat, templates[0], kmat, A0, 0.7,
                             0.05, 2, ParamSet.embed_retry_cap, rng)
 
@@ -635,7 +660,7 @@ def test_seeded_embedding_stream_is_pinned():
 
     assert [len(c) for c in res.Y_classes] == [32, 31] * 2
     assert sha(sorted(res.phi.items())) == \
-        "f942304c1cc96d7353f1177b8c1af99bafa38ff4be4c9fb3e04d7b865b63931f"
+        "b5f3cfcee9c13dbb5fb1dffc40a57f6c8d5cc9781e3eeb4e3236199636c4c1e0"
     assert sha([[Fj.left_ids, Fj.right_ids, Fj.adj] for Fj in res.F]) == \
-        "317c88102e5aad544c69f83b75a1b049a46535ce62e5096a4f0eaf45ff918531"
-    assert rng.random() == 0.5434283572434653
+        "bc5269a617e51b9d1ffea1481e4ee47391ab76c3849c5119a9b09d69c35c5252"
+    assert rng.random() == 0.0176626660790703
